@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .diamond import ZERO, diamond_table, hamiltonian
@@ -29,7 +28,7 @@ from .lattice import (
     read_lattice_file,
     validate,
 )
-from .product import convolve_measures, convolve_moments, kronecker_sum_check, shuffle_entry
+from .product import SHUFFLE_MAX_POWER, convolve_measures, product_law_checks
 from .radial import jacobi_from_compression, radial_invariance
 from .spectral import (
     MomentSequence,
@@ -41,26 +40,15 @@ from .spectral import (
 )
 from .verify import run_invariant_suite
 
-FAMILIES = ("boolean", "uniform", "projective", "affine", "product", "custom")
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    family: str | None = None
-    n: int | None = None
-    r: int | None = None
-    m: int | None = None
-    q: int | None = None
-    input: str | None = None
-    left: str | None = None
-    right: str | None = None
-    out: str | None = None
-    precision: int = 12
-    max_k: int = 10
-    via: str = "both"
-    fmt: str = "table"
-    size_cap: int | None = None
+# Built-in families: name -> (builder, CLI flags taking its parameters in
+# order).  The same table serves `--family NAME --flag ...` and the compact
+# `NAME:v1,v2` spec; "product" and "custom" are the two other sources.
+FAMILIES = {
+    "boolean": (build_boolean, ("n",)),
+    "uniform": (build_uniform, ("r", "m")),
+    "projective": (build_projective, ("r", "q")),
+    "affine": (build_affine, ("r", "q")),
+}
 
 
 def _frac(x: Fraction) -> str:
@@ -72,16 +60,24 @@ def _flt(x: float, digits: int) -> str:
     return s.lstrip("-") if float(s) == 0 else s
 
 
-def _emit(cfg: RunConfig, table_lines: list[str], machine: dict) -> None:
-    if cfg.fmt == "machine":
+def _emit(args: argparse.Namespace, table_lines: list[str], machine: dict) -> None:
+    if args.fmt == "machine":
         print(json.dumps(machine, indent=2))
     else:
         for line in table_lines:
             print(line)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(machine, fh, indent=2)
             fh.write("\n")
+
+
+def _build_family(family: str, values: list[int], cap: int | None) -> FiniteLattice:
+    builder, _ = FAMILIES[family]
+    try:
+        return builder(*values, cap=cap)
+    except ValueError as exc:  # parameter out of range, e.g. q not prime
+        raise LatticeError(str(exc)) from exc
 
 
 def _lattice_from_spec(spec: str, cap: int | None) -> FiniteLattice:
@@ -89,56 +85,40 @@ def _lattice_from_spec(spec: str, cap: int | None) -> FiniteLattice:
     such as boolean:3, uniform:2,3, projective:3,2, affine:2,2."""
     if os.path.exists(spec) or spec.endswith(".json"):
         return read_lattice_file(spec, cap=cap)
-    name, _, args = spec.partition(":")
-    values = [int(v) for v in args.split(",") if v] if args else []
-    if name == "boolean" and len(values) == 1:
-        return build_boolean(values[0], cap=cap)
-    if name == "uniform" and len(values) == 2:
-        return build_uniform(*values, cap=cap)
-    if name == "projective" and len(values) == 2:
-        return build_projective(*values, cap=cap)
-    if name == "affine" and len(values) == 2:
-        return build_affine(*values, cap=cap)
+    name, _, rest = spec.partition(":")
+    try:
+        values = [int(v) for v in rest.split(",") if v]
+    except ValueError:
+        values = []  # every family takes at least one parameter
+    if name in FAMILIES and len(values) == len(FAMILIES[name][1]):
+        return _build_family(name, values, cap)
     raise LatticeError(
         f"cannot interpret lattice spec {spec!r}; expected a file path or "
         "family:args such as boolean:3 or projective:3,2"
     )
 
 
-def _make_lattice(cfg: RunConfig) -> FiniteLattice:
-    cap = cfg.size_cap
-    if cfg.input and not cfg.family:
-        cfg.family = "custom"
-    family = cfg.family
+def _make_lattice(args: argparse.Namespace) -> FiniteLattice:
+    cap = args.size_cap
+    family = args.family or ("custom" if args.input else None)
     if family is None:
         raise LatticeError("a lattice source is required: --family ... or --input <file>")
-    if family == "boolean":
-        if cfg.n is None:
-            raise LatticeError("--family boolean requires --n")
-        return build_boolean(cfg.n, cap=cap)
-    if family == "uniform":
-        if cfg.r is None or cfg.m is None:
-            raise LatticeError("--family uniform requires --r and --m")
-        return build_uniform(cfg.r, cfg.m, cap=cap)
-    if family == "projective":
-        if cfg.r is None or cfg.q is None:
-            raise LatticeError("--family projective requires --r and --q")
-        return build_projective(cfg.r, cfg.q, cap=cap)
-    if family == "affine":
-        if cfg.r is None or cfg.q is None:
-            raise LatticeError("--family affine requires --r and --q")
-        return build_affine(cfg.r, cfg.q, cap=cap)
     if family == "product":
-        if not cfg.left or not cfg.right:
+        if not args.left or not args.right:
             raise LatticeError("--family product requires --left and --right")
         return build_product(
-            _lattice_from_spec(cfg.left, cap), _lattice_from_spec(cfg.right, cap), cap=cap
+            _lattice_from_spec(args.left, cap), _lattice_from_spec(args.right, cap), cap=cap
         )
     if family == "custom":
-        if not cfg.input:
+        if not args.input:
             raise LatticeError("--family custom requires --input <file>")
-        return read_lattice_file(cfg.input, cap=cap)
-    raise LatticeError(f"unknown family {family!r}")
+        return read_lattice_file(args.input, cap=cap)
+    _, params = FAMILIES[family]
+    values = [getattr(args, p) for p in params]
+    if None in values:
+        flags = " and ".join(f"--{p}" for p in params)
+        raise LatticeError(f"--family {family} requires {flags}")
+    return _build_family(family, values, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +126,8 @@ def _make_lattice(cfg: RunConfig) -> FiniteLattice:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_build(cfg: RunConfig) -> int:
-    L = _make_lattice(cfg)
+def _cmd_build(args: argparse.Namespace) -> int:
+    L = _make_lattice(args)
     doc = L.to_document()
     lines = [
         f"family:     {L.family_tag}",
@@ -156,13 +136,13 @@ def _cmd_build(cfg: RunConfig) -> int:
         f"layers:     {' '.join(str(s) for s in L.layer_sizes())}",
         f"atoms:      {len(L.atoms)}",
     ]
-    _emit(cfg, lines, doc)
+    _emit(args, lines, doc)
     return 0
 
 
-def _cmd_validate(cfg: RunConfig) -> int:
+def _cmd_validate(args: argparse.Namespace) -> int:
     try:
-        L = read_lattice_file(cfg.input, cap=cfg.size_cap)
+        L = read_lattice_file(args.input, cap=args.size_cap)
     except LatticeError as exc:
         print(f"invalid lattice document: {exc}", file=sys.stderr)
         return 1
@@ -176,12 +156,12 @@ def _cmd_validate(cfg: RunConfig) -> int:
         "is_semimodular_atomic": report.is_semimodular_atomic,
         "notes": list(report.notes),
     }
-    _emit(cfg, report.render().splitlines(), machine)
+    _emit(args, report.render().splitlines(), machine)
     return 0 if report.passed() else 1
 
 
-def _cmd_diamond_table(cfg: RunConfig) -> int:
-    L = _make_lattice(cfg)
+def _cmd_diamond_table(args: argparse.Namespace) -> int:
+    L = _make_lattice(args)
     table = diamond_table(L)
     width = max(max(len(lab) for lab in L.labels), 1) + 1
     header = " " * width + "|" + "".join(lab.rjust(width) for lab in L.labels)
@@ -195,22 +175,22 @@ def _cmd_diamond_table(cfg: RunConfig) -> int:
         "labels": list(L.labels),
         "table": [["0" if v is ZERO else v for v in row] for row in table],
     }
-    _emit(cfg, lines, machine)
+    _emit(args, lines, machine)
     return 0
 
 
-def _cmd_hamiltonian(cfg: RunConfig) -> int:
-    L = _make_lattice(cfg)
+def _cmd_hamiltonian(args: argparse.Namespace) -> int:
+    L = _make_lattice(args)
     H = hamiltonian(L)
     doc = H.to_document()
     lines = [f"dim: {H.dim}", f"nonzeros: {H.nnz()}"]
     lines += [f"  ({r}, {c}) = {_frac(v)}" for r, c, v in H.entries()]
-    _emit(cfg, lines, doc)
+    _emit(args, lines, doc)
     return 0
 
 
-def _cmd_jacobi(cfg: RunConfig) -> int:
-    L = _make_lattice(cfg)
+def _cmd_jacobi(args: argparse.Namespace) -> int:
+    L = _make_lattice(args)
     H = hamiltonian(L)
     J = jacobi_from_compression(L, H)
     inv = radial_invariance(L, H)
@@ -219,7 +199,7 @@ def _cmd_jacobi(cfg: RunConfig) -> int:
         if k < J.r:
             lines.append(
                 f"{k:>3d} {J.layers[k]:>8d} {J.W[k]:>10d} "
-                f"{_frac(J.beta_sq[k]):>14s} {_flt(J.beta[k], cfg.precision):>18s}"
+                f"{_frac(J.beta_sq[k]):>14s} {_flt(J.beta[k], args.precision):>18s}"
             )
         else:
             lines.append(f"{k:>3d} {J.layers[k]:>8d}")
@@ -232,12 +212,12 @@ def _cmd_jacobi(cfg: RunConfig) -> int:
         "beta": list(J.beta),
         "invariant": inv.invariant,
     }
-    _emit(cfg, lines, machine)
+    _emit(args, lines, machine)
     return 0
 
 
-def _cmd_resolvent(cfg: RunConfig) -> int:
-    L = _make_lattice(cfg)
+def _cmd_resolvent(args: argparse.Namespace) -> int:
+    L = _make_lattice(args)
     J = jacobi_from_compression(L)
     G = resolvent(J)
     reduced = G.reduce()
@@ -254,18 +234,18 @@ def _cmd_resolvent(cfg: RunConfig) -> int:
         "reduced_numerator": [_frac(c) for c in reduced.numerator.coeffs],
         "reduced_denominator": [_frac(c) for c in reduced.denominator.coeffs],
     }
-    _emit(cfg, lines, machine)
+    _emit(args, lines, machine)
     return 0
 
 
-def _cmd_moments(cfg: RunConfig) -> int:
-    L = _make_lattice(cfg)
+def _cmd_moments(args: argparse.Namespace) -> int:
+    L = _make_lattice(args)
     H = hamiltonian(L)
-    K = cfg.max_k
+    K = args.max_k
     cols: dict[str, MomentSequence] = {}
-    if cfg.via in ("full", "both"):
+    if args.via in ("full", "both"):
         cols["full"] = vacuum_moments_full(L, H, K)
-    if cfg.via in ("radial", "both"):
+    if args.via in ("radial", "both"):
         cols["radial"] = vacuum_moments_radial(jacobi_from_compression(L, H), K)
     header = f"{'k':>3s}" + "".join(f" {name:>16s}" for name in cols)
     lines = [header]
@@ -273,74 +253,50 @@ def _cmd_moments(cfg: RunConfig) -> int:
         lines.append(f"{k:>3d}" + "".join(f" {_frac(seq[k]):>16s}" for seq in cols.values()))
     machine = {name: [_frac(v) for v in seq.values] for name, seq in cols.items()}
     machine["max_k"] = K
-    _emit(cfg, lines, machine)
+    _emit(args, lines, machine)
     return 0
 
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
-    L = _make_lattice(cfg)
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    L = _make_lattice(args)
     measure = eigendecompose(jacobi_from_compression(L))
     lines = [f"{'eigenvalue':>20s} {'weight':>20s}"]
     for eig, weight in measure.atoms:
-        lines.append(f"{_flt(eig, cfg.precision):>20s} {_flt(weight, cfg.precision):>20s}")
-    _emit(cfg, lines, measure.to_document())
+        lines.append(f"{_flt(eig, args.precision):>20s} {_flt(weight, args.precision):>20s}")
+    _emit(args, lines, measure.to_document())
     return 0
 
 
-def _cmd_product_check(cfg: RunConfig) -> int:
-    cap = cfg.size_cap
-    L1 = _lattice_from_spec(cfg.left, cap)
-    L2 = _lattice_from_spec(cfg.right, cap)
-    kron_ok = kronecker_sum_check(L1, L2)
-
-    LP = build_product(L1, L2, cap=cap)
-    HP = hamiltonian(LP)
-    shuffle_ok = True
-    for x1 in range(L1.n):
-        for y1 in range(L1.n):
-            if not L1.leq(x1, y1):
-                continue
-            for x2 in range(L2.n):
-                for y2 in range(L2.n):
-                    if not L2.leq(x2, y2):
-                        continue
-                    d = (L1.rank[y1] - L1.rank[x1]) + (L2.rank[y2] - L2.rank[x2])
-                    if d > 4:
-                        continue
-                    try:
-                        shuffle_entry(L1, L2, (x1, x2), (y1, y2), product_hamiltonian=HP)
-                    except AssertionError:
-                        shuffle_ok = False
-    K = cfg.max_k
-    m1 = vacuum_moments_full(L1, hamiltonian(L1), K)
-    m2 = vacuum_moments_full(L2, hamiltonian(L2), K)
-    conv_ok = convolve_moments(m1, m2, K).values == vacuum_moments_full(LP, HP, K).values
-
+def _cmd_product_check(args: argparse.Namespace) -> int:
+    L1 = _lattice_from_spec(args.left, args.size_cap)
+    L2 = _lattice_from_spec(args.right, args.size_cap)
+    K = args.max_k
+    kron_ok, shuffle_ok, conv_ok = product_law_checks(L1, L2, K, cap=args.size_cap)
     lines = [
         f"kronecker-sum:       {'PASS' if kron_ok else 'FAIL'}",
-        f"shuffle-formula:     {'PASS' if shuffle_ok else 'FAIL'} (entries up to power 4)",
+        f"shuffle-formula:     {'PASS' if shuffle_ok else 'FAIL'} (entries up to power {SHUFFLE_MAX_POWER})",
         f"moment-convolution:  {'PASS' if conv_ok else 'FAIL'} (orders up to {K})",
     ]
     machine = {"kronecker_sum": kron_ok, "shuffle_formula": shuffle_ok, "moment_convolution": conv_ok}
-    _emit(cfg, lines, machine)
+    _emit(args, lines, machine)
     return 0 if kron_ok and shuffle_ok and conv_ok else 1
 
 
-def _cmd_convolve(cfg: RunConfig) -> int:
-    with open(cfg.left, "r", encoding="utf-8") as fh:
+def _cmd_convolve(args: argparse.Namespace) -> int:
+    with open(args.left, "r", encoding="utf-8") as fh:
         mu1 = SpectralMeasure.from_document(json.load(fh))
-    with open(cfg.right, "r", encoding="utf-8") as fh:
+    with open(args.right, "r", encoding="utf-8") as fh:
         mu2 = SpectralMeasure.from_document(json.load(fh))
     out = convolve_measures(mu1, mu2)
     lines = [f"{'eigenvalue':>20s} {'weight':>20s}"]
     for eig, weight in out.atoms:
-        lines.append(f"{_flt(eig, cfg.precision):>20s} {_flt(weight, cfg.precision):>20s}")
-    _emit(cfg, lines, out.to_document())
+        lines.append(f"{_flt(eig, args.precision):>20s} {_flt(weight, args.precision):>20s}")
+    _emit(args, lines, out.to_document())
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    L = _make_lattice(cfg)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    L = _make_lattice(args)
     results = run_invariant_suite(L)
     lines = []
     for r in results:
@@ -353,7 +309,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         "results": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
         "passed": ok,
     }
-    _emit(cfg, lines, machine)
+    _emit(args, lines, machine)
     return 0 if ok else 1
 
 
@@ -362,8 +318,23 @@ def _cmd_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+_VERBS = {
+    "build": (_cmd_build, "construct a lattice and print or save its document"),
+    "validate": (_cmd_validate, "validate a lattice document and print the report"),
+    "diamond-table": (_cmd_diamond_table, "print the full product table (small lattices)"),
+    "hamiltonian": (_cmd_hamiltonian, "print or save the Hamiltonian entries"),
+    "jacobi": (_cmd_jacobi, "print layers, cover weights, and Jacobi coefficients"),
+    "resolvent": (_cmd_resolvent, "print the vacuum resolvent coefficient lists"),
+    "moments": (_cmd_moments, "print vacuum moments (full and/or radial)"),
+    "spectrum": (_cmd_spectrum, "print the vacuum spectral measure"),
+    "product-check": (_cmd_product_check, "check Kronecker-sum, shuffle, and convolution laws"),
+    "convolve": (_cmd_convolve, "convolve two spectral-measure files"),
+    "verify": (_cmd_verify, "run the aggregated invariant suite"),
+}
+
+
 def _add_lattice_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", choices=FAMILIES, help="built-in family or 'custom'")
+    sub.add_argument("--family", choices=(*FAMILIES, "product", "custom"), help="built-in family or 'custom'")
     sub.add_argument("--n", type=int, help="ground-set size (boolean)")
     sub.add_argument("--r", type=int, help="rank / dimension parameter")
     sub.add_argument("--m", type=int, help="ground-set size (uniform)")
@@ -387,23 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
-    specs = {
-        "build": "construct a lattice and print or save its document",
-        "validate": "validate a lattice document and print the report",
-        "diamond-table": "print the full product table (small lattices)",
-        "hamiltonian": "print or save the Hamiltonian entries",
-        "jacobi": "print layers, cover weights, and Jacobi coefficients",
-        "resolvent": "print the vacuum resolvent coefficient lists",
-        "moments": "print vacuum moments (full and/or radial)",
-        "spectrum": "print the vacuum spectral measure",
-        "product-check": "check Kronecker-sum, shuffle, and convolution laws",
-        "convolve": "convolve two spectral-measure files",
-        "verify": "run the aggregated invariant suite",
+    subs = {
+        name: subparsers.add_parser(name, help=help_text)
+        for name, (_, help_text) in _VERBS.items()
     }
-    subs = {}
-    for name, help_text in specs.items():
-        subs[name] = subparsers.add_parser(name, help=help_text)
-
     for name in ("build", "diamond-table", "hamiltonian", "jacobi", "resolvent", "moments", "spectrum", "verify"):
         _add_lattice_args(subs[name])
     subs["validate"].add_argument("input", help="lattice document path")
@@ -419,49 +377,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "build": _cmd_build,
-    "validate": _cmd_validate,
-    "diamond-table": _cmd_diamond_table,
-    "hamiltonian": _cmd_hamiltonian,
-    "jacobi": _cmd_jacobi,
-    "resolvent": _cmd_resolvent,
-    "moments": _cmd_moments,
-    "spectrum": _cmd_spectrum,
-    "product-check": _cmd_product_check,
-    "convolve": _cmd_convolve,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        family=getattr(args, "family", None),
-        n=getattr(args, "n", None),
-        r=getattr(args, "r", None),
-        m=getattr(args, "m", None),
-        q=getattr(args, "q", None),
-        input=getattr(args, "input", None),
-        left=getattr(args, "left", None),
-        right=getattr(args, "right", None),
-        out=args.out,
-        precision=args.precision,
-        max_k=getattr(args, "max_k", 10),
-        via=getattr(args, "via", "both"),
-        fmt=args.fmt,
-        size_cap=args.size_cap,
-    )
-    if cfg.subcommand not in ("validate", "product-check", "convolve") and cfg.input and cfg.family not in (None, "custom"):
+    if getattr(args, "input", None) and getattr(args, "family", None) not in (None, "custom"):
         parser.error("give exactly one lattice source: family flags or --input")
+    handler, _ = _VERBS[args.subcommand]
     try:
-        return _HANDLERS[cfg.subcommand](cfg)
-    except LatticeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+        return handler(args)
+    except (LatticeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

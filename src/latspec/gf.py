@@ -134,7 +134,3 @@ def coset_representatives(basis: Rref, r: int, q: int) -> Iterator[Vec]:
         for j, val in zip(free, values):
             v[j] = val
         yield tuple(v)
-
-
-def vec_sub(u: Vec, v: Vec, q: int) -> Vec:
-    return tuple((a - b) % q for a, b in zip(u, v))

@@ -25,7 +25,6 @@ from . import gf
 DEFAULT_SIZE_CAP = 200_000
 SIZE_CAP_ENV = "LATTICE_SIZE_CAP"
 BOOLEAN_MAX_GROUND = 20
-TABLE_LIMIT = 2_048
 
 
 class LatticeError(Exception):
@@ -197,12 +196,6 @@ class FiniteLattice:
         """All y <= x, including x itself."""
         return _mask_bits(self._down[x])
 
-    def elements_above(self, x: int) -> Iterator[int]:
-        return _mask_bits(self._up[x])
-
-    def downset_mask(self, x: int) -> int:
-        return self._down[x]
-
     def atoms_below(self, x: int) -> Iterator[int]:
         return _mask_bits(self._down[x] & self._atoms_mask)
 
@@ -217,19 +210,6 @@ class FiniteLattice:
 
     def layer_sizes(self) -> tuple[int, ...]:
         return tuple(len(lay) for lay in self.layers)
-
-    # -- bulk tables -------------------------------------------------------
-
-    def join_table(self) -> list[list[int]]:
-        """Dense n x n join table; guarded so that desk-scale use stays safe."""
-        if self.n > TABLE_LIMIT:
-            raise SizeBoundError(f"dense tables are limited to {TABLE_LIMIT} elements")
-        return [[self.join(x, y) for y in range(self.n)] for x in range(self.n)]
-
-    def meet_table(self) -> list[list[int]]:
-        if self.n > TABLE_LIMIT:
-            raise SizeBoundError(f"dense tables are limited to {TABLE_LIMIT} elements")
-        return [[self.meet(x, y) for y in range(self.n)] for x in range(self.n)]
 
     def check_all_pairs(self) -> None:
         """Probe every pair for a unique meet and join; raises otherwise."""
@@ -569,10 +549,12 @@ class CheckResult:
 class ValidationReport:
     """Outcome of the structural checks run by validate().
 
-    is_geometric is the measured conjunction graded + atomic + semimodular;
-    is_semimodular_atomic additionally ignores nothing but is kept separate
-    because the affine family is admitted through the weaker hypothesis.
-    Notes record family-specific caveats.
+    is_geometric and is_semimodular_atomic hold the same value: the measured
+    conjunction of every check (graded, lattice, atomic, semimodular, ...).
+    A finite lattice is geometric exactly when it is atomistic and
+    semimodular, so the two names state one fact.  Both keys are kept
+    because consumers of validate output read both.  Notes record
+    family-specific caveats.
     """
 
     checks: tuple[CheckResult, ...]

@@ -9,16 +9,21 @@ the factor measures.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .diamond import OperatorMatrix, hamiltonian
+from .diamond import OperatorMatrix, Vector, basis_vector, hamiltonian
 from .lattice import FiniteLattice, build_product
-from .spectral import MomentSequence, SpectralMeasure
+from .spectral import MomentSequence, SpectralMeasure, vacuum_moments_full
 
 log = logging.getLogger(__name__)
+
+# Largest minimal power (rank gap) at which product_law_checks compares
+# shuffle-formula entries with direct ones.
+SHUFFLE_MAX_POWER = 4
 
 
 @dataclass(frozen=True)
@@ -58,12 +63,8 @@ def kronecker_sum(H1: OperatorMatrix, H2: OperatorMatrix) -> OperatorMatrix:
     )
 
 
-def kronecker_sum_check(L1: FiniteLattice, L2: FiniteLattice) -> bool:
-    """Build the product Hamiltonian from the product lattice's own diamond
-    product and independently as a Kronecker sum, then compare entry for
-    entry.  Exact equality or bust."""
-    direct = hamiltonian(build_product(L1, L2))
-    assembled = kronecker_sum(hamiltonian(L1), hamiltonian(L2))
+def _kronecker_agrees(direct: OperatorMatrix, H1: OperatorMatrix, H2: OperatorMatrix) -> bool:
+    assembled = kronecker_sum(H1, H2)
     if direct == assembled:
         return True
     direct_entries = dict(((r, c), v) for r, c, v in direct.entries())
@@ -75,6 +76,13 @@ def kronecker_sum_check(L1: FiniteLattice, L2: FiniteLattice) -> bool:
             log.warning("Kronecker sum mismatch at %s: direct %s vs assembled %s", key, a, b)
             break
     return False
+
+
+def kronecker_sum_check(L1: FiniteLattice, L2: FiniteLattice) -> bool:
+    """Build the product Hamiltonian from the product lattice's own diamond
+    product and independently as a Kronecker sum, then compare entry for
+    entry.  Exact equality or bust."""
+    return _kronecker_agrees(hamiltonian(build_product(L1, L2)), hamiltonian(L1), hamiltonian(L2))
 
 
 def shuffle_entry(
@@ -119,6 +127,58 @@ def shuffle_entry(
                 f"shuffle formula {value} disagrees with direct entry {direct} for {x} -> {y}"
             )
     return value
+
+
+def _walks(H: OperatorMatrix, col: int, length: int) -> list[Vector]:
+    """[e_col, H e_col, ..., H^length e_col]."""
+    out = [basis_vector(col)]
+    for _ in range(length):
+        out.append(H.apply(out[-1]))
+    return out
+
+
+def _shuffle_agrees(
+    L1: FiniteLattice, L2: FiniteLattice, H1: OperatorMatrix, H2: OperatorMatrix, HP: OperatorMatrix
+) -> bool:
+    """`shuffle_entry`'s formula on every pair x <= y of the product with
+    rank gap d <= SHUFFLE_MAX_POWER, reading <e_x, H^d e_y> off one walk
+    from e_y per column instead of one walk per entry."""
+    p, zero = SHUFFLE_MAX_POWER, Fraction(0)
+    ident = TensorIdentification(L1.n, L2.n)
+    walks1 = [_walks(H1, y1, p) for y1 in range(L1.n)]
+    walks2 = [_walks(H2, y2, p) for y2 in range(L2.n)]
+    for y1, y2 in itertools.product(range(L1.n), range(L2.n)):
+        walk = _walks(HP, ident.combine(y1, y2), p)
+        for x1 in L1.elements_below(y1):
+            d1 = L1.rank[y1] - L1.rank[x1]
+            for x2 in L2.elements_below(y2):
+                d = d1 + L2.rank[y2] - L2.rank[x2]
+                if d > p:
+                    continue
+                value = comb(d, d1) * walks1[y1][d1].get(x1, zero) * walks2[y2][d - d1].get(x2, zero)
+                if walk[d].get(ident.combine(x1, x2), zero) != value:
+                    log.warning("shuffle formula fails for %s -> %s", (x1, x2), (y1, y2))
+                    return False
+    return True
+
+
+def product_law_checks(
+    L1: FiniteLattice, L2: FiniteLattice, K: int, *, cap: int | None = None
+) -> tuple[bool, bool, bool]:
+    """The three product laws on L1 x L2: (Kronecker sum, shuffle formula
+    up to power SHUFFLE_MAX_POWER, moment convolution up to order K).
+
+    The product lattice is built once under `cap`, and each of the three
+    Hamiltonians once; every law reads them.
+    """
+    LP = build_product(L1, L2, cap=cap)
+    H1, H2, HP = hamiltonian(L1), hamiltonian(L2), hamiltonian(LP)
+    kron_ok = _kronecker_agrees(HP, H1, H2)
+    shuffle_ok = _shuffle_agrees(L1, L2, H1, H2, HP)
+    m1 = vacuum_moments_full(L1, H1, K)
+    m2 = vacuum_moments_full(L2, H2, K)
+    conv_ok = convolve_moments(m1, m2, K).values == vacuum_moments_full(LP, HP, K).values
+    return kron_ok, shuffle_ok, conv_ok
 
 
 def convolve_moments(m1: MomentSequence, m2: MomentSequence, K: int) -> MomentSequence:

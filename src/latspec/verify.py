@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 from .diamond import ZERO, annihilation_operator, creation_operator, diamond, hamiltonian
 from .lattice import FiniteLattice, validate
@@ -21,6 +22,32 @@ from .spectral import (
     vacuum_moments_full,
     vacuum_moments_radial,
 )
+
+
+def measure_moment_bound(k: int, r: int, rho: float) -> float:
+    """Bound on |sum_j w_j lambda_j^k - m_k| for the measure eigendecompose
+    returns on an (r+1) x (r+1) Jacobi matrix T with rho = max|lambda_j|:
+
+        2 (k+1) (r+1) eps rho^k,   eps = 2^-52 (twice the unit roundoff).
+
+    Derivation, to first order in eps.  A backward-stable `eigh` returns
+    the exact eigenpairs of T + E with ||E|| <= p(r+1) eps ||T||, and
+    ||T|| = rho since T is symmetric.  We take the cautious p(r+1) = r+1
+    (LAPACK's approximate bounds use p = 1).  The weights are the squared
+    first eigenvector components, so sum_j w_j lambda_j^k = e0^T (T+E)^k e0,
+    and
+
+        |e0^T (T+E)^k e0 - e0^T T^k e0| <= k ||E|| (||T|| + ||E||)^(k-1)
+                                         ~ k (r+1) eps rho^k.
+
+    Evaluating the sum adds rounding: w_j (one square), lambda_j^k (one
+    libm pow, accurate to about one rounding) and their product cost 3 eps
+    per term, and summing r+1 terms adds r eps, all relative to
+    sum_j w_j |lambda_j|^k <= rho^k.  The total k(r+1) + r + 3 is at most
+    2(k+1)(r+1) whenever k + r >= 1, which fixes C = 2; at k = r = 0 the
+    measure is exact.
+    """
+    return 2 * (k + 1) * (r + 1) * sys.float_info.epsilon * rho**k
 
 
 @dataclass(frozen=True)
@@ -158,9 +185,10 @@ def run_invariant_suite(
 
     measure = eigendecompose(J_comp)
     radial_f = vacuum_moments_radial(J_comp, 10)
+    rho = max(abs(eig) for eig, _ in measure.atoms)
     ok, detail = True, ""
     for k in range(11):
-        if abs(measure.moment(k) - float(radial_f[k])) > 1e-8:
+        if abs(measure.moment(k) - float(radial_f[k])) > measure_moment_bound(k, J_comp.r, rho):
             ok, detail = False, f"moment {k}"
             break
     results.append(SuiteResult("spectral:measure-moments", ok, detail))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from latspec.cli import main
+from latspec.cli import FAMILIES, _lattice_from_spec, _make_lattice, build_parser, main
 
 
 def run(capsys, *argv):
@@ -201,6 +201,59 @@ class TestVerify:
         assert code == 0
         assert "all checks passed" in out
         assert "FAIL" not in out
+
+
+# One parameter set per built-in family, in the order of its flags.
+FAMILY_SAMPLES = {"boolean": (3,), "uniform": (2, 4), "projective": (3, 2), "affine": (2, 3)}
+
+
+class TestFamilyTable:
+    def test_every_family_has_a_sample(self):
+        assert set(FAMILY_SAMPLES) == set(FAMILIES)
+
+    @pytest.mark.parametrize("family", FAMILY_SAMPLES)
+    def test_flags_and_spec_build_the_same_lattice(self, family):
+        builder, params = FAMILIES[family]
+        values = FAMILY_SAMPLES[family]
+        argv = ["build", "--family", family]
+        for param, value in zip(params, values):
+            argv += [f"--{param}", str(value)]
+        by_flags = _make_lattice(build_parser().parse_args(argv))
+        by_spec = _lattice_from_spec(f"{family}:{','.join(map(str, values))}", None)
+        assert by_flags == by_spec == builder(*values)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--family", "boolean"], "--family boolean requires --n"),
+            (["--family", "uniform", "--r", "2"], "--family uniform requires --r and --m"),
+            (["--family", "projective", "--q", "2"], "--family projective requires --r and --q"),
+            (["--family", "affine"], "--family affine requires --r and --q"),
+        ],
+    )
+    def test_missing_flag_message(self, capsys, flags, message):
+        code, _, err = run(capsys, "jacobi", *flags)
+        assert code == 1
+        assert err == f"error: {message}\n"
+
+
+class TestBadSourceErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["product-check", "--left", "boolean:x", "--right", "boolean:1"], "cannot interpret lattice spec 'boolean:x'"),
+            (["product-check", "--left", "boolean:1,2", "--right", "boolean:1"], "cannot interpret lattice spec"),
+            (["build", "--family", "projective", "--r", "3", "--q", "4"], "q = 4 must be prime"),
+            (["build", "--family", "boolean", "--n", "-1"], "n must be non-negative"),
+            (["build", "--family", "uniform", "--r", "0", "--m", "1"], "r must be at least 1"),
+            (["product-check", "--left", "affine:2,4", "--right", "boolean:1"], "q = 4 must be prime"),
+        ],
+    )
+    def test_one_error_line_and_exit_1(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
 
 
 class TestUsageErrors:

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dense_power_entry
+import latspec.product
 from latspec import (
     MomentSequence,
+    SizeBoundError,
     TensorIdentification,
     boolean_closed_form,
     boolean_jacobi,
@@ -18,6 +20,7 @@ from latspec import (
     hamiltonian,
     kronecker_sum,
     kronecker_sum_check,
+    product_law_checks,
     shuffle_entry,
     vacuum_moments_full,
 )
@@ -194,3 +197,39 @@ class TestMeasureConvolution:
         got = convolve_measures(mu, mu)
         assert len(got.atoms) == 5
         assert abs(got.moment(0) - 1.0) < 1e-12
+
+
+class TestProductLawChecks:
+    def test_all_laws_hold(self, m3, b1, b2, fano):
+        for L1, L2 in [(b1, b1), (m3, b1), (b2, b2), (fano, b2)]:
+            assert product_law_checks(L1, L2, 8) == (True, True, True)
+
+    def test_doubled_product_hamiltonian_fails_every_law(self, m3, b1, monkeypatch):
+        real = latspec.product.hamiltonian
+
+        def doubled_on_product(L):
+            H = real(L)
+            return H.scale(2) if L.family_tag.startswith("product(") else H
+
+        monkeypatch.setattr(latspec.product, "hamiltonian", doubled_on_product)
+        assert product_law_checks(m3, b1, 8) == (False, False, False)
+
+    def test_builds_each_hamiltonian_once(self, fano, b2, monkeypatch):
+        real = latspec.product.hamiltonian
+        built = []
+
+        def counting(L):
+            built.append(L.family_tag)
+            return real(L)
+
+        monkeypatch.setattr(latspec.product, "hamiltonian", counting)
+        product_law_checks(fano, b2, 6)
+        assert sorted(built) == sorted(["projective(3,2)", "boolean(2)", "product(projective(3,2),boolean(2))"])
+
+    def test_cap_applies_before_any_hamiltonian_is_built(self, b2, monkeypatch):
+        def unexpected(L):
+            raise AssertionError(f"built the Hamiltonian of {L.family_tag}")
+
+        monkeypatch.setattr(latspec.product, "hamiltonian", unexpected)
+        with pytest.raises(SizeBoundError):
+            product_law_checks(b2, b2, 4, cap=10)
