@@ -8,8 +8,7 @@ dictionary keys.
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Vec = tuple[int, ...]
 Rref = tuple[Vec, ...]
@@ -71,10 +70,6 @@ def rref(rows: Iterable[Vec], q: int) -> Rref:
     return tuple(tuple(row) for row in mat[:pivot_row])
 
 
-def pivot_columns(basis: Rref) -> tuple[int, ...]:
-    return tuple(next(j for j, v in enumerate(row) if v) for row in basis)
-
-
 def reduce_vector(v: Vec, basis: Rref, q: int) -> Vec:
     """Canonical residue of v modulo the row space: zero at every pivot column."""
     out = list(v)
@@ -88,49 +83,3 @@ def reduce_vector(v: Vec, basis: Rref, q: int) -> Vec:
 
 def in_rowspace(v: Vec, basis: Rref, q: int) -> bool:
     return not any(reduce_vector(v, basis, q))
-
-
-def rowspace_contains(big: Rref, small: Rref, q: int) -> bool:
-    """True when every row of `small` lies in the row space of `big`."""
-    return all(in_rowspace(row, big, q) for row in small)
-
-
-def subspaces_of_dim(r: int, q: int, k: int) -> Iterator[Rref]:
-    """All k-dimensional subspaces of F_q^r as canonical echelon bases.
-
-    Enumeration: choose pivot columns, then fill the free cells (entries to
-    the right of a row's pivot, outside the pivot columns) with all field
-    values.
-    """
-    if k == 0:
-        yield ()
-        return
-    if k > r:
-        return
-    for pivots in combinations(range(r), k):
-        pivot_set = set(pivots)
-        cells = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, r)
-            if j not in pivot_set
-        ]
-        for values in product(range(q), repeat=len(cells)):
-            rows = [[0] * r for _ in range(k)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, j), val in zip(cells, values):
-                rows[i][j] = val
-            yield tuple(tuple(row) for row in rows)
-
-
-def coset_representatives(basis: Rref, r: int, q: int) -> Iterator[Vec]:
-    """Canonical coset representatives of a subspace: vectors supported off
-    the pivot columns.  Matches the residues produced by reduce_vector."""
-    pivots = set(pivot_columns(basis))
-    free = [j for j in range(r) if j not in pivots]
-    for values in product(range(q), repeat=len(free)):
-        v = [0] * r
-        for j, val in zip(free, values):
-            v[j] = val
-        yield tuple(v)

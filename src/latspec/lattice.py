@@ -1,9 +1,13 @@
 """Finite graded lattices: construction, built-in families, parsing, validation.
 
-Elements are dense integer ids with id 0 the bottom.  Built-in families
-order elements rank-major and, within a rank, by a family-specific
-canonical key (subset colex, echelon lex, coset-representative lex);
-products are ordered lexicographically by component ids.
+Elements are dense integer ids with id 0 the bottom.  Every built-in
+family except the product is generated as the lattice of flats of a
+matroid by one builder, `_build_flats`: starting from the bottom flat, the
+covers of a flat F are the distinct joins F ∨ p with a point p.  Ids are
+rank-major and, within a rank, follow each family's canonical key: the
+subset bitmask for boolean and uniform, the reduced echelon basis for
+projective, and the (echelon basis, reduced representative) pair for
+affine.  Products are ordered lexicographically by component ids.
 
 Meets and joins are computed through principal-ideal bitmask indexes: the
 set of common lower bounds of x and y is the AND of their down-set masks,
@@ -17,8 +21,9 @@ import json
 import os
 import random
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations, product
+from math import comb
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from . import gf
 
@@ -318,60 +323,71 @@ class FiniteLattice:
 # ---------------------------------------------------------------------------
 
 
+def _build_flats(
+    tag: str,
+    bottom: Hashable,
+    points: Sequence[Hashable],
+    extend: Callable[[Hashable, Hashable], Hashable],
+    label: Callable[[Hashable], str],
+) -> FiniteLattice:
+    """Lattice of flats generated upward from `bottom`, one rank at a time.
+
+    `extend(F, p)` is the join F ∨ p of a flat with a point.  In a geometric
+    lattice every cover of F is F ∨ p for some atom p not below F, so the
+    covers of F are exactly the distinct flats extend(F, p) != F over all
+    points.  Within a rank, flats are ordered by their own `<`, which fixes
+    the ids: the bottom is 0 and the top is n - 1.
+    """
+    rank, labels, covers_up = [0], [label(bottom)], []
+    ids = {bottom: 0}
+    layer, k = [bottom], 0
+    while layer:
+        ups = [{extend(F, p) for p in points} - {F} for F in layer]
+        layer, k = sorted(set().union(*ups)), k + 1
+        for G in layer:
+            ids[G] = len(rank)
+            rank.append(k)
+            labels.append(label(G))
+        covers_up.extend([ids[G] for G in up] for up in ups)
+    return FiniteLattice(rank, covers_up, tag, labels)
+
+
 def _subset_label(mask: int) -> str:
     return "{" + ",".join(str(i + 1) for i in _mask_bits(mask)) + "}"
 
 
 def build_boolean(n: int, *, cap: int | None = None) -> FiniteLattice:
     """Lattice of all subsets of {1..n}: rank = cardinality, join = union,
-    meet = intersection, atoms = singletons.  Elements are ordered by
-    (cardinality, colex), i.e. numerically within a rank when subsets are
-    read as bitmasks."""
+    meet = intersection, atoms = singletons.  Generated as the flats of the
+    free matroid, subsets read as bitmasks; within a rank, elements are
+    ordered by bitmask (colex)."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > BOOLEAN_MAX_GROUND:
         raise SizeBoundError(f"boolean ground sets are limited to {BOOLEAN_MAX_GROUND} elements")
     _check_size(2**n, cap)
-    masks = sorted(range(2**n), key=lambda m: (m.bit_count(), m))
-    index = {m: i for i, m in enumerate(masks)}
-    rank = [m.bit_count() for m in masks]
-    covers_up = [
-        [index[m | (1 << b)] for b in range(n) if not (m >> b) & 1] for m in masks
-    ]
-    labels = [_subset_label(m) for m in masks]
-    return FiniteLattice(rank, covers_up, f"boolean({n})", labels)
+    points = [1 << b for b in range(n)]
+    return _build_flats(f"boolean({n})", 0, points, int.__or__, _subset_label)
 
 
 def build_uniform(r: int, m: int, *, cap: int | None = None) -> FiniteLattice:
     """Lattice of flats of the uniform matroid U_{r,m}: all subsets of
     {1..m} of size < r, plus the full set as top.  build_uniform(2, 3) is
-    the diamond with three atoms."""
+    the diamond with three atoms.  Generated as a lattice of flats, subsets
+    read as bitmasks; within a rank, elements are ordered by bitmask."""
     if r < 1:
         raise ValueError("r must be at least 1")
     if m < r:
         raise ValueError("m must be at least r")
+    _check_size(sum(comb(m, k) for k in range(r)) + 1, cap)
     full = (1 << m) - 1
-    proper = sorted(
-        (mask for mask in range(1 << m) if mask.bit_count() < r),
-        key=lambda mask: (mask.bit_count(), mask),
-    )
-    _check_size(len(proper) + 1, cap)
-    masks = proper + [full]
-    index = {mask: i for i, mask in enumerate(masks)}
-    top = len(masks) - 1
-    rank = [mask.bit_count() for mask in proper] + [r]
-    covers_up: list[list[int]] = []
-    for mask in proper:
-        k = mask.bit_count()
-        if k == r - 1:
-            covers_up.append([top])
-        else:
-            covers_up.append(
-                [index[mask | (1 << b)] for b in range(m) if not (mask >> b) & 1]
-            )
-    covers_up.append([])
-    labels = [_subset_label(mask) for mask in masks]
-    return FiniteLattice(rank, covers_up, f"uniform({r},{m})", labels)
+
+    def extend(mask: int, point: int) -> int:
+        joined = mask | point
+        return joined if joined.bit_count() < r else full
+
+    points = [1 << b for b in range(m)]
+    return _build_flats(f"uniform({r},{m})", 0, points, extend, _subset_label)
 
 
 def _rref_label(basis: gf.Rref) -> str:
@@ -381,36 +397,30 @@ def _rref_label(basis: gf.Rref) -> str:
 def build_projective(r: int, q: int, *, cap: int | None = None) -> FiniteLattice:
     """Lattice of linear subspaces of F_q^r (q prime): rank = dimension,
     join = subspace sum, meet = intersection.  Layer k has Gaussian-binomial
-    size (r choose k)_q."""
+    size (r choose k)_q.  Generated as a lattice of flats whose points are
+    the vectors with leading coordinate 1; a subspace is its reduced
+    echelon basis, and within a rank, elements are ordered by that tuple."""
     if r < 1:
         raise ValueError("r must be at least 1")
     if not gf.is_prime(q):
         raise ValueError(f"q = {q} must be prime")
     total = sum(gf.gaussian_binomial(r, k, q) for k in range(r + 1))
     _check_size(total, cap)
-    by_dim: list[list[gf.Rref]] = [sorted(gf.subspaces_of_dim(r, q, k)) for k in range(r + 1)]
-    ids: dict[gf.Rref, int] = {}
-    rank: list[int] = []
-    labels: list[str] = []
-    for k, layer in enumerate(by_dim):
-        for basis in layer:
-            ids[basis] = len(rank)
-            rank.append(k)
-            labels.append(_rref_label(basis))
-    covers_up: list[list[int]] = [[] for _ in range(len(rank))]
-    for k in range(r):
-        for small in by_dim[k]:
-            lo = ids[small]
-            for big in by_dim[k + 1]:
-                if gf.rowspace_contains(big, small, q):
-                    covers_up[lo].append(ids[big])
-    return FiniteLattice(rank, covers_up, f"projective({r},{q})", labels)
+    points = [v for v in product(range(q), repeat=r) if next((x for x in v if x), 0) == 1]
+
+    def extend(basis: gf.Rref, point: gf.Vec) -> gf.Rref:
+        return gf.rref(basis + (point,), q)
+
+    return _build_flats(f"projective({r},{q})", (), points, extend, _rref_label)
 
 
 def build_affine(r: int, q: int, *, cap: int | None = None) -> FiniteLattice:
     """Lattice of affine flats (cosets x + U) of F_q^r, all dimensions 0..r,
     with an adjoined bottom.  A k-flat has lattice rank k + 1; the atoms are
-    the q^r points.  Meets of disjoint flats land on the adjoined bottom."""
+    the q^r points.  Meets of disjoint flats land on the adjoined bottom.
+    Generated as a lattice of flats: a flat is (echelon basis of U,
+    representative reduced modulo U), the bottom is None, and within a
+    rank, elements are ordered by that (basis, rep) tuple."""
     if r < 1:
         raise ValueError("r must be at least 1")
     if not gf.is_prime(q):
@@ -418,39 +428,21 @@ def build_affine(r: int, q: int, *, cap: int | None = None) -> FiniteLattice:
     total = 1 + sum(q ** (r - k) * gf.gaussian_binomial(r, k, q) for k in range(r + 1))
     _check_size(total, cap)
 
-    Flat = tuple[gf.Rref, gf.Vec]  # (direction subspace, canonical representative)
-    by_dim: list[list[Flat]] = []
-    for k in range(r + 1):
-        flats = [
-            (basis, rep)
-            for basis in sorted(gf.subspaces_of_dim(r, q, k))
-            for rep in gf.coset_representatives(basis, r, q)
-        ]
-        by_dim.append(flats)
+    def extend(flat: tuple[gf.Rref, gf.Vec] | None, point: gf.Vec) -> tuple[gf.Rref, gf.Vec]:
+        if flat is None:
+            return (), point
+        basis, rep = flat
+        basis = gf.rref(basis + (tuple((a - b) % q for a, b in zip(point, rep)),), q)
+        return basis, gf.reduce_vector(rep, basis, q)
 
-    ids: dict[Flat, int] = {}
-    rank = [0]
-    labels = ["empty"]
-    for k, flats in enumerate(by_dim):
-        for flat in flats:
-            ids[flat] = len(rank)
-            rank.append(k + 1)
-            basis, rep = flat
-            labels.append("".join(str(v) for v in rep) + "+" + _rref_label(basis))
+    def label(flat: tuple[gf.Rref, gf.Vec] | None) -> str:
+        if flat is None:
+            return "empty"
+        basis, rep = flat
+        return "".join(str(v) for v in rep) + "+" + _rref_label(basis)
 
-    covers_up: list[list[int]] = [[] for _ in range(len(rank))]
-    covers_up[0] = [ids[flat] for flat in by_dim[0]]
-    for k in range(r):
-        for small in by_dim[k]:
-            u_basis, s_rep = small
-            lo = ids[small]
-            for big in by_dim[k + 1]:
-                v_basis, t_rep = big
-                if gf.rowspace_contains(v_basis, u_basis, q) and gf.reduce_vector(
-                    s_rep, v_basis, q
-                ) == t_rep:
-                    covers_up[lo].append(ids[big])
-    return FiniteLattice(rank, covers_up, f"affine({r},{q})", labels)
+    points = list(product(range(q), repeat=r))
+    return _build_flats(f"affine({r},{q})", None, points, extend, label)
 
 
 def build_product(L1: FiniteLattice, L2: FiniteLattice, *, cap: int | None = None) -> FiniteLattice:
@@ -581,27 +573,27 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _survey_pairs(L: FiniteLattice, exhaustive_limit: int, samples: int, seed: int):
-    if L.n <= exhaustive_limit:
+# validate() surveys every pair (and every triple) up to these sizes and a
+# seeded random sample above them.
+PAIR_EXHAUSTIVE_LIMIT = 400
+TRIPLE_EXHAUSTIVE_LIMIT = 64
+SURVEY_SAMPLES = 20_000
+
+
+def _survey_pairs(L: FiniteLattice):
+    if L.n <= PAIR_EXHAUSTIVE_LIMIT:
         return combinations(range(L.n), 2)
-    rng = random.Random(seed)
-    return ((rng.randrange(L.n), rng.randrange(L.n)) for _ in range(samples))
+    rng = random.Random(0)
+    return ((rng.randrange(L.n), rng.randrange(L.n)) for _ in range(SURVEY_SAMPLES))
 
 
-def validate(
-    L: FiniteLattice,
-    *,
-    exhaustive_limit: int = 400,
-    samples: int = 20_000,
-    triple_limit: int = 64,
-    seed: int = 0,
-) -> ValidationReport:
+def validate(L: FiniteLattice) -> ValidationReport:
     """Run the structural invariant checks.
 
     Pair checks (lattice-ness, absorption, semimodularity) are exhaustive up
-    to `exhaustive_limit` elements and randomly sampled above; triple checks
-    (associativity) are exhaustive up to `triple_limit` and sampled above.
-    All failures carry a first counterexample.
+    to PAIR_EXHAUSTIVE_LIMIT elements and randomly sampled above; triple
+    checks (associativity) are exhaustive up to TRIPLE_EXHAUSTIVE_LIMIT and
+    sampled above.  All failures carry a first counterexample.
     """
     checks: list[CheckResult] = []
 
@@ -616,7 +608,7 @@ def validate(
     lattice_ok, lattice_ce = True, None
     absorb_ok, absorb_ce = True, None
     semi_ok, semi_ce = True, None
-    for x, y in _survey_pairs(L, exhaustive_limit, samples, seed):
+    for x, y in _survey_pairs(L):
         try:
             m = L.meet(x, y)
             j = L.join(x, y)
@@ -636,15 +628,15 @@ def validate(
     checks.append(CheckResult("semimodular", semi_ok, semi_ce))
 
     assoc_ok, assoc_ce = True, None
-    if L.n <= triple_limit:
+    if L.n <= TRIPLE_EXHAUSTIVE_LIMIT:
         triples = (
             (x, y, z) for x in range(L.n) for y in range(L.n) for z in range(L.n)
         )
     else:
-        rng = random.Random(seed + 1)
+        rng = random.Random(1)
         triples = (
             (rng.randrange(L.n), rng.randrange(L.n), rng.randrange(L.n))
-            for _ in range(samples)
+            for _ in range(SURVEY_SAMPLES)
         )
     for x, y, z in triples:
         try:

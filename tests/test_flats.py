@@ -1,0 +1,124 @@
+"""The built-in families as lattices of flats.
+
+Two guards on the builders.  A digest table pins every family's ids,
+labels, covers and tag on a ladder of small parameters: the sha256 of
+`json.dumps(L.to_document())`, recorded while the builders still found
+covers by a pairwise search, so the generated lattices must match it.  An
+independent oracle reads each element's subspace (and coset
+representative) back from its label and checks that y covers x exactly
+when rank(y) = rank(x) + 1 and x's flat lies in y's, testing membership
+with `tests/helpers.py`'s `in_rowspace`, not the builder.
+"""
+
+import hashlib
+import json
+import re
+
+import pytest
+
+from helpers import in_rowspace
+from latspec import build_affine, build_boolean, build_projective, build_uniform
+
+BUILDERS = {
+    "boolean": build_boolean,
+    "uniform": build_uniform,
+    "projective": build_projective,
+    "affine": build_affine,
+}
+
+DOCUMENT_DIGESTS = (
+    ("boolean(0)", "63b297cde774ba7a92378cb8a2197bfd3fae3a7d6a7e934c5a28f9637479c09c"),
+    ("boolean(1)", "223f75ca686810e43b01747d53e2b53efce4cdd1399ebc40980ba5e4f5f74459"),
+    ("boolean(2)", "5083fc63ebea8151a133072b97b7f82e3af45903ed05de8ae6845aa6f2d247ed"),
+    ("boolean(3)", "362e69e774a76602c802c20040801ec64afe0412a84e09ed1f692535b09b025b"),
+    ("boolean(4)", "14781d930f90ed81672c6791b1ffd822f1a9b25902ef41498bde7db6e87a0ab0"),
+    ("boolean(5)", "06b0506760493b005bba5305e3edff0a3cb0836297514e7076b0b495de8aee58"),
+    ("boolean(6)", "ce51a79e339e0a92effb34c690f48a59ba7bbac97c950443def428d7dd5784b3"),
+    ("boolean(7)", "fc69c3e9bb971b1bbbd50094c4856da095d5595ecb8f164b4b2a221ce4846ea5"),
+    ("uniform(1,1)", "223f75ca686810e43b01747d53e2b53efce4cdd1399ebc40980ba5e4f5f74459"),
+    ("uniform(1,2)", "82553c6acc681cf2f8d3e810d26bf286f3a71dd7018f1605a7953f37355b6e26"),
+    ("uniform(2,2)", "5083fc63ebea8151a133072b97b7f82e3af45903ed05de8ae6845aa6f2d247ed"),
+    ("uniform(1,3)", "f9fa660c50ff171c302f0545acbac0e51662081cf2fde9ca49808534076f4a89"),
+    ("uniform(2,3)", "0c1bf7a07871674197c7c02193621ec736e22188671249a07f2d35908ea2ccd6"),
+    ("uniform(3,3)", "362e69e774a76602c802c20040801ec64afe0412a84e09ed1f692535b09b025b"),
+    ("uniform(1,4)", "de6469e421ef1f5ba9e13d12a909a239747796ec81dfb00d9d8fd7260caacdbb"),
+    ("uniform(2,4)", "18553dcfc6c6f0250450806a1fe52c6fa689f521c1a2d066f910e9343bb6ad06"),
+    ("uniform(3,4)", "f63fd0febe10e88684f73815aa146b1287f0e95a8aa2b0258a2df17d94164c5f"),
+    ("uniform(4,4)", "14781d930f90ed81672c6791b1ffd822f1a9b25902ef41498bde7db6e87a0ab0"),
+    ("uniform(1,5)", "6d12d107d08c98f3cce95e413ef6078cfe43baeaa9a395c01aee45caeb0c9549"),
+    ("uniform(2,5)", "8a3b5c399eee96b07bab00e2b519ae2cc4a7229da636eb0236ecda9aa605ca0f"),
+    ("uniform(3,5)", "c08eda5df2bf39e47853ea784aef25cf6a0f495c14d21ec0fa6ce60d1093c03f"),
+    ("uniform(4,5)", "339947e3fca0f5f706116f4ac082cda468feb403b978a1f20f52e61f5b718402"),
+    ("uniform(5,5)", "06b0506760493b005bba5305e3edff0a3cb0836297514e7076b0b495de8aee58"),
+    ("uniform(1,6)", "4e2539c089580979d67c622a4228a271f4db530c18b36a2f5339b1a2cdc99007"),
+    ("uniform(2,6)", "9f54bebf9a37460350f92c82d817c4b8ccfbc2749c3c6b522f91b9fa5abea984"),
+    ("uniform(3,6)", "195f3725e0b6dc3482bab2d9a5e4673d2d8f368f5ffdccabde8beb18ce305e58"),
+    ("uniform(4,6)", "6077b2cd0c8a297c9d49f276fccf4ebce220813e612f572555aecd83876b0ff4"),
+    ("uniform(5,6)", "c910022ea4f68fc5b99b6d41d82c72fdd4772e20daf69932818229593e64bb13"),
+    ("uniform(6,6)", "ce51a79e339e0a92effb34c690f48a59ba7bbac97c950443def428d7dd5784b3"),
+    ("projective(1,2)", "07c4d90b432c96d4293b40795bcbaa9d35ffe3c7d3b7db3ee4cce44bd2c84665"),
+    ("projective(2,2)", "833681c6fd66ce25e4a885984b740eb20fdb55e3660fac4b74f4c73d20e3ea5c"),
+    ("projective(3,2)", "d37da3f50904225ceb3662145b72aaf1ee33b1a4a2a6c290f46c7bad3b6dd319"),
+    ("projective(4,2)", "8aa348938dfc8eb585cf425073dc2d0758d718018ad991dc70417b2810f0a425"),
+    ("projective(1,3)", "07c4d90b432c96d4293b40795bcbaa9d35ffe3c7d3b7db3ee4cce44bd2c84665"),
+    ("projective(2,3)", "624c7c103910d5471c1d7ec85654bdeaf7fd27b59c6edd4e6f29082430c53211"),
+    ("projective(3,3)", "492ee5b1460b5b2db4771ab0d5b7c223637f845ca17ad8b6ba5471ab5db9813d"),
+    ("projective(2,5)", "e1a8a143f6e243e0a0f6d8a35718a262eff165f1b6e30177b1478a98cacc3657"),
+    ("affine(1,2)", "e569d05575e7d9e7ca7dc4b93bf16922cff394ccbb1fa3179e1bb5b374275d47"),
+    ("affine(2,2)", "56dfc0d1ed675f3c7137038f13cf1a5cdc77c5194cc70c696493fcb643c02a5f"),
+    ("affine(3,2)", "00033ac683fa9afd07f17ba21c7917c236118adceb841878602d8709d9fc2988"),
+    ("affine(1,3)", "7312f17cc437f4e33d3260847efc86916fae6b2b9c1eebb17f741ae2fd533b19"),
+    ("affine(2,3)", "654ccf4a9a3e95b73cec47d45d233698bc8d9882fbedee82a092c40122746884"),
+    ("affine(2,5)", "df0e7d8a455c4dda265d0de851244240e5e834c02d99e55e829d1860da92f928"),
+)
+
+
+@pytest.mark.parametrize("tag,digest", DOCUMENT_DIGESTS, ids=[tag for tag, _ in DOCUMENT_DIGESTS])
+def test_document_digest(tag, digest):
+    family, params = re.fullmatch(r"(\w+)\(([\d,]+)\)", tag).groups()
+    L = BUILDERS[family](*map(int, params.split(",")))
+    assert L.family_tag == tag
+    assert hashlib.sha256(json.dumps(L.to_document()).encode()).hexdigest() == digest
+
+
+def _basis(text: str) -> tuple[tuple[int, ...], ...]:
+    """Rows of an echelon-basis label such as "[1002;0110]"."""
+    return tuple(tuple(map(int, row)) for row in text[1:-1].split(";") if row)
+
+
+def _assert_covers_are_containments(L, contains):
+    for x in range(L.n):
+        above = L.layers[L.rank[x] + 1] if L.rank[x] < L.top_rank else ()
+        assert set(L.covers_up[x]) == {y for y in above if contains(y, x)}, L.labels[x]
+
+
+def test_projective_covers_against_subspace_containment():
+    q = 3
+    L = build_projective(4, q)
+    bases = [_basis(label) for label in L.labels]
+    assert len(set(bases)) == L.n
+    assert all(len(bases[x]) == L.rank[x] for x in range(L.n))
+    _assert_covers_are_containments(
+        L, lambda y, x: all(in_rowspace(row, bases[y], q) for row in bases[x])
+    )
+
+
+def test_affine_covers_against_coset_containment():
+    q = 3
+    L = build_affine(3, q)
+    assert L.labels[0] == "empty"
+    flats = [None] + [
+        (_basis(basis), tuple(map(int, rep)))
+        for rep, basis in (label.split("+") for label in L.labels[1:])
+    ]
+    assert len(set(flats)) == L.n
+    assert all(len(flats[x][0]) + 1 == L.rank[x] for x in range(1, L.n))
+
+    def contains(y, x):
+        if x == 0:
+            return True
+        (u, s), (v, t) = flats[x], flats[y]
+        offset = tuple((a - b) % q for a, b in zip(s, t))
+        return in_rowspace(offset, v, q) and all(in_rowspace(row, v, q) for row in u)
+
+    _assert_covers_are_containments(L, contains)

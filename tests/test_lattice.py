@@ -76,6 +76,15 @@ class TestUniform:
         assert L.n == 6
         assert L.layer_sizes() == (1, 4, 1)
 
+    def test_large_ground_set_builds_only_its_flats(self):
+        # 2^40 subsets, of which 822 are flats
+        L = build_uniform(3, 40)
+        assert L.layer_sizes() == (1, 40, 780, 1)
+
+    def test_cap_is_checked_before_building(self):
+        with pytest.raises(SizeBoundError, match="822 elements"):
+            build_uniform(3, 40, cap=100)
+
 
 class TestProjective:
     def test_fano_layers(self, fano):
