@@ -16,9 +16,12 @@ the code.
 Run from any directory:
 
     python scripts/cli_digest.py > digest.txt
+    python scripts/cli_digest.py path/to/other/src > other.txt
 
 Two checkouts print byte-identical digests exactly when every command
 gives the same stdout and exit code; `diff` the two files to compare.
+The optional argument runs the same command list against another
+checkout's `src/` directory instead of this one.
 """
 
 from __future__ import annotations
@@ -76,6 +79,11 @@ COMMANDS = (
     # spectral:measure-moments failed here under an absolute 1e-8 tolerance
     ["verify", "--family", "projective", "--r", "4", "--q", "2"],
     ["verify", "--family", "affine", "--r", "4", "--q", "2"],
+    # full moments whose integer walk leaves int64 at k = 11, and a
+    # mid-size Boolean lattice
+    ["moments", "--family", "projective", "--r", "5", "--q", "2", "--max-k", "12", "--via", "both",
+     "--format", "machine"],
+    ["jacobi", "--family", "boolean", "--n", "10", "--format", "machine"],
     # error paths
     ["frobnicate"],
     ["jacobi"],
@@ -101,8 +109,9 @@ COMMANDS = (
 
 
 def main() -> None:
+    src = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else SRC
     env = {k: v for k, v in os.environ.items() if k != "LATTICE_SIZE_CAP"}
-    env.update(PYTHONPATH=str(SRC), COLUMNS="80")
+    env.update(PYTHONPATH=str(src), COLUMNS="80")
     with tempfile.TemporaryDirectory() as workdir:
         for argv in COMMANDS:
             proc = subprocess.run(

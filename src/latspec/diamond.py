@@ -8,14 +8,17 @@ raises rank by exactly one (semimodularity), which makes the atom
 operators a creation/annihilation system and the summed Hamiltonian
 rank-bipartite.
 
-All matrices are exact: entries are `fractions.Fraction`.
+All matrices are exact: `OperatorMatrix` stores integer numerators over
+one shared denominator, and `fractions.Fraction` appears only at its API.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .lattice import FiniteLattice, SizeBoundError
 
@@ -102,76 +105,113 @@ def diamond_table(L: FiniteLattice, *, limit: int = 64) -> list[list]:
 
 Vector = dict[int, Fraction]
 
+# Integer arrays stay int64 while every product and partial sum provably
+# fits; past that bound they hold Python ints (numpy object arrays).
+_INT64_LIMIT = 2**63
+
 
 def basis_vector(i: int) -> Vector:
     return {i: Fraction(1)}
 
 
+def _max_abs(a: np.ndarray) -> int:
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def fit(a: np.ndarray, factor: int = 1) -> np.ndarray:
+    """`a` as int64 when max(|a|, 1) * max(factor, 1) < 2^63, else as Python ints."""
+    return a.astype(object if max(_max_abs(a), 1) * max(factor, 1) >= _INT64_LIMIT else np.int64, copy=False)
+
+
+def _over_common_denominator(values: list[Fraction]) -> tuple[np.ndarray, int]:
+    denom = math.lcm(*(v.denominator for v in values))
+    return fit(np.array([v.numerator * (denom // v.denominator) for v in values], dtype=object)), denom
+
+
 class OperatorMatrix:
     """Column-sparse matrix over the rationals, indexed by lattice elements.
 
-    Columns hold (row, value) pairs with rows ascending and values nonzero,
-    which fixes a canonical entry order (col, then row) for serialization.
+    The matrix is N / denom with N held as entry arrays `rows`, `cols`,
+    `nums` sorted by (col, row), zeros dropped, and gcd(N, denom) = 1, so
+    equal matrices have equal arrays.  `nums` is int64 unless an entry
+    needs more bits, then Python ints.  The Hamiltonian has denom 2,
+    creation and annihilation operators denom 1.  The layers above compute
+    on N through `matvec`; `Fraction` appears only at the API boundary.
     Immutable after construction; `apply` is pure.
     """
 
-    __slots__ = ("dim", "_cols", "symmetric")
+    __slots__ = ("dim", "denom", "rows", "cols", "nums", "symmetric", "_row_bound")
 
-    def __init__(self, dim: int, cols: tuple, symmetric: bool = False):
-        self.dim = dim
-        self._cols = cols
-        self.symmetric = symmetric
+    def __init__(self, dim: int, rows, cols, nums, denom: int = 1, symmetric: bool = False):
+        """N / denom from unsorted (row, col, numerator) arrays: duplicates
+        are summed, zeros dropped and the common gcd divided out; with
+        symmetric=True, N is checked against its transpose."""
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        outside = np.flatnonzero((rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim))
+        if outside.size:
+            raise ValueError(f"entry ({rows[outside[0]]}, {cols[outside[0]]}) out of range for dim {dim}")
+        key, where = np.unique(cols * dim + rows, return_inverse=True)
+        nums = fit(np.asarray(nums), where.size)
+        summed = np.zeros(key.size, dtype=nums.dtype)
+        np.add.at(summed, where, nums)
+        key, nums = key[summed != 0], summed[summed != 0]
+        g = math.gcd(denom, int(np.gcd.reduce(nums)))
+        self.dim, self.denom, self.nums, self.symmetric = dim, denom // g, fit(nums // g), symmetric
+        self.cols, self.rows = np.divmod(key, dim)
+        if symmetric:
+            mirror = self.rows * dim + self.cols
+            pos = np.minimum(np.searchsorted(key, mirror), key.size - 1)
+            asymmetric = np.flatnonzero((key[pos] != mirror) | (self.nums[pos] != self.nums))
+            if asymmetric.size:
+                i = asymmetric[0]
+                raise ValueError(f"matrix is not symmetric at ({self.rows[i]}, {self.cols[i]})")
+        magnitudes = np.abs(fit(self.nums, key.size))
+        row_sums = np.zeros(dim, dtype=magnitudes.dtype)
+        np.add.at(row_sums, self.rows, magnitudes)
+        self._row_bound = int(row_sums.max(initial=0))
 
     @classmethod
     def from_entries(
-        cls,
-        dim: int,
-        entries: Iterable[tuple[int, int, Fraction]],
-        symmetric: bool = False,
+        cls, dim: int, entries: Iterable[tuple[int, int, Fraction]], symmetric: bool = False
     ) -> "OperatorMatrix":
-        cols: list[dict[int, Fraction]] = [{} for _ in range(dim)]
-        for row, col, value in entries:
-            if not (0 <= row < dim and 0 <= col < dim):
-                raise ValueError(f"entry ({row}, {col}) out of range for dim {dim}")
-            cols[col][row] = cols[col].get(row, Fraction(0)) + Fraction(value)
-        frozen = tuple(
-            tuple(sorted((r, v) for r, v in col.items() if v != 0)) for col in cols
-        )
-        M = cls(dim, frozen, symmetric)
-        if symmetric:
-            for row, col, value in M.entries():
-                if M.entry(col, row) != value:
-                    raise ValueError(f"matrix is not symmetric at ({row}, {col})")
-        return M
+        entries = list(entries)
+        nums, denom = _over_common_denominator([Fraction(v) for _, _, v in entries])
+        return cls(dim, [r for r, _, _ in entries], [c for _, c, _ in entries], nums, denom, symmetric)
 
     def entry(self, row: int, col: int) -> Fraction:
-        col_entries = self._cols[col]
-        i = bisect_left(col_entries, row, key=lambda e: e[0])
-        if i < len(col_entries) and col_entries[i][0] == row:
-            return col_entries[i][1]
-        return Fraction(0)
+        lo, hi = np.searchsorted(self.cols, [col, col + 1])
+        i = lo + int(np.searchsorted(self.rows[lo:hi], row))
+        return Fraction(int(self.nums[i]), self.denom) if i < hi and self.rows[i] == row else Fraction(0)
 
     def entries(self) -> Iterator[tuple[int, int, Fraction]]:
         """All nonzero entries, sorted by (col, row)."""
-        for col, col_entries in enumerate(self._cols):
-            for row, value in col_entries:
-                yield row, col, value
+        for row, col, num in zip(self.rows.tolist(), self.cols.tolist(), self.nums.tolist()):
+            yield row, col, Fraction(num, self.denom)
 
     def nnz(self) -> int:
-        return sum(len(c) for c in self._cols)
+        return self.nums.size
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """N v for an integer array v, so that M v = matvec(v) / denom.
+
+        Stays int64 while max|v| * (largest row sum of |N|) < 2^63, which
+        bounds every product and partial sum; past that it computes and
+        returns Python ints, so a walk that crosses the bound stays exact."""
+        products = self.nums * fit(v, self._row_bound)[self.cols]
+        out = np.zeros(self.dim, dtype=products.dtype)
+        np.add.at(out, self.rows, products)
+        return out
 
     def apply(self, vec: Mapping[int, Fraction]) -> Vector:
-        out: Vector = {}
-        for col, coef in vec.items():
-            if coef == 0:
-                continue
-            for row, value in self._cols[col]:
-                acc = out.get(row, Fraction(0)) + coef * value
-                if acc:
-                    out[row] = acc
-                elif row in out:
-                    del out[row]
-        return out
+        """Exact sparse matrix-vector product; raises on out-of-range support."""
+        for i in vec:
+            if not 0 <= i < self.dim:
+                raise ValueError(f"vector support index {i} out of range for dim {self.dim}")
+        nums, scale = _over_common_denominator([Fraction(c) for c in vec.values()])
+        v = np.zeros(self.dim, dtype=nums.dtype)
+        v[list(vec)] = nums
+        image, denom = self.matvec(v), self.denom * scale
+        return {int(i): Fraction(int(image[i]), denom) for i in np.flatnonzero(image)}
 
     def power_entry(self, row: int, col: int, power: int) -> Fraction:
         """<e_row, M^power e_col>, by repeated sparse application."""
@@ -181,26 +221,27 @@ class OperatorMatrix:
         return v.get(row, Fraction(0))
 
     def transpose(self) -> "OperatorMatrix":
-        return OperatorMatrix.from_entries(
-            self.dim, ((c, r, v) for r, c, v in self.entries()), self.symmetric
-        )
+        return OperatorMatrix(self.dim, self.cols, self.rows, self.nums, self.denom, self.symmetric)
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        merged = list(self.entries()) + list(other.entries())
-        return OperatorMatrix.from_entries(self.dim, merged)
+        denom = math.lcm(self.denom, other.denom)
+        parts = [(M, denom // M.denom) for M in (self, other)]
+        nums = np.concatenate([fit(M.nums, f) * f for M, f in parts])
+        return OperatorMatrix(self.dim, np.r_[self.rows, other.rows], np.r_[self.cols, other.cols], nums, denom)
 
     def scale(self, c: Fraction) -> "OperatorMatrix":
         c = Fraction(c)
-        return OperatorMatrix.from_entries(
-            self.dim, ((r, col, c * v) for r, col, v in self.entries())
-        )
+        nums = fit(self.nums, abs(c.numerator)) * c.numerator
+        return OperatorMatrix(self.dim, self.rows, self.cols, nums, self.denom * c.denominator)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OperatorMatrix):
             return NotImplemented
-        return self.dim == other.dim and self._cols == other._cols
+        return (self.dim, self.denom) == (other.dim, other.denom) and all(
+            np.array_equal(getattr(self, a), getattr(other, a)) for a in ("rows", "cols", "nums")
+        )
 
     def __repr__(self) -> str:
         return f"OperatorMatrix(dim={self.dim}, nnz={self.nnz()})"
@@ -212,10 +253,24 @@ class OperatorMatrix:
         return dense
 
     def to_document(self) -> dict:
-        return {
-            "dim": self.dim,
-            "entries": [[r, c, str(v)] for r, c, v in self.entries()],
-        }
+        return {"dim": self.dim, "entries": [[r, c, str(v)] for r, c, v in self.entries()]}
+
+
+apply = OperatorMatrix.apply
+
+
+def check_dim(L: FiniteLattice, H: OperatorMatrix) -> None:
+    """Raise ValueError unless H acts on the span of L's elements."""
+    if H.dim != L.n:
+        raise ValueError(f"an operator of dimension {H.dim} does not act on {L.family_tag} with {L.n} elements")
+
+
+def _creation_pairs(L: FiniteLattice, a: int) -> np.ndarray:
+    """(a ⋄ x, x) for every x whose product with the atom a is a lattice
+    element, as a 2 x m array: the rows over the columns."""
+    products = np.fromiter((-1 if (y := diamond(L, a, x)) is ZERO else y for x in range(L.n)), np.int64, L.n)
+    lower = np.flatnonzero(products >= 0)
+    return np.stack([products[lower], lower])
 
 
 def creation_operator(L: FiniteLattice, a: int) -> OperatorMatrix:
@@ -223,12 +278,8 @@ def creation_operator(L: FiniteLattice, a: int) -> OperatorMatrix:
     a ⋄ x when the product is a lattice element, and is empty otherwise."""
     if a not in L.atoms:
         raise ValueError(f"element {a} is not an atom")
-    entries = []
-    for x in range(L.n):
-        y = diamond(L, a, x)
-        if y is not ZERO:
-            entries.append((y, x, Fraction(1)))
-    return OperatorMatrix.from_entries(L.n, entries)
+    rows, cols = _creation_pairs(L, a)
+    return OperatorMatrix(L.n, rows, cols, np.ones(rows.size, dtype=np.int64))
 
 
 def annihilation_operator(L: FiniteLattice, a: int) -> OperatorMatrix:
@@ -238,12 +289,9 @@ def annihilation_operator(L: FiniteLattice, a: int) -> OperatorMatrix:
     constructions can cross-check."""
     if a not in L.atoms:
         raise ValueError(f"element {a} is not an atom")
-    entries = []
-    for y in range(L.n):
-        for x in L.elements_below(y):
-            if L.meet(a, x) == 0 and L.join(a, x) == y:
-                entries.append((x, y, Fraction(1)))
-    return OperatorMatrix.from_entries(L.n, entries)
+    pairs = [(x, y) for y in range(L.n) for x in L.elements_below(y) if L.meet(a, x) == 0 and L.join(a, x) == y]
+    rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return OperatorMatrix(L.n, rows, cols, np.ones(rows.size, dtype=np.int64))
 
 
 def hamiltonian(L: FiniteLattice, method: str = "atoms") -> OperatorMatrix:
@@ -254,29 +302,12 @@ def hamiltonian(L: FiniteLattice, method: str = "atoms") -> OperatorMatrix:
     contributes (atoms below y - atoms below x)/2 at (y, x) and (x, y).
     The two assemblies agree entry for entry.
     """
-    half = Fraction(1, 2)
-    entries: list[tuple[int, int, Fraction]] = []
     if method == "atoms":
-        for a in L.atoms:
-            for x in range(L.n):
-                y = diamond(L, a, x)
-                if y is not ZERO:
-                    entries.append((y, x, half))
-                    entries.append((x, y, half))
+        upper, lower = np.hstack([np.empty((2, 0), np.int64)] + [_creation_pairs(L, a) for a in L.atoms])
+        weights = np.ones(upper.size, dtype=np.int64)
     elif method == "covers":
-        for x, y in L.covers():
-            w = Fraction(L.count_atoms_below(y) - L.count_atoms_below(x), 2)
-            if w:
-                entries.append((y, x, w))
-                entries.append((x, y, w))
+        lower, upper = np.array(list(L.covers()), dtype=np.int64).reshape(-1, 2).T
+        weights = np.fromiter((L.count_atoms_below(y) - L.count_atoms_below(x) for x, y in L.covers()), np.int64)
     else:
         raise ValueError(f"unknown assembly method {method!r}")
-    return OperatorMatrix.from_entries(L.n, entries, symmetric=True)
-
-
-def apply(M: OperatorMatrix, v: Mapping[int, Fraction]) -> Vector:
-    """Exact sparse matrix-vector product; raises on out-of-range support."""
-    for i in v:
-        if not 0 <= i < M.dim:
-            raise ValueError(f"vector support index {i} out of range for dim {M.dim}")
-    return M.apply(v)
+    return OperatorMatrix(L.n, np.r_[upper, lower], np.r_[lower, upper], np.r_[weights, weights], 2, symmetric=True)

@@ -67,14 +67,8 @@ def _kronecker_agrees(direct: OperatorMatrix, H1: OperatorMatrix, H2: OperatorMa
     assembled = kronecker_sum(H1, H2)
     if direct == assembled:
         return True
-    direct_entries = dict(((r, c), v) for r, c, v in direct.entries())
-    assembled_entries = dict(((r, c), v) for r, c, v in assembled.entries())
-    for key in sorted(set(direct_entries) | set(assembled_entries)):
-        a = direct_entries.get(key, Fraction(0))
-        b = assembled_entries.get(key, Fraction(0))
-        if a != b:
-            log.warning("Kronecker sum mismatch at %s: direct %s vs assembled %s", key, a, b)
-            break
+    row, col, value = next((direct + assembled.scale(-1)).entries())
+    log.warning("Kronecker sum mismatch at %s: direct minus assembled is %s", (row, col), value)
     return False
 
 

@@ -7,8 +7,9 @@ quantity stays an exact rational: the off-diagonal coefficients enter as
 
     beta_k^2 = <s_k, H s_{k+1}>^2 / (n_k * n_{k+1}),
 
-which avoids the square roots of the normalized basis.  Floats appear
-only in the derived `beta` view.
+which avoids the square roots of the normalized basis.  The compression
+and the invariance test compute on the integer numerators N = 2H held by
+`OperatorMatrix`; floats appear only in the derived `beta` view.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diamond import OperatorMatrix, hamiltonian
+import numpy as np
+
+from .diamond import OperatorMatrix, check_dim, fit, hamiltonian
 from .lattice import FiniteLattice
 
 
@@ -57,6 +60,13 @@ class JacobiData:
     beta_sq: tuple[Fraction, ...]
     W: tuple[int, ...]
     layers: RankLayers
+
+    @classmethod
+    def from_weights(cls, sizes, W) -> "JacobiData":
+        """The coefficients beta_k^2 = W_k^2 / (4 n_k n_{k+1}) of layer sizes n and weight sums W."""
+        layers = RankLayers(tuple(sizes))
+        beta_sq = (Fraction(W[k] * W[k], 4 * layers[k] * layers[k + 1]) for k in range(layers.r))
+        return cls(layers.r, tuple(beta_sq), tuple(W), layers)
 
     def __post_init__(self):
         if self.r != self.layers.r:
@@ -100,73 +110,57 @@ def cover_weight_sums(L: FiniteLattice) -> tuple[int, ...]:
 
 def jacobi_from_formula(L: FiniteLattice) -> JacobiData:
     """Jacobi data via the combinatorial formula beta_k^2 = W_k^2 / (4 n_k n_{k+1})."""
-    layers = rank_layers(L)
-    W = cover_weight_sums(L)
-    beta_sq = tuple(
-        Fraction(W[k] * W[k], 4 * layers[k] * layers[k + 1]) for k in range(layers.r)
-    )
-    return JacobiData(layers.r, beta_sq, W, layers)
-
-
-def _layer_sum(vec: dict[int, Fraction], layer: tuple[int, ...]) -> Fraction:
-    return sum((vec.get(x, Fraction(0)) for x in layer), Fraction(0))
+    return JacobiData.from_weights(L.layer_sizes(), cover_weight_sums(L))
 
 
 def jacobi_from_compression(L: FiniteLattice, H: OperatorMatrix | None = None) -> JacobiData:
-    """Jacobi data by compressing H to the radial subspace.
+    """Jacobi data by compressing H = N / denom to the radial subspace.
 
-    Computes <s_k, H s_{k+1}> exactly on unnormalized layer sums and squares
-    it; also verifies that the compression diagonal <s_k, H s_k> vanishes,
-    which must hold for any graded lattice.  The integer W is recovered as
-    twice the inner product (every entry of H is a half-integer).
-    """
+    Summing N by the ranks of each entry's row and column gives every
+    <s_m, N s_k> at once; <s_k, H s_{k+1}> is read off exactly, and the
+    compression diagonal <s_k, H s_k>, which vanishes on any graded
+    lattice, is checked.  The integer W is twice the inner product (every
+    entry of H is a half-integer)."""
     if H is None:
         H = hamiltonian(L)
+    check_dim(L, H)
     layers = rank_layers(L)
-    images = []
+    rank = np.asarray(L.rank)
+    nums = fit(H.nums, H.nnz())
+    block = np.zeros((layers.r + 1, layers.r + 1), dtype=nums.dtype)
+    np.add.at(block, (rank[H.rows], rank[H.cols]), nums)
     for k in range(layers.r + 1):
-        s_k = {x: Fraction(1) for x in L.layers[k]}
-        images.append(H.apply(s_k))
-    for k in range(layers.r + 1):
-        diag = _layer_sum(images[k], L.layers[k])
-        if diag != 0:
+        if block[k, k]:
             raise ArithmeticError(
-                f"nonzero radial diagonal {diag} at level {k}: the lattice is not graded "
-                "or the Hamiltonian is corrupt"
+                f"nonzero radial diagonal {Fraction(int(block[k, k]), H.denom)} at level {k}: "
+                "the lattice is not graded or the Hamiltonian is corrupt"
             )
-    beta_sq = []
-    W = []
+    beta_sq, W = [], []
     for k in range(layers.r):
-        inner = _layer_sum(images[k + 1], L.layers[k])
+        inner = Fraction(int(block[k, k + 1]), H.denom)
         beta_sq.append(inner * inner / (layers[k] * layers[k + 1]))
-        doubled = 2 * inner
-        if doubled.denominator != 1:
-            raise ArithmeticError(f"cover weight sum 2<s_k, H s_(k+1)> = {doubled} is not an integer")
-        W.append(int(doubled))
+        if (2 * inner).denominator != 1:
+            raise ArithmeticError(f"cover weight sum 2<s_k, H s_(k+1)> = {2 * inner} is not an integer")
+        W.append(int(2 * inner))
     return JacobiData(layers.r, tuple(beta_sq), tuple(W), layers)
 
 
 def radial_invariance(L: FiniteLattice, H: OperatorMatrix | None = None) -> InvarianceReport:
     """Exact test of whether H maps each layer sum into the span of the
     adjacent layer sums, i.e. whether H s_k is constant on each adjacent
-    layer.  No tolerances: coefficients are rationals."""
+    layer.  No tolerances: the image N s_k is an integer array, and on a
+    layer of size m a value v differs from the mean exactly when
+    m * v differs from the layer's sum."""
     if H is None:
         H = hamiltonian(L)
-    r = L.top_rank
-    for k in range(r + 1):
-        s_k = {x: Fraction(1) for x in L.layers[k]}
-        image = H.apply(s_k)
-        residual = dict(image)
-        for kk in (k - 1, k + 1):
-            if 0 <= kk <= r:
-                layer = L.layers[kk]
-                c = _layer_sum(image, layer) / len(layer)
-                for x in layer:
-                    val = residual.get(x, Fraction(0)) - c
-                    if val:
-                        residual[x] = val
-                    elif x in residual:
-                        del residual[x]
-        if residual:
-            return InvarianceReport(False, k, tuple(sorted(residual)))
+    check_dim(L, H)
+    rank = np.asarray(L.rank)
+    for k in range(L.top_rank + 1):
+        image = H.matvec((rank == k).astype(np.int64))
+        residual = image != 0
+        for layer in (np.asarray(L.layers[kk]) for kk in (k - 1, k + 1) if 0 <= kk <= L.top_rank):
+            values = fit(image[layer], len(layer))
+            residual[layer] = values * len(layer) != values.sum()
+        if residual.any():
+            return InvarianceReport(False, k, tuple(np.flatnonzero(residual).tolist()))
     return InvarianceReport(True, None, ())

@@ -24,10 +24,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .diamond import OperatorMatrix, basis_vector
+from .diamond import OperatorMatrix, check_dim
 from .gf import gaussian_binomial, q_int
 from .lattice import FiniteLattice
-from .radial import JacobiData, RankLayers
+from .radial import JacobiData
 
 
 class RationalPolynomial:
@@ -44,10 +44,6 @@ class RationalPolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def const(cls, c) -> "RationalPolynomial":
-        return cls((c,))
 
     @property
     def degree(self) -> int:
@@ -276,14 +272,16 @@ def resolvent(J: JacobiData) -> RationalFunction:
 
 
 def vacuum_moments_full(L: FiniteLattice, H: OperatorMatrix, K: int) -> MomentSequence:
-    """<e_bottom, H^k e_bottom> for k = 0..K, by iterated sparse application."""
+    """<e_bottom, H^k e_bottom> = (N^k e_0)_0 / denom^k for k = 0..K, by
+    iterated sparse application of the integer numerator N = denom * H."""
     if K < 0:
         raise ValueError("K must be non-negative")
+    check_dim(L, H)
     values = [Fraction(1)]
-    v = basis_vector(0)
-    for _ in range(K):
-        v = H.apply(v)
-        values.append(v.get(0, Fraction(0)))
+    v = (np.arange(H.dim) == 0).astype(np.int64)
+    for k in range(1, K + 1):
+        v = H.matvec(v)
+        values.append(Fraction(int(v[0]), H.denom**k))
     return MomentSequence(tuple(values))
 
 
@@ -373,17 +371,11 @@ def closed_form_beta(family: str, k: int, *, n: int | None = None, r: int | None
     return bsq, math.sqrt(bsq)
 
 
-def _jacobi_from_closed_form(r: int, sizes: list[int], W: list[int]) -> JacobiData:
-    layers = RankLayers(tuple(sizes))
-    beta_sq = tuple(Fraction(W[k] * W[k], 4 * sizes[k] * sizes[k + 1]) for k in range(r))
-    return JacobiData(r, beta_sq, tuple(W), layers)
-
-
 def boolean_jacobi(n: int) -> JacobiData:
     """Exact Jacobi data of the subset lattice without building it."""
     sizes = [comb(n, k) for k in range(n + 1)]
     W = [comb(n, k) * (n - k) for k in range(n)]
-    return _jacobi_from_closed_form(n, sizes, W)
+    return JacobiData.from_weights(sizes, W)
 
 
 def projective_jacobi(r: int, q: int) -> JacobiData:
@@ -391,7 +383,7 @@ def projective_jacobi(r: int, q: int) -> JacobiData:
     (r choose k)_q, and each cover at level k carries weight q^k."""
     sizes = [gaussian_binomial(r, k, q) for k in range(r + 1)]
     W = [gaussian_binomial(r, k, q) * q_int(r - k, q) * q**k for k in range(r)]
-    return _jacobi_from_closed_form(r, sizes, W)
+    return JacobiData.from_weights(sizes, W)
 
 
 def affine_jacobi(r: int, q: int) -> JacobiData:
@@ -405,4 +397,4 @@ def affine_jacobi(r: int, q: int) -> JacobiData:
     W = [q**r]
     for k in range(1, r + 1):
         W.append(m[k - 1] * q_int(r - k + 1, q) * q ** (k - 1) * (q - 1))
-    return _jacobi_from_closed_form(r + 1, sizes, W)
+    return JacobiData.from_weights(sizes, W)

@@ -12,6 +12,10 @@ import itertools
 import random
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
 from .diamond import ZERO, annihilation_operator, creation_operator, diamond, hamiltonian
 from .lattice import FiniteLattice, validate
 from .radial import jacobi_from_compression, jacobi_from_formula, radial_invariance
@@ -84,48 +88,33 @@ def run_invariant_suite(L: FiniteLattice) -> list[SuiteResult]:
             )
         )
 
-    ok, detail = True, ""
-    for x, y in _pairs(L.n):
-        if diamond(L, x, y) != diamond(L, y, x):
-            ok, detail = False, f"({x}, {y})"
-            break
-    results.append(SuiteResult("diamond:commutative", ok, detail))
+    bad = next((f"({x}, {y})" for x, y in _pairs(L.n) if diamond(L, x, y) != diamond(L, y, x)), "")
+    results.append(SuiteResult("diamond:commutative", not bad, bad))
 
     ok = all(diamond(L, 0, x) == x for x in range(L.n))
     results.append(SuiteResult("diamond:bottom-is-unit", ok))
 
-    ok, detail = True, ""
-    for a in L.atoms:
-        for x in range(L.n):
-            y = diamond(L, a, x)
-            if y is not ZERO and L.rank[y] != L.rank[x] + 1:
-                ok, detail = False, f"atom {a}, element {x}"
-                break
-        if not ok:
-            break
-    results.append(SuiteResult("diamond:atom-raises-rank", ok, detail))
+    bad = next(
+        (f"atom {a}, element {x}" for a in L.atoms for x in range(L.n)
+         if (y := diamond(L, a, x)) is not ZERO and L.rank[y] != L.rank[x] + 1),
+        "",
+    )
+    results.append(SuiteResult("diamond:atom-raises-rank", not bad, bad))
 
-    ok, detail = True, ""
-    for a in L.atoms:
-        if annihilation_operator(L, a) != creation_operator(L, a).transpose():
-            ok, detail = False, f"atom {a}"
-            break
-    results.append(SuiteResult("operators:transpose-consistency", ok, detail))
+    bad = next(
+        (f"atom {a}" for a in L.atoms if annihilation_operator(L, a) != creation_operator(L, a).transpose()), ""
+    )
+    results.append(SuiteResult("operators:transpose-consistency", not bad, bad))
 
     H = hamiltonian(L)
     ok = H == hamiltonian(L, method="covers")
     results.append(SuiteResult("hamiltonian:assembly-agreement", ok))
 
-    ok, detail = True, ""
-    for row, col, value in H.entries():
-        if abs(L.rank[row] - L.rank[col]) != 1:
-            ok, detail = False, f"entry ({row}, {col})"
-            break
-        doubled = 2 * value
-        if doubled.denominator != 1 or doubled <= 0:
-            ok, detail = False, f"entry ({row}, {col}) = {value}"
-            break
-    results.append(SuiteResult("hamiltonian:bipartite-half-integer", ok, detail))
+    rank = np.asarray(L.rank)
+    bad = np.flatnonzero((np.abs(rank[H.rows] - rank[H.cols]) != 1) | (H.nums <= 0) | (2 % H.denom != 0))
+    i = bad[0] if bad.size else None
+    detail = "" if i is None else f"entry ({H.rows[i]}, {H.cols[i]}) = {Fraction(int(H.nums[i]), H.denom)}"
+    results.append(SuiteResult("hamiltonian:bipartite-half-integer", not bad.size, detail))
 
     moments = vacuum_moments_full(L, H, MAX_MOMENT)
     odd_ok = all(moments[k] == 0 for k in range(1, MAX_MOMENT + 1, 2))

@@ -216,8 +216,11 @@ class TestApply:
 
     def test_dimension_mismatch(self, m3):
         H = hamiltonian(m3)
-        with pytest.raises(ValueError):
-            apply(H, {7: Fraction(1)})
+        for index in (7, m3.n, -1):
+            with pytest.raises(ValueError):
+                apply(H, {index: Fraction(1)})
+            with pytest.raises(ValueError):
+                H.apply({index: Fraction(1)})
 
     def test_power_entry_matches_dense_oracle(self, m3, b2):
         for L in (m3, b2):

@@ -1,0 +1,280 @@
+"""The integer kernel of OperatorMatrix: H = N / denom with N an integer
+array that switches from int64 to Python ints before any product or sum
+can overflow.  Values are checked against dense `Fraction` arithmetic,
+the radial moments or the closed forms."""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import dense_matmul, random_flats_document
+from latspec import (
+    OperatorMatrix,
+    build_affine,
+    build_boolean,
+    build_product,
+    build_projective,
+    build_uniform,
+    hamiltonian,
+    jacobi_from_compression,
+    parse_lattice,
+    projective_jacobi,
+    radial_invariance,
+    resolvent,
+    vacuum_moments_full,
+    vacuum_moments_radial,
+)
+
+
+def dense_apply(dense: list[list[Fraction]], vec: dict[int, Fraction]) -> dict[int, Fraction]:
+    out = {}
+    for i, row in enumerate(dense):
+        total = sum((row[j] * c for j, c in vec.items()), Fraction(0))
+        if total:
+            out[i] = total
+    return out
+
+
+def dense_of(dim: int, entries) -> list[list[Fraction]]:
+    dense = [[Fraction(0)] * dim for _ in range(dim)]
+    for r, c, v in entries:
+        dense[r][c] += Fraction(v)
+    return dense
+
+
+class TestStoredForm:
+    def test_hamiltonian_is_twice_h_over_two(self, fano):
+        H = hamiltonian(fano)
+        assert H.denom == 2
+        assert H.nums.dtype == np.int64
+        for (row, col, value), num in zip(H.entries(), H.nums.tolist()):
+            assert value == Fraction(num, 2)
+
+    def test_integer_matrix_has_denominator_one(self, b2):
+        H = hamiltonian(b2)
+        twice = H.scale(2)
+        assert twice.denom == 1
+        assert twice == OperatorMatrix.from_entries(b2.n, [(r, c, 2 * v) for r, c, v in H.entries()])
+
+    def test_equality_is_structural_across_common_factors(self):
+        A = OperatorMatrix.from_entries(2, [(0, 1, Fraction(2, 6)), (1, 0, Fraction(4, 6))])
+        B = OperatorMatrix.from_entries(2, [(0, 1, Fraction(1, 3)), (1, 0, Fraction(2, 3))])
+        assert A == B
+        assert (A.denom, A.nums.tolist()) == (3, [2, 1])
+
+    def test_wide_entries_fall_back_to_python_ints_and_back(self):
+        big = Fraction(2**70)
+        M = OperatorMatrix.from_entries(2, [(0, 1, big), (1, 0, 3 * big)])
+        assert M.nums.dtype == object
+        assert M.entry(1, 0) == 3 * big
+        assert M.scale(Fraction(1, 2**70)) == OperatorMatrix.from_entries(2, [(0, 1, 1), (1, 0, 3)])
+        assert M.scale(Fraction(1, 2**70)).nums.dtype == np.int64
+        assert M.scale(0) == OperatorMatrix.from_entries(2, [])
+
+
+class TestOverflowBoundary:
+    def test_guard_trips_at_k_11_on_projective_5_2(self):
+        L = build_projective(5, 2)
+        H = hamiltonian(L)
+        v = np.zeros(L.n, dtype=np.int64)
+        v[0] = 1
+        dtypes = []
+        for _ in range(12):
+            v = H.matvec(v)
+            dtypes.append(v.dtype)
+        assert dtypes[:10] == [np.int64] * 10
+        assert dtypes[10:] == [object, object]
+
+    def test_full_moments_across_the_fallback(self):
+        L = build_projective(5, 2)
+        H = hamiltonian(L)
+        full = vacuum_moments_full(L, H, 12)
+        radial = vacuum_moments_radial(jacobi_from_compression(L, H), 12)
+        assert full.values == radial.values
+        assert full.values == resolvent(projective_jacobi(5, 2)).series(12)
+
+    def test_full_moments_past_int64(self):
+        L = build_projective(5, 2)
+        full = vacuum_moments_full(L, hamiltonian(L), 14)
+        assert full.values == resolvent(projective_jacobi(5, 2)).series(14)
+        assert full[14] * 2**14 > 2**63  # a wrapped int64 walk would differ
+
+    def test_entries_near_2_62_applied_twice(self):
+        c = 2**62
+        entries = [(0, 0, c - 1), (0, 2, c), (1, 0, -c), (1, 1, c - 3), (2, 1, 5), (2, 2, -(c - 7))]
+        M = OperatorMatrix.from_entries(3, entries)
+        assert M.denom == 1 and M.nums.dtype == np.int64
+        vec = {0: Fraction(1), 1: Fraction(-2, 7), 2: Fraction(3)}
+        dense = dense_of(3, entries)
+        twice = dense_matmul(dense, dense)
+        assert M.apply(M.apply(vec)) == dense_apply(twice, vec)
+        assert M.power_entry(0, 2, 2) == twice[0][2]
+
+    def test_wide_numerators_applied_twice(self):
+        c = 2**62
+        entries = [(0, 0, c - 1), (0, 2, c), (1, 0, -c), (2, 1, Fraction(c, 3)), (2, 2, -(c - 7))]
+        M = OperatorMatrix.from_entries(3, entries)
+        assert M.nums.dtype == object  # c - 1 over the denominator 3 needs 64 bits
+        vec = {0: Fraction(c + 1), 1: Fraction(-5, 7), 2: Fraction(c - 11)}
+        dense = dense_of(3, entries)
+        twice = dense_matmul(dense, dense)
+        assert M.apply(M.apply(vec)) == dense_apply(twice, vec)
+        assert M.power_entry(2, 0, 2) == twice[2][0]
+
+    def test_int64_entries_with_a_wide_vector(self):
+        M = OperatorMatrix.from_entries(3, [(0, 1, 3), (1, 2, -5), (2, 0, 7), (2, 2, 1)])
+        assert M.nums.dtype == np.int64
+        vec = {0: Fraction(2**62), 1: Fraction(2**62 - 1), 2: Fraction(-(2**61))}
+        dense = dense_of(3, M.entries())
+        assert M.apply(vec) == dense_apply(dense, vec)
+        assert M.apply(M.apply(vec)) == dense_apply(dense_matmul(dense, dense), vec)
+        assert OperatorMatrix.from_entries(3, []).apply({0: Fraction(2**70)}) == {}
+
+    def test_duplicates_summing_past_int64(self):
+        c = 2**62
+        M = OperatorMatrix.from_entries(2, [(0, 1, c), (0, 1, c), (1, 0, -c), (1, 0, -c), (1, 0, -c)])
+        assert (M.entry(0, 1), M.entry(1, 0)) == (2 * c, -3 * c)
+
+    def test_sum_over_a_common_denominator_past_int64(self):
+        c = 2**62
+        A = OperatorMatrix.from_entries(2, [(0, 1, c)])
+        B = OperatorMatrix.from_entries(2, [(1, 0, Fraction(1, 3)), (0, 1, Fraction(1, 3))])
+        assert A.nums.dtype == np.int64
+        total = A + B
+        assert (total.entry(0, 1), total.entry(1, 0)) == (c + Fraction(1, 3), Fraction(1, 3))
+
+
+def residual_support_oracle(L, H) -> tuple[int | None, tuple[int, ...]]:
+    """First level k at which the dense image H s_k is not constant on each
+    adjacent layer, with the support of H s_k minus its layer means."""
+    dense = H.to_dense()
+    for k, layer in enumerate(L.layers):
+        image = [sum((row[x] for x in layer), Fraction(0)) for row in dense]
+        residual = list(image)
+        for kk in (k - 1, k + 1):
+            if 0 <= kk <= L.top_rank:
+                mean = sum(image[x] for x in L.layers[kk]) / len(L.layers[kk])
+                for x in L.layers[kk]:
+                    residual[x] -= mean
+        support = tuple(x for x, v in enumerate(residual) if v)
+        if support:
+            return k, support
+    return None, ()
+
+
+class TestLayerChecks:
+    def test_nonzero_radial_diagonal_is_rejected(self, b2):
+        H = hamiltonian(b2) + OperatorMatrix.from_entries(b2.n, [(0, 0, Fraction(1))])
+        with pytest.raises(ArithmeticError, match="radial diagonal"):
+            jacobi_from_compression(b2, H)
+
+    def test_non_half_integer_weights_are_rejected(self, b2):
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            jacobi_from_compression(b2, hamiltonian(b2).scale(Fraction(2, 3)))
+
+    def test_residual_support_matches_the_dense_oracle(self, m3, b2, fano):
+        lattices = [build_product(m3, b2), build_product(fano, m3), build_uniform(3, 5), build_affine(2, 3)]
+        lattices += [parse_lattice(random_flats_document(random.Random(seed))) for seed in range(12)]
+        seen_failure = 0
+        for L in lattices:
+            H = hamiltonian(L)
+            level, support = residual_support_oracle(L, H)
+            report = radial_invariance(L, H)
+            assert (report.invariant, report.failing_level, report.residual_support) == (
+                level is None, level, support
+            )
+            seen_failure += level is not None
+        assert seen_failure >= 3
+
+    def test_compression_sums_past_int64(self):
+        L, c = build_boolean(4), 2**62
+        J, scaled = jacobi_from_compression(L), jacobi_from_compression(L, hamiltonian(L).scale(c))
+        assert hamiltonian(L).scale(c).nums.dtype == np.int64
+        assert scaled.W == tuple(c * w for w in J.W)
+        assert scaled.beta_sq == tuple(c * c * b for b in J.beta_sq)
+
+    def test_residual_support_past_int64(self, m3):
+        # on the atom layer the image is (c, -c, -c): 3c and -3c wrap in
+        # int64 to the layer sum -c and to c, so a wrapped test would drop
+        # the first atom from the support
+        c = 2**62
+        H = OperatorMatrix.from_entries(m3.n, [(1, 0, c), (2, 0, -c), (3, 0, -c)])
+        report = radial_invariance(m3, H)
+        assert (report.failing_level, report.residual_support) == residual_support_oracle(m3, H) == (0, (1, 2, 3))
+
+    def test_residual_support_of_a_corrupted_hamiltonian(self, fano):
+        # an entry inside a layer and one skipping a layer both leave the
+        # radial span and must show up in the support
+        H = hamiltonian(fano) + OperatorMatrix.from_entries(
+            fano.n, [(1, 2, 1), (2, 1, 1), (0, fano.top, Fraction(1, 3)), (fano.top, 0, Fraction(1, 3))]
+        )
+        report = radial_invariance(fano, H)
+        assert (report.failing_level, report.residual_support) == residual_support_oracle(fano, H)
+
+
+class TestForeignHamiltonian:
+    def test_compression_rejects_a_foreign_hamiltonian(self, b2, b3):
+        with pytest.raises(ValueError):
+            jacobi_from_compression(b3, hamiltonian(b2))
+
+    def test_invariance_rejects_a_foreign_hamiltonian(self, b2, b3):
+        with pytest.raises(ValueError):
+            radial_invariance(b3, hamiltonian(b2))
+
+    def test_full_moments_reject_a_foreign_hamiltonian(self, b3):
+        with pytest.raises(ValueError):
+            vacuum_moments_full(b3, hamiltonian(build_projective(2, 2)), 3)
+
+
+# ---------------------------------------------------------------------------
+# Random sparse rational matrices against the dense Fraction oracle
+# ---------------------------------------------------------------------------
+
+_values = st.builds(
+    Fraction,
+    st.integers(-(2**65), 2**65) | st.integers(-9, 9),
+    st.sampled_from([1, 2, 3, 4, 6, 7, 12]),
+)
+
+
+@st.composite
+def sparse_matrices(draw):
+    dim = draw(st.integers(1, 6))
+    index = st.integers(0, dim - 1)
+    entries = draw(st.lists(st.tuples(index, index, _values), max_size=14))
+    return dim, entries
+
+
+@settings(max_examples=120, deadline=None)
+@given(sparse_matrices(), sparse_matrices(), st.data())
+def test_kernel_matches_dense_oracle(left, right, data):
+    dim, entries = left
+    M = OperatorMatrix.from_entries(dim, entries)
+    dense = dense_of(dim, entries)
+
+    expected = sorted(
+        ((r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v),
+        key=lambda e: (e[1], e[0]),
+    )
+    assert list(M.entries()) == expected
+    assert M.nnz() == len(expected)
+
+    vec = data.draw(st.dictionaries(st.integers(0, dim - 1), _values, max_size=dim))
+    assert M.apply(vec) == dense_apply(dense, vec)
+
+    transposed = M.transpose()
+    assert transposed.to_dense() == [list(col) for col in zip(*dense)]
+
+    c = data.draw(_values)
+    assert M.scale(c).to_dense() == [[c * v for v in row] for row in dense]
+
+    other_entries = [(r % dim, col % dim, v) for r, col, v in right[1]]
+    other = OperatorMatrix.from_entries(dim, other_entries)
+    other_dense = dense_of(dim, other_entries)
+    total = M + other
+    assert total.to_dense() == [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(dense, other_dense)]
+    assert total == OperatorMatrix.from_entries(dim, entries + other_entries)
