@@ -8,7 +8,8 @@ prints one line per command:
 The list covers every verb, every family by flags and by `family:args`
 spec, `--family product`, `--input`, every `--help`, and the error paths.
 Commands run in order in one temporary directory, so the documents that
-early commands write with `--out` are the inputs of later ones.  The
+early commands write with `--out` are the inputs of later ones; the few
+malformed inputs no command writes are put there first (FILES).  The
 checkout's own `src/` is put on PYTHONPATH, LATTICE_SIZE_CAP is cleared
 and the help width is fixed at 80 columns, so the output depends only on
 the code.
@@ -27,6 +28,7 @@ checkout's `src/` directory instead of this one.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shlex
 import subprocess
@@ -40,6 +42,16 @@ VERBS = (
     "build", "validate", "diamond-table", "hamiltonian", "jacobi", "resolvent",
     "moments", "spectrum", "product-check", "convolve", "verify",
 )
+
+FILES = {
+    "broken.json": "{broken",
+    "half-weights.json": '{"atoms": [[-1, 0.25], [1, 0.25]]}',
+    # two atoms under two rank-2 elements under a top: not a lattice
+    "bowtie.json": json.dumps({
+        "elements": [{"id": i} for i in range(6)],
+        "covers": [[0, 1], [0, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 5], [4, 5]],
+    }),
+}
 
 COMMANDS = (
     ["--help"],
@@ -84,6 +96,9 @@ COMMANDS = (
     ["moments", "--family", "projective", "--r", "5", "--q", "2", "--max-k", "12", "--via", "both",
      "--format", "machine"],
     ["jacobi", "--family", "boolean", "--n", "10", "--format", "machine"],
+    # 512 elements: validated from co-cover pairs, where it was once sampled
+    ["build", "--family", "boolean", "--n", "9", "--out", "b9.json"],
+    ["validate", "b9.json", "--format", "machine"],
     # error paths
     ["frobnicate"],
     ["jacobi"],
@@ -105,6 +120,13 @@ COMMANDS = (
     ["build", "--family", "projective", "--r", "3", "--q", "4"],
     ["build", "--family", "boolean", "--n", "-1"],
     ["build", "--family", "uniform", "--r", "0", "--m", "1"],
+    ["validate", "bowtie.json"],
+    ["validate", "."],
+    ["convolve", "--left", "broken.json", "--right", "mu4.json"],
+    ["convolve", "--left", "mu4.json", "--right", "b1.json"],
+    ["convolve", "--left", "half-weights.json", "--right", "mu4.json"],
+    ["moments", "--family", "boolean", "--n", "2", "--max-k", "-1"],
+    ["spectrum", "--family", "boolean", "--n", "2", "--precision", "-1"],
 )
 
 
@@ -113,6 +135,8 @@ def main() -> None:
     env = {k: v for k, v in os.environ.items() if k != "LATTICE_SIZE_CAP"}
     env.update(PYTHONPATH=str(src), COLUMNS="80")
     with tempfile.TemporaryDirectory() as workdir:
+        for name, text in FILES.items():
+            Path(workdir, name).write_text(text, encoding="utf-8")
         for argv in COMMANDS:
             proc = subprocess.run(
                 [sys.executable, "-m", "latspec.cli", *argv],

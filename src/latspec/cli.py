@@ -283,11 +283,15 @@ def _cmd_product_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_convolve(args: argparse.Namespace) -> int:
-    with open(args.left, "r", encoding="utf-8") as fh:
-        mu1 = SpectralMeasure.from_document(json.load(fh))
-    with open(args.right, "r", encoding="utf-8") as fh:
-        mu2 = SpectralMeasure.from_document(json.load(fh))
-    out = convolve_measures(mu1, mu2)
+    measures = []
+    for path in (args.left, args.right):
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                measures.append(SpectralMeasure.from_document(json.load(fh)))
+            except ValueError as exc:  # not JSON, not a measure document, or not a probability measure
+                print(f"error: {path}: {exc}", file=sys.stderr)
+                return 1
+    out = convolve_measures(*measures)
     lines = [f"{'eigenvalue':>20s} {'weight':>20s}"]
     for eig, weight in out.atoms:
         lines.append(f"{_flt(eig, args.precision):>20s} {_flt(weight, args.precision):>20s}")
@@ -344,10 +348,17 @@ def _add_lattice_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--right", help="right factor (file or family spec) for products")
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def _add_common_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write machine-readable output to this path")
     sub.add_argument("--format", dest="fmt", choices=("table", "machine"), default="table")
-    sub.add_argument("--precision", type=int, default=12, help="decimal digits for floats")
+    sub.add_argument("--precision", type=non_negative_int, default=12, help="decimal digits for floats")
     sub.add_argument("--size-cap", type=int, default=None, help="override the element count cap")
 
 
@@ -369,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs["product-check"].add_argument("--right", required=True, help="right factor (file or family spec)")
     subs["convolve"].add_argument("--left", required=True, help="left measure file")
     subs["convolve"].add_argument("--right", required=True, help="right measure file")
-    subs["moments"].add_argument("--max-k", type=int, default=10, dest="max_k", help="largest moment order")
-    subs["product-check"].add_argument("--max-k", type=int, default=8, dest="max_k", help="largest convolution order")
+    subs["moments"].add_argument("--max-k", type=non_negative_int, default=10, dest="max_k", help="largest moment order")
+    subs["product-check"].add_argument("--max-k", type=non_negative_int, default=8, dest="max_k", help="largest convolution order")
     subs["moments"].add_argument("--via", choices=("full", "radial", "both"), default="both")
     for sub in subs.values():
         _add_common_args(sub)
@@ -385,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     handler, _ = _VERBS[args.subcommand]
     try:
         return handler(args)
-    except (LatticeError, FileNotFoundError) as exc:
+    except (LatticeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -236,7 +236,12 @@ class SpectralMeasure:
 
     @classmethod
     def from_document(cls, document: Mapping) -> "SpectralMeasure":
-        atoms = tuple((float(l), float(w)) for l, w in document["atoms"])
+        """Read {"atoms": [[eigenvalue, weight], ...]}; any other shape, and
+        atoms that do not form a centred probability measure, raise ValueError."""
+        try:
+            atoms = tuple((float(l), float(w)) for l, w in document["atoms"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f'expected {{"atoms": [[eigenvalue, weight], ...]}} ({exc!r})') from exc
         return cls(atoms)
 
 

@@ -114,6 +114,80 @@ def is_modular(L) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Lattice oracle from the transitive closure (independent of FiniteLattice)
+# ---------------------------------------------------------------------------
+
+
+def closure_lattice(n: int, covers: list[tuple[int, int]]):
+    """(rank, meet, join) of the poset whose cover list is `covers`, or None
+    when some pair lacks a greatest lower bound or a least upper bound.
+
+    The order is the transitive closure of the covers, as explicit sets;
+    for every pair the common lower (upper) bounds are intersected and
+    searched for one element above (below) all of them.  Ranks are
+    longest-chain lengths from the minimal elements."""
+    down: list[list[int]] = [[] for _ in range(n)]
+    for lo, hi in covers:
+        down[hi].append(lo)
+    below = []  # below[y] = {x : x <= y}
+    for y in range(n):
+        seen, stack = {y}, [y]
+        while stack:
+            for x in down[stack.pop()]:
+                if x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+        below.append(seen)
+    above = [{y for y in range(n) if x in below[y]} for x in range(n)]
+    rank = [0] * n
+    for y in sorted(range(n), key=lambda y: len(below[y])):
+        rank[y] = max((rank[x] + 1 for x in down[y]), default=0)
+    meet, join = {}, {}
+    for x in range(n):
+        for y in range(n):
+            lower, upper = below[x] & below[y], above[x] & above[y]
+            m = next((g for g in lower if lower <= below[g]), None)
+            j = next((g for g in upper if upper <= above[g]), None)
+            if m is None or j is None:
+                return None
+            meet[x, y], join[x, y] = m, j
+    return rank, meet, join
+
+
+def closure_semimodular(n: int, covers: list[tuple[int, int]]) -> bool:
+    """All-pairs rank inequality r(x) + r(y) >= r(x ∨ y) + r(x ∧ y) on a
+    lattice given by its cover list, read from `closure_lattice`."""
+    rank, meet, join = closure_lattice(n, covers)
+    return all(rank[x] + rank[y] >= rank[join[x, y]] + rank[meet[x, y]] for x, y in meet)
+
+
+def random_bounded_graded_poset(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """(n, covers) of a random graded poset with one bottom and one top.
+
+    Ranks 1..r-1 get one to four elements each; every element covers a
+    random nonempty set of the rank below and is covered by something, and
+    the top covers all of rank r-1.  Many of these posets are not lattices.
+    Element ids are shuffled."""
+    r = rng.randint(2, 4)
+    layers = [[0]]
+    for k in range(1, r):
+        start = layers[-1][-1] + 1
+        layers.append(list(range(start, start + rng.randint(1, 4))))
+    layers.append([layers[-1][-1] + 1])
+    covers = set()
+    for lower, upper in zip(layers, layers[1:]):
+        for y in upper:
+            covers.update((x, y) for x in rng.sample(lower, rng.randint(1, len(lower))))
+        for x in lower:
+            if not any((x, y) in covers for y in upper):
+                covers.add((x, rng.choice(upper)))
+    n = layers[-1][0] + 1
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return n, sorted((ids[lo], ids[hi]) for lo, hi in covers)
+
+
+# ---------------------------------------------------------------------------
 # Random geometric lattices (flats of random prime-field point sets)
 # ---------------------------------------------------------------------------
 

@@ -255,6 +255,37 @@ class TestBadSourceErrors:
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("{broken", "Expecting property name"),
+            ('{"elements": [{"id": 0}], "covers": []}', 'expected {"atoms"'),
+            ('{"atoms": [[-1, 0.25], [1, 0.25]]}', "weights sum to 0.5, not 1"),
+        ],
+    )
+    def test_bad_measure_file(self, capsys, tmp_path, content, message):
+        path = tmp_path / "mu.json"
+        path.write_text(content)
+        argv = ["convolve", "--left", str(path), "--right", str(path)]
+        self.test_one_error_line_and_exit_1(capsys, argv, message)
+
+    def test_directory_given_to_validate(self, capsys, tmp_path):
+        self.test_one_error_line_and_exit_1(capsys, ["validate", str(tmp_path)], "Is a directory")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--family", "boolean", "--n", "2", "--max-k", "-1"],
+            ["product-check", "--left", "boolean:1", "--right", "boolean:1", "--max-k", "-1"],
+            ["spectrum", "--family", "boolean", "--n", "2", "--precision", "-1"],
+        ],
+    )
+    def test_negative_flag_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "-1 is negative" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_subcommand_exits_2(self, capsys):

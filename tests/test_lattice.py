@@ -1,10 +1,13 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import closure_lattice, closure_semimodular, random_bounded_graded_poset, random_flats_document
 from latspec import (
+    FiniteLattice,
     NotALatticeError,
     NotAPosetError,
     NotGradedError,
@@ -269,6 +272,51 @@ class TestValidate:
         for L in small_lattices:
             report = validate(L)
             assert report.passed(), (L.family_tag, report.failed_checks())
+
+
+class TestCoCoverCertificate:
+    """Lattice-ness and semimodularity are read from co-cover pairs only;
+    these tests compare both verdicts with the all-pairs closure oracle."""
+
+    @pytest.fixture(scope="class")
+    def posets(self):
+        return [random_bounded_graded_poset(random.Random(seed)) for seed in range(2000)]
+
+    def test_from_covers_rejects_exactly_the_non_lattices(self, posets):
+        rejected = 0
+        for n, covers in posets:
+            is_lattice = closure_lattice(n, covers) is not None
+            try:
+                FiniteLattice.from_covers(n, covers)
+            except NotALatticeError:
+                rejected += 1
+                assert not is_lattice, covers
+            else:
+                assert is_lattice, covers
+        assert 300 < rejected < 1700
+
+    def test_semimodular_verdict_equals_all_pairs_rank_inequality(self, posets):
+        cases = [(n, covers, FiniteLattice.from_covers(n, covers))
+                 for n, covers in posets if closure_lattice(n, covers) is not None]
+        for seed in range(60):
+            doc = random_flats_document(random.Random(seed))
+            cases.append((len(doc["elements"]), doc["covers"], parse_lattice(doc)))
+        verdicts = []
+        for n, covers, L in cases:
+            semi = next(c for c in validate(L).checks if c.name == "semimodular")
+            assert semi.passed == closure_semimodular(n, covers), covers
+            if not semi.passed:
+                x, y = semi.counterexample
+                assert L.rank[x] + L.rank[y] < L.rank[L.join(x, y)] + L.rank[L.meet(x, y)]
+            verdicts.append(semi.passed)
+        assert 50 < verdicts.count(False) < len(verdicts) - 50
+
+    def test_bowtie_with_top_fails_lattice_pairs_without_raising(self):
+        L = FiniteLattice([0, 1, 1, 2, 2, 3], [[1, 2], [3, 4], [3, 4], [5], [5], []])
+        report = validate(L)
+        lattice = next(c for c in report.checks if c.name == "lattice-pairs")
+        assert not lattice.passed and lattice.counterexample == (3, 4)
+        assert not report.passed() and not report.is_geometric
 
 
 class TestAtomCounts:
