@@ -8,11 +8,11 @@ prints one line per command:
 The list covers every verb, every family by flags and by `family:args`
 spec, `--family product`, `--input`, every `--help`, and the error paths.
 Commands run in order in one temporary directory, so the documents that
-early commands write with `--out` are the inputs of later ones; the few
-malformed inputs no command writes are put there first (FILES).  The
-checkout's own `src/` is put on PYTHONPATH, LATTICE_SIZE_CAP is cleared
-and the help width is fixed at 80 columns, so the output depends only on
-the code.
+early commands write with `--out` are the inputs of later ones; the inputs
+no command writes, malformed files and a few hand-written documents, are
+put there first (FILES).  The checkout's own `src/` is put on PYTHONPATH,
+LATTICE_SIZE_CAP is cleared and the help width is fixed at 80 columns, so
+the output depends only on the code.
 
 Run from any directory:
 
@@ -50,6 +50,16 @@ FILES = {
     "bowtie.json": json.dumps({
         "elements": [{"id": i} for i in range(6)],
         "covers": [[0, 1], [0, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 5], [4, 5]],
+    }),
+    # a graded lattice that is not atomistic: two chains of length 3
+    "hexagon.json": json.dumps({
+        "elements": [{"id": i} for i in range(6)],
+        "covers": [[0, 1], [0, 2], [1, 3], [2, 4], [3, 5], [4, 5]],
+    }),
+    # N5: a lattice with maximal chains of lengths 3 and 2, so not graded
+    "pentagon.json": json.dumps({
+        "elements": [{"id": i} for i in range(5)],
+        "covers": [[0, 1], [1, 2], [2, 4], [0, 3], [3, 4]],
     }),
 }
 
@@ -99,6 +109,10 @@ COMMANDS = (
     # 512 elements: validated from co-cover pairs, where it was once sampled
     ["build", "--family", "boolean", "--n", "9", "--out", "b9.json"],
     ["validate", "b9.json", "--format", "machine"],
+    # a non-atomistic document: its join-irreducibles are not all atoms
+    ["validate", "hexagon.json", "--format", "machine"],
+    ["jacobi", "--input", "hexagon.json", "--format", "machine"],
+    ["verify", "--input", "hexagon.json", "--format", "machine"],
     # error paths
     ["frobnicate"],
     ["jacobi"],
@@ -121,6 +135,7 @@ COMMANDS = (
     ["build", "--family", "boolean", "--n", "-1"],
     ["build", "--family", "uniform", "--r", "0", "--m", "1"],
     ["validate", "bowtie.json"],
+    ["verify", "--input", "pentagon.json", "--format", "machine"],
     ["validate", "."],
     ["convolve", "--left", "broken.json", "--right", "mu4.json"],
     ["convolve", "--left", "mu4.json", "--right", "b1.json"],

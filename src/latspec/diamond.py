@@ -288,11 +288,13 @@ def annihilation_operator(L: FiniteLattice, a: int) -> OperatorMatrix:
     is deliberately not implemented as transpose(creation) so the two
     constructions can cross-check.  Only y >= a and x with a ≰ x can give
     a term (x ∨ a = y needs a <= y, and a ∧ x = bottom needs a ≰ x), so
-    only those are visited."""
+    only those are visited; the join, which fails for most of them, is
+    tested before the meet."""
     if a not in L.atoms:
         raise ValueError(f"element {a} is not an atom")
-    pairs = [(x, y) for y in range(L.n) if L.leq(a, y) for x in L.elements_below(y)
-             if not L.leq(a, x) and L.meet(a, x) == 0 and L.join(a, x) == y]
+    above = {y for y in range(L.n) if L.leq(a, y)}
+    pairs = [(x, y) for y in sorted(above) for x in L.elements_below(y)
+             if x not in above and L.join(a, x) == y and L.meet(a, x) == 0]
     rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     return OperatorMatrix(L.n, rows, cols, np.ones(rows.size, dtype=np.int64))
 

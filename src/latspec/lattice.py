@@ -9,10 +9,21 @@ subset bitmask for boolean and uniform, the reduced echelon basis for
 projective, and the (echelon basis, reduced representative) pair for
 affine.  Products are ordered lexicographically by component ids.
 
-Meets and joins are computed through principal-ideal bitmask indexes: the
-set of common lower bounds of x and y is the AND of their down-set masks,
-and in a lattice that mask is itself a principal down-set.  A lookup that
-finds no such element raises NotALatticeError.
+Every finite lattice is ordered by its irreducibles (Davey & Priestley,
+Introduction to Lattices and Order, 2nd ed., 2002, ch. 2; Birkhoff,
+Lattice Theory, 3rd ed., 1967).  An element is join-irreducible when it
+has exactly one lower cover and meet-irreducible when it has exactly one
+upper cover; write J(x) for the join-irreducibles below x and M(x) for the
+meet-irreducibles above it.  Then x <= y iff J(x) ⊆ J(y), J(x ∧ y) =
+J(x) ∩ J(y) and M(x ∨ y) = M(x) ∩ M(y).  `FiniteLattice` stores J(x) and
+M(x) as bitmasks, so `leq` is a subset test and `meet` and `join` are one
+AND and one lookup each.  On an atomistic lattice the join-irreducibles
+are the atoms, so a mask costs a bit per atom, not a bit per element.
+
+The masks order an element set exactly only when it is a lattice, so
+`leq`, `meet` and `join` are defined only on lattices.  Built-in families
+and products are lattices by construction; `from_covers` and `validate`
+certify every other input.
 
 Lattice-ness and semimodularity are certified exactly from co-cover pairs,
 two elements that cover, or are covered by, a common element; no pair
@@ -28,7 +39,20 @@ survey over all n² pairs is needed.
   below m, so below p and below s; and s <= y, s <= p <= x.  Hence
   s = x ∧ y.  At u = top every pair has a meet, and the join of x and y is
   the meet of their common upper bounds, which include the top.
-  `FiniteLattice.first_meetless_pair` checks the condition.
+  `FiniteLattice.first_meetless_pair` checks the condition by descent.
+  For lower covers x, y of u, let s = J(x) ∩ J(y); from x, step down
+  through any lower cover whose mask contains s until the mask equals s,
+  and do the same from y.  The pair passes iff both walks reach the same
+  element.  Pairs are visited with u in rank order, a linear extension,
+  so at the first failing pair every pair below x and below y has passed
+  and, by induction, has a meet: the down-sets of x and y are lattices,
+  in which the masks are exact.  If x ∧ y = m exists, J(m) = s, every
+  element on a walk lies above m, and a walk can always step towards m,
+  so both walks end at m.  If both walks end at one element e, then
+  J(e) = s and every common lower bound z of x and y has J(z) ⊆ s, so
+  z <= e and e = x ∧ y.  So the descent decides each pair exactly,
+  whichever covers the walks take, and the first failing pair is the
+  first meetless one.
 * Upper semimodularity.  A finite lattice is upper semimodular iff,
   whenever x and y both cover z, x ∨ y covers both (Stanley, Enumerative
   Combinatorics I, Prop. 3.3.2).  In a graded lattice a failing pair has
@@ -40,6 +64,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from math import comb
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
@@ -89,11 +114,23 @@ def _check_size(n: int, cap: int | None) -> None:
         raise SizeBoundError(f"lattice would have {n} elements, exceeding the cap of {limit}")
 
 
-def _mask_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _irreducible_masks(layers: Sequence[Sequence[int]], below: Sequence[Sequence[int]]) -> list[int]:
+    """Per element, the mask of the irreducibles at or under it, where
+    below[y] lists the elements y covers in the chosen direction and an
+    element is irreducible when it covers exactly one.  `layers` must list
+    every element after the ones below it; bits are numbered in that order."""
+    masks = [0] * len(below)
+    bit = 1
+    for layer in layers:
+        for y in layer:
+            m = 0
+            for x in below[y]:
+                m |= masks[x]
+            if len(below[y]) == 1:
+                m |= bit
+                bit <<= 1
+            masks[y] = m
+    return masks
 
 
 class FiniteLattice:
@@ -110,6 +147,12 @@ class FiniteLattice:
     layers : layers[k] lists the ids of rank k
     family_tag : provenance label, e.g. "boolean(3)" or "custom"
     labels : display label per element
+
+    `leq`, `meet` and `join` read join- and meet-irreducible masks (module
+    docstring), which order the elements exactly only on a lattice: they
+    are defined only when `first_meetless_pair` is None.  Built-in families
+    and products are lattices by construction; `from_covers` and `validate`
+    certify every other input.
 
     The object is immutable after construction and safe to share across
     threads; all query methods are pure.
@@ -137,7 +180,7 @@ class FiniteLattice:
         covers_down: list[list[int]] = [[] for _ in range(n)]
         for x, ups in enumerate(self.covers_up):
             for y in ups:
-                # the rank-ordered down-set fill below relies on this
+                # the rank-ordered layers and mask fill below rely on this
                 if self.rank[y] != self.rank[x] + 1:
                     raise NotGradedError(
                         f"cover [{x}, {y}] spans ranks {self.rank[x]} -> {self.rank[y]}"
@@ -157,44 +200,25 @@ class FiniteLattice:
         if self.rank[self.top] != self.top_rank:
             raise NotGradedError("the unique maximal element does not have the maximal rank")
 
-        # Down-set / up-set bitmasks, filled in rank order (ids need not be
-        # rank-sorted: product lattices are ordered lexicographically).
-        order = sorted(range(n), key=self.rank.__getitem__)
-        down = [0] * n
-        for y in order:
-            m = 1 << y
-            for x in covers_down[y]:
-                m |= down[x]
-            down[y] = m
-        up = [0] * n
-        for y in reversed(order):
-            m = 1 << y
-            for z in self.covers_up[y]:
-                m |= up[z]
-            up[y] = m
-        self._down = down
-        self._up = up
-        self._down_index = {m: i for i, m in enumerate(down)}
-        self._up_index = {m: i for i, m in enumerate(up)}
-
         layers: list[list[int]] = [[] for _ in range(self.top_rank + 1)]
         for i, rk in enumerate(self.rank):
             layers[rk].append(i)
-        if not all(layers):
-            empty = next(k for k, lay in enumerate(layers) if not lay)
-            raise NotGradedError(f"no element has rank {empty}")
         self.layers = tuple(tuple(lay) for lay in layers)
         self.atoms = self.layers[1] if self.top_rank >= 1 else ()
-        atoms_mask = 0
-        for a in self.atoms:
-            atoms_mask |= 1 << a
-        self._atoms_mask = atoms_mask
+
+        # J(x) and M(x) masks, filled in rank order (ids need not be
+        # rank-sorted: product lattices are ordered lexicographically).  The
+        # atoms are the first join-irreducibles, so they hold the low bits.
+        self._down = _irreducible_masks(self.layers, self.covers_down)
+        self._up = _irreducible_masks(self.layers[::-1], self.covers_up)
+        self._down_index = {m: i for i, m in enumerate(self._down)}
+        self._up_index = {m: i for i, m in enumerate(self._up)}
         self.validation = None  # optionally attached by parse_lattice / validate
 
     # -- order queries ----------------------------------------------------
 
     def leq(self, x: int, y: int) -> bool:
-        return (self._down[y] >> x) & 1 == 1
+        return (self._down[x] & self._down[y]) == self._down[x]
 
     def meet(self, x: int, y: int) -> int:
         m = self._down[x] & self._down[y]
@@ -210,21 +234,17 @@ class FiniteLattice:
         except KeyError:
             raise NotALatticeError(f"elements {x} and {y} have no unique join") from None
 
-    def join_all(self, xs: Iterable[int]) -> int:
-        out = 0
-        for x in xs:
-            out = self.join(out, x)
-        return out
-
-    def elements_below(self, x: int) -> Iterator[int]:
-        """All y <= x, including x itself."""
-        return _mask_bits(self._down[x])
-
-    def atoms_below(self, x: int) -> Iterator[int]:
-        return _mask_bits(self._down[x] & self._atoms_mask)
+    def elements_below(self, x: int) -> list[int]:
+        """All y <= x, including x itself, ascending; walked down the lower
+        covers one rank at a time."""
+        below, layer = [x], (x,)
+        while layer:
+            layer = set().union(*map(self.covers_down.__getitem__, layer))
+            below += layer
+        return sorted(below)
 
     def count_atoms_below(self, x: int) -> int:
-        return (self._down[x] & self._atoms_mask).bit_count()
+        return (self._down[x] & ((1 << len(self.atoms)) - 1)).bit_count()
 
     def covers(self) -> Iterator[tuple[int, int]]:
         """All cover pairs (x, y) with x covered by y."""
@@ -235,11 +255,28 @@ class FiniteLattice:
     def layer_sizes(self) -> tuple[int, ...]:
         return tuple(len(lay) for lay in self.layers)
 
+    @cached_property
     def first_meetless_pair(self) -> tuple[int, int] | None:
         """The first two lower covers of a common element that have no meet,
-        or None, which certifies every meet and join (module docstring)."""
-        pairs = (p for u in range(self.n) for p in combinations(self.covers_down[u], 2))
-        return next(((x, y) for x, y in pairs if self._down[x] & self._down[y] not in self._down_index), None)
+        with the element in rank order, or None, which certifies every meet
+        and join.  Decided by descent (module docstring); both walks end at
+        once when the element indexed by s is a lower cover of x and of y.
+        Computed once, on first read."""
+        down, index, lower = self._down, self._down_index, self.covers_down
+
+        def descend(x: int | None, s: int) -> int | None:
+            while x is not None and down[x] != s:
+                x = next((c for c in lower[x] if (down[c] & s) == s), None)
+            return x
+
+        def has_meet(x: int, y: int) -> bool:
+            s = down[x] & down[y]
+            t = index.get(s)
+            return (t in lower[x] and t in lower[y]) or (
+                (m := descend(x, s)) is not None and m == descend(y, s))
+
+        pairs = (p for layer in self.layers for u in layer for p in combinations(lower[u], 2))
+        return next(((x, y) for x, y in pairs if not has_meet(x, y)), None)
 
     # -- construction from raw cover data ----------------------------------
 
@@ -315,7 +352,7 @@ class FiniteLattice:
         else:
             new_labels = None
         L = cls(new_rank, new_covers, family_tag, new_labels)
-        pair = L.first_meetless_pair()
+        pair = L.first_meetless_pair
         if pair is not None:
             raise NotALatticeError(f"elements {pair[0]} and {pair[1]} have no unique meet")
         return L
@@ -373,7 +410,7 @@ def _build_flats(
 
 
 def _subset_label(mask: int) -> str:
-    return "{" + ",".join(str(i + 1) for i in _mask_bits(mask)) + "}"
+    return "{" + ",".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1) + "}"
 
 
 def build_boolean(n: int, *, cap: int | None = None) -> FiniteLattice:
@@ -603,7 +640,10 @@ def validate(L: FiniteLattice) -> ValidationReport:
     docstring).  semimodular: if x and y both cover z, x ∨ y covers both
     (Stanley, EC1, Prop. 3.3.2); a counterexample (x, y) has r(x) + r(y) <
     r(x ∨ y) + r(x ∧ y).  atomic: every element is the join of the atoms
-    below it.  Associativity and absorption are not checked: `meet` and
+    below it, that is, every join-irreducible is an atom; a counterexample
+    is the first join-irreducible above rank 1 in id order, which, when ids
+    are a linear extension, is the first element that is not the join of
+    its atoms.  Associativity and absorption are not checked: `meet` and
     `join` return the greatest lower and least upper bound in the order
     `leq` reads, so once lattice-pairs passes they obey every lattice
     identity.  On a non-lattice the checks that need joins, semimodular and
@@ -619,7 +659,7 @@ def validate(L: FiniteLattice) -> ValidationReport:
     bad_cover = next(((x, y) for x, y in L.covers() if L.rank[y] != L.rank[x] + 1), None)
     checks.append(CheckResult("graded-covers", bad_cover is None, bad_cover))
 
-    meetless = L.first_meetless_pair()
+    meetless = L.first_meetless_pair
     checks.append(CheckResult("lattice-pairs", meetless is None, meetless))
     notes: list[str] = []
     if meetless is None:
@@ -627,12 +667,8 @@ def validate(L: FiniteLattice) -> ValidationReport:
         semi_ce = next(((x, y) for x, y in pairs if L.rank[L.join(x, y)] != L.rank[x] + 1), None)
         checks.append(CheckResult("semimodular", semi_ce is None, semi_ce))
 
-        atomic_ok, atomic_ce = True, None
-        for x in range(L.n):
-            if L.join_all(L.atoms_below(x)) != x:
-                atomic_ok, atomic_ce = False, (x,)
-                break
-        checks.append(CheckResult("atomic", atomic_ok, atomic_ce))
+        atomic_ce = next(((x,) for x in range(L.n) if L.rank[x] > 1 and len(L.covers_down[x]) == 1), None)
+        checks.append(CheckResult("atomic", atomic_ce is None, atomic_ce))
     else:
         notes.append("not a lattice: the semimodular and atomic checks were not run")
 

@@ -319,6 +319,76 @@ class TestCoCoverCertificate:
         assert not report.passed() and not report.is_geometric
 
 
+def test_one_parse_computes_the_lattice_certificate_once(monkeypatch):
+    # from_covers and validate both read the certificate; it is cached
+    calls = []
+    certify = FiniteLattice.first_meetless_pair.func
+
+    def counted(L):
+        calls.append(L)
+        return certify(L)
+
+    monkeypatch.setattr(FiniteLattice.first_meetless_pair, "func", counted)
+    L = parse_lattice(build_projective(3, 2).to_document())
+    assert L.validation.passed()
+    assert calls == [L]
+
+
+def test_masks_have_one_bit_per_irreducible(small_lattices, m3, b1):
+    # one bit per join-irreducible in `_down` and per meet-irreducible in `_up`
+    for L in [*small_lattices, build_product(m3, b1), build_boolean(10)]:
+        join_irreducible = sum(len(lower) == 1 for lower in L.covers_down)
+        meet_irreducible = sum(len(upper) == 1 for upper in L.covers_up)
+        assert max(L._down).bit_length() == join_irreducible, L.family_tag
+        assert max(L._up).bit_length() == meet_irreducible, L.family_tag
+
+
+N5_COVERS = [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]  # 0 < 1 < 2 < 4 and 0 < 3 < 4
+HEXAGON_COVERS = [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5)]
+
+
+class TestOrderQueriesAgainstClosure:
+    """leq, meet, join, elements_below and count_atoms_below read join- and
+    meet-irreducible masks; here they are compared on every pair with the
+    transitive-closure oracle, on lattices that are mostly not atomistic."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        cases = [random_bounded_graded_poset(random.Random(seed)) for seed in range(2000)]
+        for seed in range(60):
+            doc = random_flats_document(random.Random(seed))
+            cases.append((len(doc["elements"]), [tuple(c) for c in doc["covers"]]))
+        cases += [(4, [(0, 1), (1, 2), (2, 3)]), (6, HEXAGON_COVERS)]
+        return [(n, covers, oracle) for n, covers in cases if (oracle := closure_lattice(n, covers))]
+
+    def test_cases_include_non_atomistic_lattices(self, cases):
+        atomic = [next(c for c in validate(FiniteLattice.from_covers(n, covers)).checks if c.name == "atomic")
+                  for n, covers, _ in cases]
+        assert len(cases) > 1000 and sum(not c.passed for c in atomic) > 500
+
+    def test_pentagon_is_a_lattice_but_not_graded(self):
+        # N5's maximal chains have lengths 3 and 2; the hexagon above is its
+        # graded subdivision
+        assert closure_lattice(5, N5_COVERS) is not None
+        with pytest.raises(NotGradedError):
+            FiniteLattice.from_covers(5, N5_COVERS)
+
+    def test_order_queries_agree_with_the_closure(self, cases):
+        for n, covers, (rank, meet, join) in cases:
+            L = FiniteLattice.from_covers(n, covers, labels=[str(i) for i in range(n)])
+            old = [int(label) for label in L.labels]  # new id -> input id
+            new = {o: i for i, o in enumerate(old)}
+            atoms = [a for a in range(n) if rank[a] == 1]
+            for x in range(n):
+                for y in range(n):
+                    assert L.leq(x, y) == (meet[old[x], old[y]] == old[x]), covers
+                    assert L.meet(x, y) == new[meet[old[x], old[y]]], covers
+                    assert L.join(x, y) == new[join[old[x], old[y]]], covers
+                below = sorted(new[z] for z in range(n) if meet[z, old[x]] == z)
+                assert list(L.elements_below(x)) == below, covers
+                assert L.count_atoms_below(x) == sum(meet[a, old[x]] == a for a in atoms), covers
+
+
 class TestAtomCounts:
     def test_m3_top(self, m3):
         assert count_atoms_below(m3, m3.top) == 3

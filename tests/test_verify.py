@@ -3,6 +3,7 @@ import json
 import pytest
 
 from latspec import (
+    FiniteLattice,
     build_affine,
     build_boolean,
     build_product,
@@ -41,6 +42,17 @@ def test_suite_reports_validation_failures():
     results = run_invariant_suite(L)
     semi = next(r for r in results if r.name == "validate:semimodular")
     assert not semi.passed
+
+
+def test_suite_stops_after_validation_on_a_non_lattice():
+    # bowtie with a top: the rank-2 elements 3 and 4 have no meet
+    L = FiniteLattice([0, 1, 1, 2, 2, 3], [[1, 2], [3, 4], [3, 4], [5], [5], []])
+    results = run_invariant_suite(L)
+    assert [r.name for r in results] == [
+        "validate:unique-bottom", "validate:unique-top", "validate:graded-covers", "validate:lattice-pairs",
+    ]
+    assert [r.passed for r in results] == [True, True, True, False]
+    assert results[-1].detail == "counterexample (3, 4)"
 
 
 class TestDocumentRoundTrip:
