@@ -3,7 +3,9 @@
 Runs a fixed list of `lattice` commands, each in a fresh interpreter, and
 prints one line per command:
 
-    sha256(stdout) exit-code command
+    sha256(stdout) sha256(stderr) exit-code command
+
+The stderr digest pins the one-line error texts of the error paths.
 
 The list covers every verb, every family by flags and by `family:args`
 spec, `--family product`, `--input`, every `--help`, and the error paths.
@@ -20,7 +22,7 @@ Run from any directory:
     python scripts/cli_digest.py path/to/other/src > other.txt
 
 Two checkouts print byte-identical digests exactly when every command
-gives the same stdout and exit code; `diff` the two files to compare.
+gives the same stdout, stderr and exit code; `diff` the two files to compare.
 The optional argument runs the same command list against another
 checkout's `src/` directory instead of this one.
 """
@@ -51,6 +53,12 @@ FILES = {
         "elements": [{"id": i} for i in range(6)],
         "covers": [[0, 1], [0, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 5], [4, 5]],
     }),
+    # the same bowtie listed with the bottom as id 2 and the atoms as 3 and 4,
+    # so the meetless pair must be named 0 and 1
+    "bowtie-permuted.json": json.dumps({
+        "elements": [{"id": i} for i in range(6)],
+        "covers": [[2, 3], [2, 4], [3, 0], [3, 1], [4, 0], [4, 1], [0, 5], [1, 5]],
+    }),
     # a graded lattice that is not atomistic: two chains of length 3
     "hexagon.json": json.dumps({
         "elements": [{"id": i} for i in range(6)],
@@ -72,6 +80,9 @@ COMMANDS = (
     ["build", "--family", "uniform", "--r", "2", "--m", "3", "--out", "m3.json"],
     ["build", "--family", "projective", "--r", "3", "--q", "2", "--format", "machine"],
     ["build", "--family", "affine", "--r", "2", "--q", "2"],
+    # fields where a line has more than three points
+    ["build", "--family", "projective", "--r", "3", "--q", "3", "--format", "machine"],
+    ["jacobi", "--family", "affine", "--r", "2", "--q", "5", "--format", "machine"],
     # every family by spec, and files as product factors
     ["build", "--family", "product", "--left", "boolean:1", "--right", "uniform:2,3"],
     ["build", "--family", "product", "--left", "affine:2,2", "--right", "projective:2,2"],
@@ -135,6 +146,7 @@ COMMANDS = (
     ["build", "--family", "boolean", "--n", "-1"],
     ["build", "--family", "uniform", "--r", "0", "--m", "1"],
     ["validate", "bowtie.json"],
+    ["validate", "bowtie-permuted.json"],
     ["verify", "--input", "pentagon.json", "--format", "machine"],
     ["validate", "."],
     ["convolve", "--left", "broken.json", "--right", "mu4.json"],
@@ -157,8 +169,8 @@ def main() -> None:
                 [sys.executable, "-m", "latspec.cli", *argv],
                 cwd=workdir, env=env, capture_output=True, check=False,
             )
-            digest = hashlib.sha256(proc.stdout).hexdigest()
-            print(f"{digest} {proc.returncode} lattice {shlex.join(argv)}", flush=True)
+            out, err = (hashlib.sha256(text).hexdigest() for text in (proc.stdout, proc.stderr))
+            print(f"{out} {err} {proc.returncode} lattice {shlex.join(argv)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -2,12 +2,17 @@
 
 Elements are dense integer ids with id 0 the bottom.  Every built-in
 family except the product is generated as the lattice of flats of a
-matroid by one builder, `_build_flats`: starting from the bottom flat, the
-covers of a flat F are the distinct joins F ∨ p with a point p.  Ids are
-rank-major and, within a rank, follow each family's canonical key: the
-subset bitmask for boolean and uniform, the reduced echelon basis for
-projective, and the (echelon basis, reduced representative) pair for
-affine.  Products are ordered lexicographically by component ids.
+matroid by one builder, `_build_flats`, in which a flat is the mask of the
+points it holds.  Starting from the empty flat, the covers of a flat F are
+the distinct joins F ∨ p with an atom p; once a cover is found its points
+are skipped, so each cover is closed once and named once.  Boolean and
+uniform flats are subsets of the ground set.  Projective and affine flats
+are point sets of a projective space, PG(r - 1, q) and PG(r, q), and F ∨ p
+is closed through a table of line masks.  Ids are rank-major and, within a
+rank, follow each family's canonical name: the subset bitmask for boolean
+and uniform, the reduced echelon basis for projective, and the (echelon
+basis, reduced representative) pair for affine, computed once per flat.
+Products are ordered lexicographically by component ids.
 
 Every finite lattice is ordered by its irreducibles (Davey & Priestley,
 Introduction to Lattices and Order, 2nd ed., 2002, ch. 2; Birkhoff,
@@ -347,14 +352,11 @@ class FiniteLattice:
         new_covers: list[list[int]] = [[] for _ in range(n)]
         for lo, hi in seen:
             new_covers[new_id[lo]].append(new_id[hi])
-        if labels is not None:
-            new_labels = [labels[old] for old in perm]
-        else:
-            new_labels = None
+        new_labels = None if labels is None else [labels[old] for old in perm]
         L = cls(new_rank, new_covers, family_tag, new_labels)
         pair = L.first_meetless_pair
         if pair is not None:
-            raise NotALatticeError(f"elements {pair[0]} and {pair[1]} have no unique meet")
+            raise NotALatticeError(f"elements {perm[pair[0]]} and {perm[pair[1]]} have no unique meet")
         return L
 
     # -- serialization ------------------------------------------------------
@@ -380,32 +382,38 @@ class FiniteLattice:
 # ---------------------------------------------------------------------------
 
 
-def _build_flats(
-    tag: str,
-    bottom: Hashable,
-    points: Sequence[Hashable],
-    extend: Callable[[Hashable, Hashable], Hashable],
-    label: Callable[[Hashable], str],
-) -> FiniteLattice:
-    """Lattice of flats generated upward from `bottom`, one rank at a time.
+def _build_flats(tag: str, bottom: Hashable, atoms: int, close: Callable[[int, int], int],
+                 name: Callable[[Hashable, int], Hashable], label: Callable[[Hashable], str]) -> FiniteLattice:
+    """Lattice of flats generated upward from the empty flat, one rank at a
+    time.  A flat is the mask of the points it holds; `atoms` masks the
+    points that are atoms and `bottom` names the empty flat.
 
-    `extend(F, p)` is the join F ∨ p of a flat with a point.  In a geometric
-    lattice every cover of F is F ∨ p for some atom p not below F, so the
-    covers of F are exactly the distinct flats extend(F, p) != F over all
-    points.  Within a rank, flats are ordered by their own `<`, which fixes
-    the ids: the bottom is 0 and the top is n - 1.
+    `close(F, i)` is the mask of F ∨ p_i and `name(N, i)` the canonical
+    name of that join, given the name N of F.  In a geometric lattice every
+    cover of F is F ∨ p for an atom p not in F, and every p in G ∖ F gives
+    F ∨ p = G; so once a cover G is found, its points are skipped, and each
+    cover of F is closed once and named once, when first found.  Within a
+    rank, flats are ordered by their names, which fixes the ids: the bottom
+    is 0 and the top is n - 1.
     """
     rank, labels, covers_up = [0], [label(bottom)], []
-    ids = {bottom: 0}
-    layer, k = [bottom], 0
+    layer, k = {0: bottom}, 0
     while layer:
-        ups = [{extend(F, p) for p in points} - {F} for F in layer]
-        layer, k = sorted(set().union(*ups)), k + 1
-        for G in layer:
-            ids[G] = len(rank)
-            rank.append(k)
-            labels.append(label(G))
+        ups, found = [], {}
+        for F, N in layer.items():
+            up, rest = [], atoms & ~F
+            while rest:
+                i = (rest & -rest).bit_length() - 1
+                up.append(G := close(F, i))
+                if G not in found:
+                    found[G] = name(N, i)
+                rest &= ~G
+            ups.append(up)
+        layer, k = dict(sorted(found.items(), key=lambda flat: flat[1])), k + 1
+        ids = {G: j for j, G in enumerate(layer, len(rank))}
         covers_up.extend([ids[G] for G in up] for up in ups)
+        rank += [k] * len(layer)
+        labels += map(label, layer.values())
     return FiniteLattice(rank, covers_up, tag, labels)
 
 
@@ -416,22 +424,26 @@ def _subset_label(mask: int) -> str:
 def build_boolean(n: int, *, cap: int | None = None) -> FiniteLattice:
     """Lattice of all subsets of {1..n}: rank = cardinality, join = union,
     meet = intersection, atoms = singletons.  Generated as the flats of the
-    free matroid, subsets read as bitmasks; within a rank, elements are
-    ordered by bitmask (colex)."""
+    free matroid, a subset being its own point mask and name; within a
+    rank, elements are ordered by bitmask (colex)."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > BOOLEAN_MAX_GROUND:
         raise SizeBoundError(f"boolean ground sets are limited to {BOOLEAN_MAX_GROUND} elements")
     _check_size(2**n, cap)
-    points = [1 << b for b in range(n)]
-    return _build_flats(f"boolean({n})", 0, points, int.__or__, _subset_label)
+
+    def join(mask: int, i: int) -> int:
+        return mask | 1 << i
+
+    return _build_flats(f"boolean({n})", 0, (1 << n) - 1, join, join, _subset_label)
 
 
 def build_uniform(r: int, m: int, *, cap: int | None = None) -> FiniteLattice:
     """Lattice of flats of the uniform matroid U_{r,m}: all subsets of
     {1..m} of size < r, plus the full set as top.  build_uniform(2, 3) is
-    the diamond with three atoms.  Generated as a lattice of flats, subsets
-    read as bitmasks; within a rank, elements are ordered by bitmask."""
+    the diamond with three atoms.  Generated as a lattice of flats, a
+    subset being its own point mask and name; within a rank, elements are
+    ordered by bitmask."""
     if r < 1:
         raise ValueError("r must be at least 1")
     if m < r:
@@ -439,12 +451,41 @@ def build_uniform(r: int, m: int, *, cap: int | None = None) -> FiniteLattice:
     _check_size(sum(comb(m, k) for k in range(r)) + 1, cap)
     full = (1 << m) - 1
 
-    def extend(mask: int, point: int) -> int:
-        joined = mask | point
+    def join(mask: int, i: int) -> int:
+        joined = mask | 1 << i
         return joined if joined.bit_count() < r else full
 
-    points = [1 << b for b in range(m)]
-    return _build_flats(f"uniform({r},{m})", 0, points, extend, _subset_label)
+    return _build_flats(f"uniform({r},{m})", 0, full, join, join, _subset_label)
+
+
+def _projective_space(r: int, q: int) -> tuple[list[gf.Vec], Callable[[int, int], int]]:
+    """The points of PG(r - 1, q), the vectors of F_q^r with leading
+    coordinate 1 in lexicographic order, and `close(F, i)`, the mask of the
+    span of a subspace's point mask F and point i.  Every vector of U + ⟨p⟩
+    is u + c·p (Oxley, Matroid Theory, §6.1), so F ∨ p is p together with
+    the lines through p and each point of F, read from a table of line
+    masks: lines[i][u] is the mask of the line through points i and u,
+    one shared object per line."""
+    points = [v for v in product(range(q), repeat=r) if next((x for x in v if x), 0) == 1]
+    # every nonzero vector, to the point it spans
+    index = {tuple(c * x % q for x in v): i for i, v in enumerate(points) for c in range(1, q)}
+    lines = [[0] * len(points) for _ in points]
+    for u, p in combinations(range(len(points)), 2):
+        if not lines[u][p]:
+            line = [u, p] + [index[tuple((a + c * b) % q for a, b in zip(points[u], points[p]))]
+                             for c in range(1, q)]
+            mask = sum(1 << a for a in line)
+            for a, b in product(line, repeat=2):
+                lines[a][b] = mask
+
+    def close(F: int, i: int) -> int:
+        row, G = lines[i], 1 << i
+        while F:
+            G |= row[(F & -F).bit_length() - 1]
+            F &= F - 1
+        return G
+
+    return points, close
 
 
 def _rref_label(basis: gf.Rref) -> str:
@@ -454,38 +495,46 @@ def _rref_label(basis: gf.Rref) -> str:
 def build_projective(r: int, q: int, *, cap: int | None = None) -> FiniteLattice:
     """Lattice of linear subspaces of F_q^r (q prime): rank = dimension,
     join = subspace sum, meet = intersection.  Layer k has Gaussian-binomial
-    size (r choose k)_q.  Generated as a lattice of flats whose points are
-    the vectors with leading coordinate 1; a subspace is its reduced
-    echelon basis, and within a rank, elements are ordered by that tuple."""
+    size (r choose k)_q.  Generated as a lattice of flats: a subspace is the
+    mask of its points in PG(r - 1, q), closed through the line table of
+    `_projective_space`, and is named by its reduced echelon basis, one
+    `gf.rref` per subspace; within a rank, elements are ordered by basis."""
     if r < 1:
         raise ValueError("r must be at least 1")
     if not gf.is_prime(q):
         raise ValueError(f"q = {q} must be prime")
     total = sum(gf.gaussian_binomial(r, k, q) for k in range(r + 1))
     _check_size(total, cap)
-    points = [v for v in product(range(q), repeat=r) if next((x for x in v if x), 0) == 1]
+    points, close = _projective_space(r, q)
 
-    def extend(basis: gf.Rref, point: gf.Vec) -> gf.Rref:
-        return gf.rref(basis + (point,), q)
+    def name(basis: gf.Rref, i: int) -> gf.Rref:
+        return gf.rref(basis + (points[i],), q)
 
-    return _build_flats(f"projective({r},{q})", (), points, extend, _rref_label)
+    return _build_flats(f"projective({r},{q})", (), (1 << len(points)) - 1, close, name, _rref_label)
 
 
 def build_affine(r: int, q: int, *, cap: int | None = None) -> FiniteLattice:
     """Lattice of affine flats (cosets x + U) of F_q^r, all dimensions 0..r,
     with an adjoined bottom.  A k-flat has lattice rank k + 1; the atoms are
     the q^r points.  Meets of disjoint flats land on the adjoined bottom.
-    Generated as a lattice of flats: a flat is (echelon basis of U,
-    representative reduced modulo U), the bottom is None, and within a
-    rank, elements are ordered by that (basis, rep) tuple."""
+    Generated as a lattice of flats inside PG(r, q), whose last q^r points
+    are the chart points (1, x), the atoms: a flat x + U is the mask of all
+    projective points of the span of (1, x) and (0, U), its points at
+    infinity included, closed through the line table of
+    `_projective_space`.  It is named by (echelon basis of U,
+    representative reduced modulo U), with None for the bottom, one
+    `gf.rref` and `gf.reduce_vector` per flat; within a rank, elements are
+    ordered by that (basis, rep) tuple."""
     if r < 1:
         raise ValueError("r must be at least 1")
     if not gf.is_prime(q):
         raise ValueError(f"q = {q} must be prime")
     total = 1 + sum(q ** (r - k) * gf.gaussian_binomial(r, k, q) for k in range(r + 1))
     _check_size(total, cap)
+    points, close = _projective_space(r + 1, q)
 
-    def extend(flat: tuple[gf.Rref, gf.Vec] | None, point: gf.Vec) -> tuple[gf.Rref, gf.Vec]:
+    def name(flat: tuple[gf.Rref, gf.Vec] | None, i: int) -> tuple[gf.Rref, gf.Vec]:
+        point = points[i][1:]
         if flat is None:
             return (), point
         basis, rep = flat
@@ -493,13 +542,10 @@ def build_affine(r: int, q: int, *, cap: int | None = None) -> FiniteLattice:
         return basis, gf.reduce_vector(rep, basis, q)
 
     def label(flat: tuple[gf.Rref, gf.Vec] | None) -> str:
-        if flat is None:
-            return "empty"
-        basis, rep = flat
-        return "".join(str(v) for v in rep) + "+" + _rref_label(basis)
+        return "empty" if flat is None else "".join(map(str, flat[1])) + "+" + _rref_label(flat[0])
 
-    points = list(product(range(q), repeat=r))
-    return _build_flats(f"affine({r},{q})", None, points, extend, label)
+    chart = ((1 << q**r) - 1) << (len(points) - q**r)
+    return _build_flats(f"affine({r},{q})", None, chart, close, name, label)
 
 
 def build_product(L1: FiniteLattice, L2: FiniteLattice, *, cap: int | None = None) -> FiniteLattice:
@@ -678,13 +724,12 @@ def validate(L: FiniteLattice) -> ValidationReport:
             "affine family: admitted through the atomic + semimodular route; "
             "the geometric flag reports the measured checks"
         )
-    report = ValidationReport(
+    return ValidationReport(
         checks=tuple(checks),
         is_geometric=core_ok,
         is_semimodular_atomic=core_ok,
         notes=tuple(notes),
     )
-    return report
 
 
 def count_atoms_below(L: FiniteLattice, x: int) -> int:

@@ -3,11 +3,14 @@
 Two guards on the builders.  A digest table pins every family's ids,
 labels, covers and tag on a ladder of small parameters: the sha256 of
 `json.dumps(L.to_document())`, recorded while the builders still found
-covers by a pairwise search, so the generated lattices must match it.  An
+covers by a pairwise search, or, for the larger projective and affine
+entries, while they still reduced an echelon basis for every flat and
+point, so the generated lattices must match it.  An
 independent oracle reads each element's subspace (and coset
 representative) back from its label and checks that y covers x exactly
 when rank(y) = rank(x) + 1 and x's flat lies in y's, testing membership
-with `tests/helpers.py`'s `in_rowspace`, not the builder.
+with `tests/helpers.py`'s `in_rowspace`, not the builder; it runs on
+fields with q in {3, 5, 7}, where a line has more than three points.
 """
 
 import hashlib
@@ -64,12 +67,21 @@ DOCUMENT_DIGESTS = (
     ("projective(2,3)", "624c7c103910d5471c1d7ec85654bdeaf7fd27b59c6edd4e6f29082430c53211"),
     ("projective(3,3)", "492ee5b1460b5b2db4771ab0d5b7c223637f845ca17ad8b6ba5471ab5db9813d"),
     ("projective(2,5)", "e1a8a143f6e243e0a0f6d8a35718a262eff165f1b6e30177b1478a98cacc3657"),
+    ("projective(5,2)", "a69764585edb530f44d68f50e09e2d950abd8a20188560eb8f25425a840625dd"),
+    ("projective(6,2)", "420f9da6021781dedbe23f5ca89a2bf9f0f1be71a4a4b2048a7a1b75faee56f3"),
+    ("projective(4,3)", "b0c0cc68b8747872f3844dd5445d6cc5a7ba7301e9758fb7f5e084160c20e3f3"),
+    ("projective(3,5)", "31dd007eb0b94948ed33523fc5052f68bbbe30c53211af864a2cb88a589c6841"),
+    ("projective(2,7)", "6c1680eb022c8599476d063b4208263d038aee4e83fe055c85e0f7a915ed2c74"),
     ("affine(1,2)", "e569d05575e7d9e7ca7dc4b93bf16922cff394ccbb1fa3179e1bb5b374275d47"),
     ("affine(2,2)", "56dfc0d1ed675f3c7137038f13cf1a5cdc77c5194cc70c696493fcb643c02a5f"),
     ("affine(3,2)", "00033ac683fa9afd07f17ba21c7917c236118adceb841878602d8709d9fc2988"),
     ("affine(1,3)", "7312f17cc437f4e33d3260847efc86916fae6b2b9c1eebb17f741ae2fd533b19"),
     ("affine(2,3)", "654ccf4a9a3e95b73cec47d45d233698bc8d9882fbedee82a092c40122746884"),
     ("affine(2,5)", "df0e7d8a455c4dda265d0de851244240e5e834c02d99e55e829d1860da92f928"),
+    ("affine(4,2)", "e486fe38c46d270a80fe5eed3a801245b80a5674e001cc5c7123c0617bfc1eb7"),
+    ("affine(5,2)", "86d1a12d91bf26527bea380b8160f4f075f16a352caf77a81458d03b5122b8e4"),
+    ("affine(3,3)", "da605705e1b524795db72d136da06b54e2827f8607ce0402470b9bf7a880acd6"),
+    ("affine(2,7)", "5613a821c0f85ea1879d6fa5d9461f0aa78e8bb9727974f7d37655666c66c24c"),
 )
 
 
@@ -92,9 +104,9 @@ def _assert_covers_are_containments(L, contains):
         assert set(L.covers_up[x]) == {y for y in above if contains(y, x)}, L.labels[x]
 
 
-def test_projective_covers_against_subspace_containment():
-    q = 3
-    L = build_projective(4, q)
+@pytest.mark.parametrize("r,q", [(4, 3), (3, 5), (2, 7)])
+def test_projective_covers_against_subspace_containment(r, q):
+    L = build_projective(r, q)
     bases = [_basis(label) for label in L.labels]
     assert len(set(bases)) == L.n
     assert all(len(bases[x]) == L.rank[x] for x in range(L.n))
@@ -103,9 +115,9 @@ def test_projective_covers_against_subspace_containment():
     )
 
 
-def test_affine_covers_against_coset_containment():
-    q = 3
-    L = build_affine(3, q)
+@pytest.mark.parametrize("r,q", [(3, 3), (2, 5), (2, 7)])
+def test_affine_covers_against_coset_containment(r, q):
+    L = build_affine(r, q)
     assert L.labels[0] == "empty"
     flats = [None] + [
         (_basis(basis), tuple(map(int, rep)))

@@ -231,6 +231,16 @@ class TestParse:
         with pytest.raises(NotALatticeError):
             parse_lattice(bad)
 
+    def test_meetless_pair_is_named_in_document_ids(self):
+        # a bowtie under a top, listed with the bottom as id 2 and the atoms
+        # as 3 and 4: the rank-2 elements 0 and 1 have no meet
+        doc = {
+            "elements": [{"id": i} for i in range(6)],
+            "covers": [[2, 3], [2, 4], [3, 0], [3, 1], [4, 0], [4, 1], [0, 5], [1, 5]],
+        }
+        with pytest.raises(NotALatticeError, match=r"^elements 0 and 1 have no unique meet$"):
+            parse_lattice(doc)
+
     def test_malformed_json(self):
         with pytest.raises(ParseError):
             parse_lattice("{not json")
