@@ -120,6 +120,7 @@ COMMANDS = (
     # 512 elements: validated from co-cover pairs, where it was once sampled
     ["build", "--family", "boolean", "--n", "9", "--out", "b9.json"],
     ["validate", "b9.json", "--format", "machine"],
+    ["verify", "--input", "b9.json", "--format", "machine"],
     # a non-atomistic document: its join-irreducibles are not all atoms
     ["validate", "hexagon.json", "--format", "machine"],
     ["jacobi", "--input", "hexagon.json", "--format", "machine"],

@@ -45,16 +45,20 @@ ZERO = _AlgebraZero()
 
 DiamondResult = int | _AlgebraZero
 
+# Largest lattice whose full product table `diamond_table` prints.
+TABLE_LIMIT = 64
+
 
 def diamond(L: FiniteLattice, x: int, y: int) -> DiamondResult:
     """x ∨ y when x ∧ y is the bottom, else the algebra zero.
 
-    Commutative and unital (the bottom is the unit).  The bilinear
-    extension to the span of the basis is associative on every modular
-    lattice: (x ⋄ y) ⋄ z and x ⋄ (y ⋄ z) are both nonzero exactly when
-    r(x ∨ y ∨ z) = r(x) + r(y) + r(z), by rank additivity, and then both
-    equal x ∨ y ∨ z.  Boolean, projective, and rank <= 2 uniform lattices
-    are modular, so they admit no associativity violation.
+    Commutative on every lattice, since `meet` and `join` look up the AND
+    of two masks and AND is symmetric, and unital (the bottom is the
+    unit).  The bilinear extension to the span of the basis is associative
+    on every modular lattice: (x ⋄ y) ⋄ z and x ⋄ (y ⋄ z) are both nonzero
+    exactly when r(x ∨ y ∨ z) = r(x) + r(y) + r(z), by rank additivity,
+    and then both equal x ∨ y ∨ z.  Boolean, projective, and rank <= 2
+    uniform lattices are modular, so they admit no associativity violation.
 
     On a geometric lattice the converse holds too.  If the lattice is not
     modular, relative complements give x, y with x ∧ y the bottom and
@@ -92,10 +96,10 @@ def nonassociativity_witness(L: FiniteLattice) -> tuple[int, int, int] | None:
     return None
 
 
-def diamond_table(L: FiniteLattice, *, limit: int = 64) -> list[list]:
+def diamond_table(L: FiniteLattice) -> list[list]:
     """Full product table (list of rows); entries are element ids or ZERO."""
-    if L.n > limit:
-        raise SizeBoundError(f"product tables are limited to {limit} elements")
+    if L.n > TABLE_LIMIT:
+        raise SizeBoundError(f"product tables are limited to {TABLE_LIMIT} elements")
     return [[diamond(L, x, y) for y in range(L.n)] for x in range(L.n)]
 
 

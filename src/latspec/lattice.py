@@ -157,7 +157,10 @@ class FiniteLattice:
     docstring), which order the elements exactly only on a lattice: they
     are defined only when `first_meetless_pair` is None.  Built-in families
     and products are lattices by construction; `from_covers` and `validate`
-    certify every other input.
+    certify every other input.  The constructor raises unless id 0 is the
+    only rank-0 element, exactly one element, of top rank, has no upper
+    cover, and every cover steps up one rank, so `validate` need not check
+    these.
 
     The object is immutable after construction and safe to share across
     threads; all query methods are pure.
@@ -645,7 +648,7 @@ class ValidationReport:
     """Outcome of the structural checks run by validate().
 
     is_geometric and is_semimodular_atomic hold the same value: the measured
-    conjunction of every check (graded, lattice, atomic, semimodular, ...).
+    conjunction of every check (lattice-pairs, semimodular, atomic).
     A finite lattice is geometric exactly when it is atomistic and
     semimodular, so the two names state one fact.  Both keys are kept
     because consumers of validate output read both.  Notes record
@@ -680,7 +683,6 @@ def validate(L: FiniteLattice) -> ValidationReport:
     """Run the structural checks; each is exact at every size, and each
     failure carries a first counterexample.
 
-    unique-bottom, unique-top and graded-covers read the ranks and covers.
     lattice-pairs: every two lower covers of a common element have a meet,
     which holds iff every pair has a meet and a join (proof in the module
     docstring).  semimodular: if x and y both cover z, x ∨ y covers both
@@ -695,18 +697,8 @@ def validate(L: FiniteLattice) -> ValidationReport:
     identity.  On a non-lattice the checks that need joins, semimodular and
     atomic, are not run, and a note says so.
     """
-    checks: list[CheckResult] = []
-
-    bottoms = [i for i in range(L.n) if L.rank[i] == 0]
-    checks.append(CheckResult("unique-bottom", bottoms == [0], tuple(bottoms) if bottoms != [0] else None))
-    tops = [i for i in range(L.n) if not L.covers_up[i]]
-    checks.append(CheckResult("unique-top", len(tops) == 1, tuple(tops) if len(tops) != 1 else None))
-
-    bad_cover = next(((x, y) for x, y in L.covers() if L.rank[y] != L.rank[x] + 1), None)
-    checks.append(CheckResult("graded-covers", bad_cover is None, bad_cover))
-
     meetless = L.first_meetless_pair
-    checks.append(CheckResult("lattice-pairs", meetless is None, meetless))
+    checks = [CheckResult("lattice-pairs", meetless is None, meetless)]
     notes: list[str] = []
     if meetless is None:
         pairs = (p for z in range(L.n) for p in combinations(L.covers_up[z], 2))

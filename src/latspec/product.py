@@ -85,7 +85,6 @@ def shuffle_entry(
     x: tuple[int, int],
     y: tuple[int, int],
     *,
-    check: bool = True,
     product_hamiltonian: OperatorMatrix | None = None,
 ) -> Fraction:
     """Minimal-power Hamiltonian entry of a product lattice via the shuffle
@@ -95,9 +94,9 @@ def shuffle_entry(
 
     with d1, d2 the component rank gaps and d = d1 + d2 (the entry at any
     other power with the same endpoints is forced to zero or involves
-    non-minimal walks, which are outside this formula's scope).  With
-    check=True the entry is also computed directly on the product lattice
-    and the two values are asserted equal.
+    non-minimal walks, which are outside this formula's scope).  The entry
+    is also computed directly on the product lattice, from
+    `product_hamiltonian` when given, and the two values are asserted equal.
     """
     (x1, x2), (y1, y2) = x, y
     if not (L1.leq(x1, y1) and L2.leq(x2, y2)):
@@ -109,17 +108,12 @@ def shuffle_entry(
         * hamiltonian(L1).power_entry(x1, y1, d1)
         * hamiltonian(L2).power_entry(x2, y2, d2)
     )
-    if check:
-        if product_hamiltonian is None:
-            product_hamiltonian = hamiltonian(build_product(L1, L2))
-        ident = TensorIdentification(L1.n, L2.n)
-        direct = product_hamiltonian.power_entry(
-            ident.combine(x1, x2), ident.combine(y1, y2), d1 + d2
-        )
-        if direct != value:
-            raise AssertionError(
-                f"shuffle formula {value} disagrees with direct entry {direct} for {x} -> {y}"
-            )
+    if product_hamiltonian is None:
+        product_hamiltonian = hamiltonian(build_product(L1, L2))
+    ident = TensorIdentification(L1.n, L2.n)
+    direct = product_hamiltonian.power_entry(ident.combine(x1, x2), ident.combine(y1, y2), d1 + d2)
+    if direct != value:
+        raise AssertionError(f"shuffle formula {value} disagrees with direct entry {direct} for {x} -> {y}")
     return value
 
 

@@ -101,7 +101,8 @@ def rank_layers(L: FiniteLattice) -> RankLayers:
 
 def cover_weight_sums(L: FiniteLattice) -> tuple[int, ...]:
     """W_k = sum over covers x < y with rank(x) = k of (a(y) - a(x)),
-    where a(.) counts atoms below."""
+    where a(.) counts atoms below.  Every cover is counted once, at the
+    rank of x, so sum(W) is that sum over all covers."""
     W = [0] * L.top_rank
     for x, y in L.covers():
         W[L.rank[x]] += L.count_atoms_below(y) - L.count_atoms_below(x)

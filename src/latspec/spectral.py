@@ -251,6 +251,8 @@ class SpectralMeasure:
 
 
 def _continuant(beta_sq: tuple[Fraction, ...]) -> list[RationalPolynomial]:
+    """D_{-1} = D_0 = 1, D_{k+1} = D_k - beta_k^2 t^2 D_{k-1}: each step
+    subtracts a multiple of t^2, so every D_k(0) = 1."""
     out = [_ONE, _ONE]
     for b in beta_sq:
         out.append(out[-1] - b * (_T2 * out[-2]))

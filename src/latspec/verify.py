@@ -1,31 +1,28 @@
-"""Aggregated invariant suite for a single lattice.
+"""Aggregated invariant suite for a single lattice, run by `lattice verify`.
 
-Collects every cross-module law that can be checked mechanically on a
-built lattice: validation, product-operator structure, compression
-identities, moment dualities, and spectral-measure consistency.  Used by
-the `lattice verify` subcommand; each outcome is an exact pass/fail.
+Every check is exact and can fail: validation, the bottom as the unit of
+the diamond product, atoms raising rank, creation against annihilation,
+the atom against the cover Hamiltonian and its bipartite half-integer
+entries, odd moments, formula against compression, resolvent against
+radial moments, full against radial moments, and the float measure
+against a derived bound.  Laws true by construction are proved where they
+are made true, not checked: a unique bottom and top and graded covers
+(`FiniteLattice`), commutativity (`diamond`), the total cover weight
+(`cover_weight_sums`) and D_k(0) = 1 (`spectral._continuant`).
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .diamond import ZERO, annihilation_operator, creation_operator, diamond, hamiltonian
+from .diamond import annihilation_operator, creation_operator, diamond, hamiltonian
 from .lattice import FiniteLattice, validate
 from .radial import jacobi_from_compression, jacobi_from_formula, radial_invariance
-from .spectral import (
-    determinant_polynomials,
-    eigendecompose,
-    resolvent,
-    vacuum_moments_full,
-    vacuum_moments_radial,
-)
+from .spectral import eigendecompose, resolvent, vacuum_moments_full, vacuum_moments_radial
 
 
 def measure_moment_bound(k: int, r: int, rho: float) -> float:
@@ -61,60 +58,42 @@ class SuiteResult:
     detail: str = ""
 
 
-# The commutativity check covers every pair up to PAIR_LIMIT elements and a
-# seeded random sample above; moments are checked up to MAX_MOMENT.
 MAX_MOMENT = 11
-PAIR_LIMIT = 200
-PAIR_SAMPLES = 10_000
-
-
-def _pairs(n: int):
-    if n <= PAIR_LIMIT:
-        return itertools.product(range(n), repeat=2)
-    rng = random.Random(0)
-    return ((rng.randrange(n), rng.randrange(n)) for _ in range(PAIR_SAMPLES))
 
 
 def run_invariant_suite(L: FiniteLattice) -> list[SuiteResult]:
-    """Every check's outcome, validation first.  On a non-lattice only the
-    validation results are returned: the other checks need meets and joins."""
-    results: list[SuiteResult] = []
-
-    report = validate(L)
-    for check in report.checks:
-        results.append(
-            SuiteResult(
-                f"validate:{check.name}",
-                check.passed,
-                f"counterexample {check.counterexample}" if check.counterexample else "",
-            )
-        )
+    """Every check's outcome, validation first.  A parsed document's
+    attached report is reused.  On a non-lattice only the validation
+    results are returned: the other checks need meets and joins."""
+    report = L.validation or validate(L)
+    results = [
+        SuiteResult(f"validate:{c.name}", c.passed, f"counterexample {c.counterexample}" if c.counterexample else "")
+        for c in report.checks
+    ]
     if L.first_meetless_pair is not None:
         return results
-
-    bad = next((f"({x}, {y})" for x, y in _pairs(L.n) if diamond(L, x, y) != diamond(L, y, x)), "")
-    results.append(SuiteResult("diamond:commutative", not bad, bad))
 
     ok = all(diamond(L, 0, x) == x for x in range(L.n))
     results.append(SuiteResult("diamond:bottom-is-unit", ok))
 
+    # Each column x of a creation operator holds at most the one entry
+    # a ⋄ x, and columns are sorted, so the first bad entry is the first x.
+    creation = {a: creation_operator(L, a) for a in L.atoms}
+    rank = np.asarray(L.rank)
     bad = next(
-        (f"atom {a}, element {x}" for a in L.atoms for x in range(L.n)
-         if (y := diamond(L, a, x)) is not ZERO and L.rank[y] != L.rank[x] + 1),
+        (f"atom {a}, element {C.cols[i[0]]}" for a, C in creation.items()
+         if (i := np.flatnonzero(rank[C.rows] != rank[C.cols] + 1)).size),
         "",
     )
     results.append(SuiteResult("diamond:atom-raises-rank", not bad, bad))
 
-    bad = next(
-        (f"atom {a}" for a in L.atoms if annihilation_operator(L, a) != creation_operator(L, a).transpose()), ""
-    )
+    bad = next((f"atom {a}" for a, C in creation.items() if annihilation_operator(L, a) != C.transpose()), "")
     results.append(SuiteResult("operators:transpose-consistency", not bad, bad))
 
     H = hamiltonian(L)
     ok = H == hamiltonian(L, method="covers")
     results.append(SuiteResult("hamiltonian:assembly-agreement", ok))
 
-    rank = np.asarray(L.rank)
     bad = np.flatnonzero((np.abs(rank[H.rows] - rank[H.cols]) != 1) | (H.nums <= 0) | (2 % H.denom != 0))
     i = bad[0] if bad.size else None
     detail = "" if i is None else f"entry ({H.rows[i]}, {H.cols[i]}) = {Fraction(int(H.nums[i]), H.denom)}"
@@ -135,28 +114,12 @@ def run_invariant_suite(L: FiniteLattice) -> list[SuiteResult]:
         )
     )
 
-    total_by_lower = sum(J_formula.W)
-    total_by_covers = sum(
-        L.count_atoms_below(y) - L.count_atoms_below(x) for x, y in L.covers()
-    )
-    results.append(
-        SuiteResult("jacobi:layer-sum-consistency", total_by_lower == total_by_covers)
-    )
-
     series = resolvent(J_formula).series(2 * J_formula.r)
     radial_m = vacuum_moments_radial(J_formula, 2 * J_formula.r)
     results.append(
         SuiteResult(
             "spectral:resolvent-moment-duality",
             series == radial_m.values,
-        )
-    )
-
-    D = determinant_polynomials(J_formula)
-    results.append(
-        SuiteResult(
-            "spectral:determinant-normalization",
-            all(p.coefficient(0) == 1 for p in D),
         )
     )
 

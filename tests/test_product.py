@@ -111,7 +111,7 @@ class TestShuffle:
                     for y2 in range(L2.n):
                         if not L2.leq(x2, y2):
                             continue
-                        # check=True asserts agreement with the direct entry
+                        # shuffle_entry asserts agreement with the direct entry
                         shuffle_entry(L1, L2, (x1, x2), (y1, y2), product_hamiltonian=HP)
 
 

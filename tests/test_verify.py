@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import latspec.verify
 from latspec import (
     FiniteLattice,
     build_affine,
@@ -48,11 +49,43 @@ def test_suite_stops_after_validation_on_a_non_lattice():
     # bowtie with a top: the rank-2 elements 3 and 4 have no meet
     L = FiniteLattice([0, 1, 1, 2, 2, 3], [[1, 2], [3, 4], [3, 4], [5], [5], []])
     results = run_invariant_suite(L)
-    assert [r.name for r in results] == [
-        "validate:unique-bottom", "validate:unique-top", "validate:graded-covers", "validate:lattice-pairs",
-    ]
-    assert [r.passed for r in results] == [True, True, True, False]
+    assert [r.name for r in results] == ["validate:lattice-pairs"]
+    assert [r.passed for r in results] == [False]
     assert results[-1].detail == "counterexample (3, 4)"
+
+
+SUITE_NAMES = [
+    "validate:lattice-pairs",
+    "validate:semimodular",
+    "validate:atomic",
+    "diamond:bottom-is-unit",
+    "diamond:atom-raises-rank",
+    "operators:transpose-consistency",
+    "hamiltonian:assembly-agreement",
+    "hamiltonian:bipartite-half-integer",
+    "moments:odd-vanish",
+    "jacobi:formula-equals-compression",
+    "spectral:resolvent-moment-duality",
+    "moments:full-equals-radial",
+    "spectral:measure-moments",
+]
+
+
+def test_suite_check_names_in_order(m3):
+    for L in (m3, parse_lattice(m3.to_document())):
+        assert [r.name for r in run_invariant_suite(L)] == SUITE_NAMES
+
+
+def test_suite_reuses_the_report_of_a_parsed_document(m3, monkeypatch):
+    L = parse_lattice(m3.to_document())
+
+    def fail(_):
+        raise AssertionError("validate ran again")
+
+    monkeypatch.setattr(latspec.verify, "validate", fail)
+    results = run_invariant_suite(L)
+    assert [r.name for r in results] == SUITE_NAMES
+    assert all(r.passed for r in results)
 
 
 class TestDocumentRoundTrip:
