@@ -13,8 +13,6 @@ from .diamond import (
     ZERO,
     OperatorMatrix,
     annihilation_operator,
-    apply,
-    basis_vector,
     creation_operator,
     diamond,
     diamond_table,
@@ -104,8 +102,6 @@ __all__ = [
     "ValidationReport",
     "affine_jacobi",
     "annihilation_operator",
-    "apply",
-    "basis_vector",
     "boolean_closed_form",
     "boolean_jacobi",
     "build_affine",

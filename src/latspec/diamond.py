@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from itertools import accumulate
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -53,12 +54,15 @@ def diamond(L: FiniteLattice, x: int, y: int) -> DiamondResult:
     """x ∨ y when x ∧ y is the bottom, else the algebra zero.
 
     Commutative on every lattice, since `meet` and `join` look up the AND
-    of two masks and AND is symmetric, and unital (the bottom is the
-    unit).  The bilinear extension to the span of the basis is associative
-    on every modular lattice: (x ⋄ y) ⋄ z and x ⋄ (y ⋄ z) are both nonzero
-    exactly when r(x ∨ y ∨ z) = r(x) + r(y) + r(z), by rank additivity,
-    and then both equal x ∨ y ∨ z.  Boolean, projective, and rank <= 2
-    uniform lattices are modular, so they admit no associativity violation.
+    of two masks and AND is symmetric.  Unital on every lattice: the
+    bottom's join-irreducible mask J(0) is empty, which only the bottom
+    has, so 0 ∧ x = 0; its meet-irreducible mask M(0) contains M(x), so
+    0 ∨ x looks up M(x), which names x.  The bilinear extension to the
+    span of the basis is associative on every modular lattice: (x ⋄ y) ⋄ z
+    and x ⋄ (y ⋄ z) are both nonzero exactly when r(x ∨ y ∨ z) = r(x) +
+    r(y) + r(z), by rank additivity, and then both equal x ∨ y ∨ z.
+    Boolean, projective, and rank <= 2 uniform lattices are modular, so
+    they admit no associativity violation.
 
     On a geometric lattice the converse holds too.  If the lattice is not
     modular, relative complements give x, y with x ∧ y the bottom and
@@ -107,15 +111,9 @@ def diamond_table(L: FiniteLattice) -> list[list]:
 # Sparse exact matrices
 # ---------------------------------------------------------------------------
 
-Vector = dict[int, Fraction]
-
 # Integer arrays stay int64 while every product and partial sum provably
 # fits; past that bound they hold Python ints (numpy object arrays).
 _INT64_LIMIT = 2**63
-
-
-def basis_vector(i: int) -> Vector:
-    return {i: Fraction(1)}
 
 
 def _max_abs(a: np.ndarray) -> int:
@@ -127,11 +125,6 @@ def fit(a: np.ndarray, factor: int = 1) -> np.ndarray:
     return a.astype(object if max(_max_abs(a), 1) * max(factor, 1) >= _INT64_LIMIT else np.int64, copy=False)
 
 
-def _over_common_denominator(values: list[Fraction]) -> tuple[np.ndarray, int]:
-    denom = math.lcm(*(v.denominator for v in values))
-    return fit(np.array([v.numerator * (denom // v.denominator) for v in values], dtype=object)), denom
-
-
 class OperatorMatrix:
     """Column-sparse matrix over the rationals, indexed by lattice elements.
 
@@ -140,8 +133,9 @@ class OperatorMatrix:
     equal matrices have equal arrays.  `nums` is int64 unless an entry
     needs more bits, then Python ints.  The Hamiltonian has denom 2,
     creation and annihilation operators denom 1.  The layers above compute
-    on N through `matvec`; `Fraction` appears only at the API boundary.
-    Immutable after construction; `apply` is pure.
+    on N through `matvec`, and `walk` iterates it from a basis vector;
+    `Fraction` appears only at the API boundary.  Immutable after
+    construction.
     """
 
     __slots__ = ("dim", "denom", "rows", "cols", "nums", "symmetric", "_row_bound")
@@ -179,10 +173,18 @@ class OperatorMatrix:
         cls, dim: int, entries: Iterable[tuple[int, int, Fraction]], symmetric: bool = False
     ) -> "OperatorMatrix":
         entries = list(entries)
-        nums, denom = _over_common_denominator([Fraction(v) for _, _, v in entries])
+        values = [Fraction(v) for _, _, v in entries]
+        denom = math.lcm(*(v.denominator for v in values))
+        nums = np.array([v.numerator * (denom // v.denominator) for v in values], dtype=object)
         return cls(dim, [r for r, _, _ in entries], [c for _, c, _ in entries], nums, denom, symmetric)
 
+    def _check_index(self, *indices: int) -> None:
+        for i in indices:
+            if not 0 <= i < self.dim:
+                raise ValueError(f"index {i} out of range for dim {self.dim}")
+
     def entry(self, row: int, col: int) -> Fraction:
+        self._check_index(row, col)
         lo, hi = np.searchsorted(self.cols, [col, col + 1])
         i = lo + int(np.searchsorted(self.rows[lo:hi], row))
         return Fraction(int(self.nums[i]), self.denom) if i < hi and self.rows[i] == row else Fraction(0)
@@ -206,23 +208,22 @@ class OperatorMatrix:
         np.add.at(out, self.rows, products)
         return out
 
-    def apply(self, vec: Mapping[int, Fraction]) -> Vector:
-        """Exact sparse matrix-vector product; raises on out-of-range support."""
-        for i in vec:
-            if not 0 <= i < self.dim:
-                raise ValueError(f"vector support index {i} out of range for dim {self.dim}")
-        nums, scale = _over_common_denominator([Fraction(c) for c in vec.values()])
-        v = np.zeros(self.dim, dtype=nums.dtype)
-        v[list(vec)] = nums
-        image, denom = self.matvec(v), self.denom * scale
-        return {int(i): Fraction(int(image[i]), denom) for i in np.flatnonzero(image)}
+    def walk(self, col: int, length: int) -> Iterator[np.ndarray]:
+        """N^0 e_col, ..., N^length e_col as integer arrays, one held at a
+        time, so that M^k e_col = N^k e_col / denom^k.  Each step is a
+        `matvec`, so a walk past int64 goes on in Python ints."""
+        self._check_index(col)
+        if length < 0:
+            raise ValueError(f"walk length {length} is negative")
+        start = (np.arange(self.dim) == col).astype(np.int64)
+        return accumulate(range(length), lambda v, _: self.matvec(v), initial=start)
 
     def power_entry(self, row: int, col: int, power: int) -> Fraction:
-        """<e_row, M^power e_col>, by repeated sparse application."""
-        v: Vector = basis_vector(col)
-        for _ in range(power):
-            v = self.apply(v)
-        return v.get(row, Fraction(0))
+        """<e_row, M^power e_col>, read off the walk from e_col."""
+        self._check_index(row)
+        for v in self.walk(col, power):
+            pass
+        return Fraction(int(v[row]), self.denom**power)
 
     def transpose(self) -> "OperatorMatrix":
         return OperatorMatrix(self.dim, self.cols, self.rows, self.nums, self.denom, self.symmetric)
@@ -258,9 +259,6 @@ class OperatorMatrix:
 
     def to_document(self) -> dict:
         return {"dim": self.dim, "entries": [[r, c, str(v)] for r, c, v in self.entries()]}
-
-
-apply = OperatorMatrix.apply
 
 
 def check_dim(L: FiniteLattice, H: OperatorMatrix) -> None:

@@ -13,9 +13,11 @@ import itertools
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
-from .diamond import OperatorMatrix, Vector, basis_vector, hamiltonian
+import numpy as np
+
+from .diamond import OperatorMatrix, fit, hamiltonian
 from .lattice import FiniteLattice, build_product
 from .spectral import MomentSequence, SpectralMeasure, vacuum_moments_full
 
@@ -24,6 +26,9 @@ log = logging.getLogger(__name__)
 # Largest minimal power (rank gap) at which product_law_checks compares
 # shuffle-formula entries with direct ones.
 SHUFFLE_MAX_POWER = 4
+
+# Convolved atoms closer than this merge: float eigenvalues can collide.
+MERGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -49,18 +54,17 @@ class TensorIdentification:
 
 
 def kronecker_sum(H1: OperatorMatrix, H2: OperatorMatrix) -> OperatorMatrix:
-    """H1 (x) I + I (x) H2 on the lexicographic product basis."""
-    ident = TensorIdentification(H1.dim, H2.dim)
-    entries = []
-    for row, col, value in H1.entries():
-        for x2 in range(H2.dim):
-            entries.append((ident.combine(row, x2), ident.combine(col, x2), value))
-    for row, col, value in H2.entries():
-        for x1 in range(H1.dim):
-            entries.append((ident.combine(x1, row), ident.combine(x1, col), value))
-    return OperatorMatrix.from_entries(
-        H1.dim * H2.dim, entries, symmetric=H1.symmetric and H2.symmetric
-    )
+    """H1 (x) I + I (x) H2 over lcm(denom1, denom2), with (x1, x2) at
+    x1 n2 + x2: entry (r, c) of H1 lands at (r n2 + x2, c n2 + x2) for every
+    x2, and entry (r, c) of H2 at (x1 n2 + r, x1 n2 + c) for every x1."""
+    n1, n2 = H1.dim, H2.dim
+    denom = lcm(H1.denom, H2.denom)
+    f1, f2 = denom // H1.denom, denom // H2.denom
+    x1, x2 = np.arange(n1)[:, None], np.arange(n2)
+    rows = np.r_[(H1.rows[:, None] * n2 + x2).ravel(), (x1 * n2 + H2.rows).ravel()]
+    cols = np.r_[(H1.cols[:, None] * n2 + x2).ravel(), (x1 * n2 + H2.cols).ravel()]
+    nums = np.r_[np.repeat(fit(H1.nums, f1) * f1, n2), np.tile(fit(H2.nums, f2) * f2, n1)]
+    return OperatorMatrix(n1 * n2, rows, cols, nums, denom, symmetric=H1.symmetric and H2.symmetric)
 
 
 def _kronecker_agrees(direct: OperatorMatrix, H1: OperatorMatrix, H2: OperatorMatrix) -> bool:
@@ -117,34 +121,27 @@ def shuffle_entry(
     return value
 
 
-def _walks(H: OperatorMatrix, col: int, length: int) -> list[Vector]:
-    """[e_col, H e_col, ..., H^length e_col]."""
-    out = [basis_vector(col)]
-    for _ in range(length):
-        out.append(H.apply(out[-1]))
-    return out
-
-
 def _shuffle_agrees(
     L1: FiniteLattice, L2: FiniteLattice, H1: OperatorMatrix, H2: OperatorMatrix, HP: OperatorMatrix
 ) -> bool:
     """`shuffle_entry`'s formula on every pair x <= y of the product with
-    rank gap d <= SHUFFLE_MAX_POWER, reading <e_x, H^d e_y> off one walk
-    from e_y per column instead of one walk per entry."""
-    p, zero = SHUFFLE_MAX_POWER, Fraction(0)
+    rank gap d <= SHUFFLE_MAX_POWER, read off one integer walk from e_y per
+    column.  With w = (N^d e_y)_x on each side, it is compared in integers
+    as C(d, d1) w1 w2 denomP^d = wP denom1^d1 denom2^d2."""
+    p = SHUFFLE_MAX_POWER
     ident = TensorIdentification(L1.n, L2.n)
-    walks1 = [_walks(H1, y1, p) for y1 in range(L1.n)]
-    walks2 = [_walks(H2, y2, p) for y2 in range(L2.n)]
+    walks1 = [[v.tolist() for v in H1.walk(y1, p)] for y1 in range(L1.n)]
+    walks2 = [[v.tolist() for v in H2.walk(y2, p)] for y2 in range(L2.n)]
     for y1, y2 in itertools.product(range(L1.n), range(L2.n)):
-        walk = _walks(HP, ident.combine(y1, y2), p)
+        walk = [v.tolist() for v in HP.walk(ident.combine(y1, y2), p)]
         for x1 in L1.elements_below(y1):
             d1 = L1.rank[y1] - L1.rank[x1]
             for x2 in L2.elements_below(y2):
                 d = d1 + L2.rank[y2] - L2.rank[x2]
                 if d > p:
                     continue
-                value = comb(d, d1) * walks1[y1][d1].get(x1, zero) * walks2[y2][d - d1].get(x2, zero)
-                if walk[d].get(ident.combine(x1, x2), zero) != value:
+                factors = comb(d, d1) * walks1[y1][d1][x1] * walks2[y2][d - d1][x2] * HP.denom**d
+                if walk[d][ident.combine(x1, x2)] * H1.denom**d1 * H2.denom ** (d - d1) != factors:
                     log.warning("shuffle formula fails for %s -> %s", (x1, x2), (y1, y2))
                     return False
     return True
@@ -181,18 +178,15 @@ def convolve_moments(m1: MomentSequence, m2: MomentSequence, K: int) -> MomentSe
     return MomentSequence(values)
 
 
-def convolve_measures(
-    mu1: SpectralMeasure, mu2: SpectralMeasure, *, merge_tol: float = 1e-9
-) -> SpectralMeasure:
+def convolve_measures(mu1: SpectralMeasure, mu2: SpectralMeasure) -> SpectralMeasure:
     """Convolution of finitely supported measures: atoms at all pairwise
-    sums, weights multiplied; atoms closer than merge_tol are merged (float
-    eigenvalues of distinct factors can collide, e.g. integer spectra)."""
+    sums, weights multiplied; atoms closer than MERGE_TOL are merged."""
     raw = sorted(
         (l1 + l2, w1 * w2) for l1, w1 in mu1.atoms for l2, w2 in mu2.atoms
     )
     merged: list[list[float]] = []
     for l, w in raw:
-        if merged and l - merged[-1][0] <= merge_tol:
+        if merged and l - merged[-1][0] <= MERGE_TOL:
             total = merged[-1][1] + w
             merged[-1][0] = (merged[-1][0] * merged[-1][1] + l * w) / total
             merged[-1][1] = total

@@ -139,9 +139,9 @@ _T2 = RationalPolynomial((0, 0, 1))
 class RationalFunction:
     """Quotient of rational polynomials normalized so denominator(0) = 1."""
 
-    __slots__ = ("numerator", "denominator", "reduced")
+    __slots__ = ("numerator", "denominator")
 
-    def __init__(self, numerator: RationalPolynomial, denominator: RationalPolynomial, reduced: bool = False):
+    def __init__(self, numerator: RationalPolynomial, denominator: RationalPolynomial):
         if denominator.is_zero():
             raise ZeroDivisionError("zero denominator")
         c = denominator.coefficient(0)
@@ -152,15 +152,14 @@ class RationalFunction:
             denominator = denominator * (1 / c)
         self.numerator = numerator
         self.denominator = denominator
-        self.reduced = reduced
 
     def reduce(self) -> "RationalFunction":
         g = RationalPolynomial.gcd(self.numerator, self.denominator)
         if g.is_zero() or g.degree == 0:
-            return RationalFunction(self.numerator, self.denominator, reduced=True)
+            return self
         num, _ = self.numerator.divmod(g)
         den, _ = self.denominator.divmod(g)
-        return RationalFunction(num, den, reduced=True)
+        return RationalFunction(num, den)
 
     def series(self, order: int) -> tuple[Fraction, ...]:
         """Taylor coefficients c_0..c_order at t = 0 (denominator(0) = 1)."""
@@ -272,24 +271,18 @@ def resolvent(J: JacobiData) -> RationalFunction:
     Returns the constant function 1 when r = 0.
     """
     if J.r == 0:
-        return RationalFunction(_ONE, _ONE, reduced=True)
+        return RationalFunction(_ONE, _ONE)
     numerator = _continuant(J.beta_sq[1:])[-1]
     denominator = _continuant(J.beta_sq)[-1]
     return RationalFunction(numerator, denominator)
 
 
 def vacuum_moments_full(L: FiniteLattice, H: OperatorMatrix, K: int) -> MomentSequence:
-    """<e_bottom, H^k e_bottom> = (N^k e_0)_0 / denom^k for k = 0..K, by
-    iterated sparse application of the integer numerator N = denom * H."""
-    if K < 0:
-        raise ValueError("K must be non-negative")
+    """<e_bottom, H^k e_bottom> = (N^k e_0)_0 / denom^k for k = 0..K, read
+    off the walk of the integer numerator N = denom * H from the bottom,
+    which rejects a negative K."""
     check_dim(L, H)
-    values = [Fraction(1)]
-    v = (np.arange(H.dim) == 0).astype(np.int64)
-    for k in range(1, K + 1):
-        v = H.matvec(v)
-        values.append(Fraction(int(v[0]), H.denom**k))
-    return MomentSequence(tuple(values))
+    return MomentSequence(tuple(Fraction(int(v[0]), H.denom**k) for k, v in enumerate(H.walk(0, K))))
 
 
 def vacuum_moments_radial(J: JacobiData, K: int) -> MomentSequence:

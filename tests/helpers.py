@@ -17,7 +17,7 @@ from latspec.gf import in_rowspace, rref
 
 
 # ---------------------------------------------------------------------------
-# Dense exact linear algebra (oracle for sparse apply / power_entry)
+# Dense exact linear algebra (oracle for matvec / power_entry)
 # ---------------------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@ array that switches from int64 to Python ints before any product or sum
 can overflow.  Values are checked against dense `Fraction` arithmetic,
 the radial moments or the closed forms."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -30,13 +31,15 @@ from latspec import (
 )
 
 
-def dense_apply(dense: list[list[Fraction]], vec: dict[int, Fraction]) -> dict[int, Fraction]:
-    out = {}
-    for i, row in enumerate(dense):
-        total = sum((row[j] * c for j, c in vec.items()), Fraction(0))
-        if total:
-            out[i] = total
-    return out
+def dense_apply(dense: list[list[Fraction]], vec) -> list[Fraction]:
+    return [sum((row[j] * c for j, c in enumerate(vec)), Fraction(0)) for row in dense]
+
+
+def applied(M: OperatorMatrix, v: np.ndarray, times: int = 1) -> list[Fraction]:
+    """M^times v for an integer array v, through `matvec`: N^times v / denom^times."""
+    for _ in range(times):
+        v = M.matvec(v)
+    return [Fraction(int(x), M.denom**times) for x in v]
 
 
 def dense_of(dim: int, entries) -> list[list[Fraction]]:
@@ -108,10 +111,10 @@ class TestOverflowBoundary:
         entries = [(0, 0, c - 1), (0, 2, c), (1, 0, -c), (1, 1, c - 3), (2, 1, 5), (2, 2, -(c - 7))]
         M = OperatorMatrix.from_entries(3, entries)
         assert M.denom == 1 and M.nums.dtype == np.int64
-        vec = {0: Fraction(1), 1: Fraction(-2, 7), 2: Fraction(3)}
+        vec = np.array([7, -2, 21])  # 7 * (1, -2/7, 3)
         dense = dense_of(3, entries)
         twice = dense_matmul(dense, dense)
-        assert M.apply(M.apply(vec)) == dense_apply(twice, vec)
+        assert applied(M, vec, 2) == dense_apply(twice, vec)
         assert M.power_entry(0, 2, 2) == twice[0][2]
 
     def test_wide_numerators_applied_twice(self):
@@ -119,20 +122,21 @@ class TestOverflowBoundary:
         entries = [(0, 0, c - 1), (0, 2, c), (1, 0, -c), (2, 1, Fraction(c, 3)), (2, 2, -(c - 7))]
         M = OperatorMatrix.from_entries(3, entries)
         assert M.nums.dtype == object  # c - 1 over the denominator 3 needs 64 bits
-        vec = {0: Fraction(c + 1), 1: Fraction(-5, 7), 2: Fraction(c - 11)}
+        vec = np.array([7 * (c + 1), -5, 7 * (c - 11)], dtype=object)  # 7 * (c + 1, -5/7, c - 11)
         dense = dense_of(3, entries)
         twice = dense_matmul(dense, dense)
-        assert M.apply(M.apply(vec)) == dense_apply(twice, vec)
+        assert applied(M, vec, 2) == dense_apply(twice, vec)
         assert M.power_entry(2, 0, 2) == twice[2][0]
 
     def test_int64_entries_with_a_wide_vector(self):
         M = OperatorMatrix.from_entries(3, [(0, 1, 3), (1, 2, -5), (2, 0, 7), (2, 2, 1)])
         assert M.nums.dtype == np.int64
-        vec = {0: Fraction(2**62), 1: Fraction(2**62 - 1), 2: Fraction(-(2**61))}
+        vec = np.array([2**62, 2**62 - 1, -(2**61)])
         dense = dense_of(3, M.entries())
-        assert M.apply(vec) == dense_apply(dense, vec)
-        assert M.apply(M.apply(vec)) == dense_apply(dense_matmul(dense, dense), vec)
-        assert OperatorMatrix.from_entries(3, []).apply({0: Fraction(2**70)}) == {}
+        assert vec.dtype == np.int64
+        assert applied(M, vec) == dense_apply(dense, vec)
+        assert applied(M, vec, 2) == dense_apply(dense_matmul(dense, dense), vec)
+        assert applied(OperatorMatrix.from_entries(3, []), np.array([2**70, 0, 0], dtype=object)) == [0, 0, 0]
 
     def test_duplicates_summing_past_int64(self):
         c = 2**62
@@ -263,8 +267,18 @@ def test_kernel_matches_dense_oracle(left, right, data):
     assert list(M.entries()) == expected
     assert M.nnz() == len(expected)
 
-    vec = data.draw(st.dictionaries(st.integers(0, dim - 1), _values, max_size=dim))
-    assert M.apply(vec) == dense_apply(dense, vec)
+    support = data.draw(st.dictionaries(st.integers(0, dim - 1), _values, max_size=dim))
+    vec = [support.get(i, Fraction(0)) for i in range(dim)]
+    scale = math.lcm(*(c.denominator for c in vec))
+    integer_vec = np.array([int(c * scale) for c in vec], dtype=object)
+    assert [c / scale for c in applied(M, integer_vec)] == dense_apply(dense, vec)
+
+    col = data.draw(st.integers(0, dim - 1))
+    column = [Fraction(int(i == col)) for i in range(dim)]
+    for k, v in enumerate(M.walk(col, 3)):
+        assert [Fraction(int(x), M.denom**k) for x in v] == column
+        column = dense_apply(dense, column)
+    assert k == 3
 
     transposed = M.transpose()
     assert transposed.to_dense() == [list(col) for col in zip(*dense)]

@@ -201,7 +201,8 @@ class TestMeasureConvolution:
 
 class TestProductLawChecks:
     def test_all_laws_hold(self, m3, b1, b2, fano):
-        for L1, L2 in [(b1, b1), (m3, b1), (b2, b2), (fano, b2)]:
+        b0 = build_boolean(0)  # Hamiltonian denominator 1 against 2
+        for L1, L2 in [(b1, b1), (m3, b1), (b2, b2), (fano, b2), (b0, fano), (m3, b0)]:
             assert product_law_checks(L1, L2, 8) == (True, True, True)
 
     def test_doubled_product_hamiltonian_fails_every_law(self, m3, b1, monkeypatch):

@@ -58,7 +58,6 @@ SUITE_NAMES = [
     "validate:lattice-pairs",
     "validate:semimodular",
     "validate:atomic",
-    "diamond:bottom-is-unit",
     "diamond:atom-raises-rank",
     "operators:transpose-consistency",
     "hamiltonian:assembly-agreement",
