@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .diamond import ZERO, diamond_table, hamiltonian
 from .lattice import (
@@ -49,10 +48,6 @@ FAMILIES = {
     "projective": (build_projective, ("r", "q")),
     "affine": (build_affine, ("r", "q")),
 }
-
-
-def _frac(x: Fraction) -> str:
-    return str(x)
 
 
 def _flt(x: float, digits: int) -> str:
@@ -184,7 +179,7 @@ def _cmd_hamiltonian(args: argparse.Namespace) -> int:
     H = hamiltonian(L)
     doc = H.to_document()
     lines = [f"dim: {H.dim}", f"nonzeros: {H.nnz()}"]
-    lines += [f"  ({r}, {c}) = {_frac(v)}" for r, c, v in H.entries()]
+    lines += [f"  ({r}, {c}) = {v}" for r, c, v in H.entries()]
     _emit(args, lines, doc)
     return 0
 
@@ -199,7 +194,7 @@ def _cmd_jacobi(args: argparse.Namespace) -> int:
         if k < J.r:
             lines.append(
                 f"{k:>3d} {J.layers[k]:>8d} {J.W[k]:>10d} "
-                f"{_frac(J.beta_sq[k]):>14s} {_flt(J.beta[k], args.precision):>18s}"
+                f"{str(J.beta_sq[k]):>14s} {_flt(J.beta[k], args.precision):>18s}"
             )
         else:
             lines.append(f"{k:>3d} {J.layers[k]:>8d}")
@@ -208,7 +203,7 @@ def _cmd_jacobi(args: argparse.Namespace) -> int:
         "r": J.r,
         "layers": list(J.layers.sizes),
         "W": list(J.W),
-        "beta_sq": [_frac(b) for b in J.beta_sq],
+        "beta_sq": [str(b) for b in J.beta_sq],
         "beta": list(J.beta),
         "invariant": inv.invariant,
     }
@@ -222,17 +217,17 @@ def _cmd_resolvent(args: argparse.Namespace) -> int:
     G = resolvent(J)
     reduced = G.reduce()
     lines = [
-        "numerator:   " + " ".join(_frac(c) for c in G.numerator.coeffs),
-        "denominator: " + " ".join(_frac(c) for c in G.denominator.coeffs),
+        "numerator:   " + " ".join(str(c) for c in G.numerator.coeffs),
+        "denominator: " + " ".join(str(c) for c in G.denominator.coeffs),
     ]
     if reduced.numerator != G.numerator or reduced.denominator != G.denominator:
-        lines.append("reduced numerator:   " + " ".join(_frac(c) for c in reduced.numerator.coeffs))
-        lines.append("reduced denominator: " + " ".join(_frac(c) for c in reduced.denominator.coeffs))
+        lines.append("reduced numerator:   " + " ".join(str(c) for c in reduced.numerator.coeffs))
+        lines.append("reduced denominator: " + " ".join(str(c) for c in reduced.denominator.coeffs))
     machine = {
-        "numerator": [_frac(c) for c in G.numerator.coeffs],
-        "denominator": [_frac(c) for c in G.denominator.coeffs],
-        "reduced_numerator": [_frac(c) for c in reduced.numerator.coeffs],
-        "reduced_denominator": [_frac(c) for c in reduced.denominator.coeffs],
+        "numerator": [str(c) for c in G.numerator.coeffs],
+        "denominator": [str(c) for c in G.denominator.coeffs],
+        "reduced_numerator": [str(c) for c in reduced.numerator.coeffs],
+        "reduced_denominator": [str(c) for c in reduced.denominator.coeffs],
     }
     _emit(args, lines, machine)
     return 0
@@ -250,8 +245,8 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     header = f"{'k':>3s}" + "".join(f" {name:>16s}" for name in cols)
     lines = [header]
     for k in range(K + 1):
-        lines.append(f"{k:>3d}" + "".join(f" {_frac(seq[k]):>16s}" for seq in cols.values()))
-    machine = {name: [_frac(v) for v in seq.values] for name, seq in cols.items()}
+        lines.append(f"{k:>3d}" + "".join(f" {str(seq[k]):>16s}" for seq in cols.values()))
+    machine = {name: [str(v) for v in seq.values] for name, seq in cols.items()}
     machine["max_k"] = K
     _emit(args, lines, machine)
     return 0

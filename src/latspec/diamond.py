@@ -285,18 +285,17 @@ def creation_operator(L: FiniteLattice, a: int) -> OperatorMatrix:
 
 
 def annihilation_operator(L: FiniteLattice, a: int) -> OperatorMatrix:
-    """Adjoint of the creation operator, built directly from its defining
-    sum: column y collects every x with x ∨ a = y and a ∧ x = bottom.  This
-    is deliberately not implemented as transpose(creation) so the two
-    constructions can cross-check.  Only y >= a and x with a ≰ x can give
-    a term (x ∨ a = y needs a <= y, and a ∧ x = bottom needs a ≰ x), so
-    only those are visited; the join, which fails for most of them, is
-    tested before the meet."""
+    """Lowering by the atom a: column y holds a 1 at each lower cover x of
+    y with a <= y and a ≰ x, read from covers and `leq`, never `diamond`.
+
+    On any lattice each entry is a term of the adjoint's defining sum,
+    a ∨ x = y and a ∧ x = 0: x < a ∨ x <= y with x ⋖ y, and a ∧ x < a.
+    A term (x, a ⋄ x) is an entry iff r(a ⋄ x) = r(x) + 1, which upper
+    semimodularity ensures (Stanley, EC1, Prop. 3.3.2); so this is the
+    creation transpose exactly when a raises no rank by more than one."""
     if a not in L.atoms:
         raise ValueError(f"element {a} is not an atom")
-    above = {y for y in range(L.n) if L.leq(a, y)}
-    pairs = [(x, y) for y in sorted(above) for x in L.elements_below(y)
-             if x not in above and L.join(a, x) == y and L.meet(a, x) == 0]
+    pairs = [(x, y) for x, y in L.covers() if L.leq(a, y) and not L.leq(a, x)]
     rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     return OperatorMatrix(L.n, rows, cols, np.ones(rows.size, dtype=np.int64))
 

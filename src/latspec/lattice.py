@@ -242,15 +242,6 @@ class FiniteLattice:
         except KeyError:
             raise NotALatticeError(f"elements {x} and {y} have no unique join") from None
 
-    def elements_below(self, x: int) -> list[int]:
-        """All y <= x, including x itself, ascending; walked down the lower
-        covers one rank at a time."""
-        below, layer = [x], (x,)
-        while layer:
-            layer = set().union(*map(self.covers_down.__getitem__, layer))
-            below += layer
-        return sorted(below)
-
     def count_atoms_below(self, x: int) -> int:
         return (self._down[x] & ((1 << len(self.atoms)) - 1)).bit_count()
 

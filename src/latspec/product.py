@@ -132,11 +132,12 @@ def _shuffle_agrees(
     ident = TensorIdentification(L1.n, L2.n)
     walks1 = [[v.tolist() for v in H1.walk(y1, p)] for y1 in range(L1.n)]
     walks2 = [[v.tolist() for v in H2.walk(y2, p)] for y2 in range(L2.n)]
+    below1, below2 = ([[x for x in range(L.n) if L.leq(x, y)] for y in range(L.n)] for L in (L1, L2))
     for y1, y2 in itertools.product(range(L1.n), range(L2.n)):
         walk = [v.tolist() for v in HP.walk(ident.combine(y1, y2), p)]
-        for x1 in L1.elements_below(y1):
+        for x1 in below1[y1]:
             d1 = L1.rank[y1] - L1.rank[x1]
-            for x2 in L2.elements_below(y2):
+            for x2 in below2[y2]:
                 d = d1 + L2.rank[y2] - L2.rank[x2]
                 if d > p:
                     continue

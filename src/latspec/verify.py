@@ -10,6 +10,11 @@ bottom and top and graded covers (`FiniteLattice`), commutativity and the
 bottom as unit of the diamond product (`diamond`: J(0) is empty, so
 0 ∧ x = 0, and M(0) ⊇ M(x), so 0 ∨ x = x), the total cover weight
 (`cover_weight_sums`) and D_k(0) = 1 (`spectral._continuant`).
+
+`operators:transpose-consistency` fails on exactly the atoms where
+`diamond:atom-raises-rank` does: with exact meets and joins, the creation
+transpose holds every pair (x, a ⋄ x), the cover form only those with
+r(a ⋄ x) = r(x) + 1 (`annihilation_operator`).
 """
 
 from __future__ import annotations

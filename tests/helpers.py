@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from latspec import RationalPolynomial
+from latspec import OperatorMatrix, RationalPolynomial
 from latspec.gf import in_rowspace, rref
 
 
@@ -111,6 +111,20 @@ def is_modular(L) -> bool:
         for x in range(L.n)
         for y in range(x + 1, L.n)
     )
+
+
+# ---------------------------------------------------------------------------
+# Defining-sum oracle for the annihilation operator (no covers)
+# ---------------------------------------------------------------------------
+
+
+def annihilation_by_defining_sum(L, a: int) -> OperatorMatrix:
+    """The adjoint of creation by the atom a from its defining sum: column
+    y collects every x <= y with a ∨ x = y and a ∧ x = bottom, found by
+    walking all pairs x <= y with y >= a and reading meets and joins."""
+    pairs = [(x, y, 1) for y in range(L.n) if L.leq(a, y) for x in range(L.n)
+             if L.leq(x, y) and L.join(a, x) == y and L.meet(a, x) == 0]
+    return OperatorMatrix.from_entries(L.n, pairs)
 
 
 # ---------------------------------------------------------------------------

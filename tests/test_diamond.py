@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_power_entry
+from helpers import annihilation_by_defining_sum, dense_power_entry, random_flats_document
 from latspec import (
     ZERO,
     OperatorMatrix,
@@ -19,6 +20,7 @@ from latspec import (
     diamond_table,
     hamiltonian,
     nonassociativity_witness,
+    parse_lattice,
     vacuum_moments_full,
 )
 
@@ -151,6 +153,23 @@ class TestAnnihilation:
         for L in small_lattices:
             for a in L.atoms:
                 assert annihilation_operator(L, a) == creation_operator(L, a).transpose()
+
+    def test_cover_form_equals_the_defining_sum(self, small_lattices):
+        lattices = small_lattices + [parse_lattice(random_flats_document(random.Random(seed))) for seed in range(60)]
+        for L in lattices:
+            for a in L.atoms:
+                assert annihilation_operator(L, a) == annihilation_by_defining_sum(L, a), L.family_tag
+
+    def test_differs_from_creation_where_an_atom_raises_rank_by_two(self):
+        # hexagon 0 < 1 < 3 < 5, 0 < 2 < 4 < 5: 1 ⋄ 2 is the top, two ranks up,
+        # so the creation transpose has (2, 5) and the covers do not
+        L = parse_lattice({"elements": [{"id": i} for i in range(6)],
+                           "covers": [[0, 1], [0, 2], [1, 3], [2, 4], [3, 5], [4, 5]]})
+        A, C = annihilation_operator(L, 1), creation_operator(L, 1).transpose()
+        assert A != C
+        assert (A.entry(2, 5), C.entry(2, 5)) == (0, 1)
+        assert [(r, c) for r, c, _ in C.entries() if A.entry(r, c) != 1] == [(2, 5)]
+        assert A.nnz() == C.nnz() - 1
 
 
 class TestHamiltonian:

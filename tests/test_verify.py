@@ -1,10 +1,13 @@
 import json
+import random
 
 import pytest
 
 import latspec.verify
+from helpers import random_bounded_graded_poset
 from latspec import (
     FiniteLattice,
+    NotALatticeError,
     build_affine,
     build_boolean,
     build_product,
@@ -43,6 +46,23 @@ def test_suite_reports_validation_failures():
     results = run_invariant_suite(L)
     semi = next(r for r in results if r.name == "validate:semimodular")
     assert not semi.passed
+    # 1 ⋄ 2 is the top, two ranks above 2, so no cover carries that pair
+    transpose = next(r for r in results if r.name == "operators:transpose-consistency")
+    assert (transpose.passed, transpose.detail) == (False, "atom 1")
+
+
+def test_transpose_consistency_fails_exactly_where_an_atom_raises_rank_by_more():
+    verdicts = []
+    for seed in range(500):
+        n, covers = random_bounded_graded_poset(random.Random(seed))
+        try:
+            L = FiniteLattice.from_covers(n, covers)
+        except NotALatticeError:
+            continue
+        results = {r.name: r.passed for r in run_invariant_suite(L)}
+        assert results["operators:transpose-consistency"] == results["diamond:atom-raises-rank"], covers
+        verdicts.append(results["operators:transpose-consistency"])
+    assert len(verdicts) == 360 and verdicts.count(False) == 23
 
 
 def test_suite_stops_after_validation_on_a_non_lattice():
