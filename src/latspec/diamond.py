@@ -138,12 +138,11 @@ class OperatorMatrix:
     construction.
     """
 
-    __slots__ = ("dim", "denom", "rows", "cols", "nums", "symmetric", "_row_bound")
+    __slots__ = ("dim", "denom", "rows", "cols", "nums", "_row_bound")
 
-    def __init__(self, dim: int, rows, cols, nums, denom: int = 1, symmetric: bool = False):
+    def __init__(self, dim: int, rows, cols, nums, denom: int = 1):
         """N / denom from unsorted (row, col, numerator) arrays: duplicates
-        are summed, zeros dropped and the common gcd divided out; with
-        symmetric=True, N is checked against its transpose."""
+        are summed, zeros dropped and the common gcd divided out."""
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         outside = np.flatnonzero((rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim))
         if outside.size:
@@ -154,29 +153,20 @@ class OperatorMatrix:
         np.add.at(summed, where, nums)
         key, nums = key[summed != 0], summed[summed != 0]
         g = math.gcd(denom, int(np.gcd.reduce(nums)))
-        self.dim, self.denom, self.nums, self.symmetric = dim, denom // g, fit(nums // g), symmetric
+        self.dim, self.denom, self.nums = dim, denom // g, fit(nums // g)
         self.cols, self.rows = np.divmod(key, dim)
-        if symmetric:
-            mirror = self.rows * dim + self.cols
-            pos = np.minimum(np.searchsorted(key, mirror), key.size - 1)
-            asymmetric = np.flatnonzero((key[pos] != mirror) | (self.nums[pos] != self.nums))
-            if asymmetric.size:
-                i = asymmetric[0]
-                raise ValueError(f"matrix is not symmetric at ({self.rows[i]}, {self.cols[i]})")
         magnitudes = np.abs(fit(self.nums, key.size))
         row_sums = np.zeros(dim, dtype=magnitudes.dtype)
         np.add.at(row_sums, self.rows, magnitudes)
         self._row_bound = int(row_sums.max(initial=0))
 
     @classmethod
-    def from_entries(
-        cls, dim: int, entries: Iterable[tuple[int, int, Fraction]], symmetric: bool = False
-    ) -> "OperatorMatrix":
+    def from_entries(cls, dim: int, entries: Iterable[tuple[int, int, Fraction]]) -> "OperatorMatrix":
         entries = list(entries)
         values = [Fraction(v) for _, _, v in entries]
         denom = math.lcm(*(v.denominator for v in values))
         nums = np.array([v.numerator * (denom // v.denominator) for v in values], dtype=object)
-        return cls(dim, [r for r, _, _ in entries], [c for _, c, _ in entries], nums, denom, symmetric)
+        return cls(dim, [r for r, _, _ in entries], [c for _, c, _ in entries], nums, denom)
 
     def _check_index(self, *indices: int) -> None:
         for i in indices:
@@ -226,7 +216,7 @@ class OperatorMatrix:
         return Fraction(int(v[row]), self.denom**power)
 
     def transpose(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.dim, self.cols, self.rows, self.nums, self.denom, self.symmetric)
+        return OperatorMatrix(self.dim, self.cols, self.rows, self.nums, self.denom)
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if self.dim != other.dim:
@@ -269,10 +259,26 @@ def check_dim(L: FiniteLattice, H: OperatorMatrix) -> None:
 
 def _creation_pairs(L: FiniteLattice, a: int) -> np.ndarray:
     """(a ⋄ x, x) for every x whose product with the atom a is a lattice
-    element, as a 2 x m array: the rows over the columns."""
+    element, as a 2 x m array in x order: the rows over the columns."""
     products = np.fromiter((-1 if (y := diamond(L, a, x)) is ZERO else y for x in range(L.n)), np.int64, L.n)
     lower = np.flatnonzero(products >= 0)
     return np.stack([products[lower], lower])
+
+
+def _lowering_pairs(L: FiniteLattice) -> list[np.ndarray]:
+    """Per atom a, in `L.atoms` order, the (y, x) of each cover x ⋖ y that
+    gains it (a <= y, a ≰ x) as a 2 x m array in x order: one pass over the
+    covers reads the gained atoms J(y) & ~J(x), where atom i holds bit i.
+    On a lattice an atom has at most one pair per lower element x: if
+    covers y1 != y2 of x both gained a, then a <= y1 ∧ y2 = x."""
+    below = [L.atoms_below(x) for x in range(L.n)]
+    found: list[list[int]] = [[] for _ in L.atoms]  # y0, x0, y1, x1, ... per atom
+    for x, y in L.covers():
+        gained = below[y] & ~below[x]
+        while gained:
+            found[(gained & -gained).bit_length() - 1] += (y, x)
+            gained &= gained - 1
+    return [np.array(pairs, dtype=np.int64).reshape(-1, 2).T for pairs in found]
 
 
 def creation_operator(L: FiniteLattice, a: int) -> OperatorMatrix:
@@ -286,7 +292,7 @@ def creation_operator(L: FiniteLattice, a: int) -> OperatorMatrix:
 
 def annihilation_operator(L: FiniteLattice, a: int) -> OperatorMatrix:
     """Lowering by the atom a: column y holds a 1 at each lower cover x of
-    y with a <= y and a ≰ x, read from covers and `leq`, never `diamond`.
+    y with a <= y and a ≰ x, from the covers and atom masks, never `diamond`.
 
     On any lattice each entry is a term of the adjoint's defining sum,
     a ∨ x = y and a ∧ x = 0: x < a ∨ x <= y with x ⋖ y, and a ∧ x < a.
@@ -295,25 +301,26 @@ def annihilation_operator(L: FiniteLattice, a: int) -> OperatorMatrix:
     creation transpose exactly when a raises no rank by more than one."""
     if a not in L.atoms:
         raise ValueError(f"element {a} is not an atom")
-    pairs = [(x, y) for x, y in L.covers() if L.leq(a, y) and not L.leq(a, x)]
-    rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    return OperatorMatrix(L.n, rows, cols, np.ones(rows.size, dtype=np.int64))
+    upper, lower = _lowering_pairs(L)[L.atoms.index(a)]
+    return OperatorMatrix(L.n, lower, upper, np.ones(upper.size, dtype=np.int64))
+
+
+def _assemble(L: FiniteLattice, pairs: Iterable[np.ndarray]) -> OperatorMatrix:
+    """(1/2) * sum over atoms of (P_a + P_a^t), P_a holding a 1 at each pair of a."""
+    upper, lower = np.hstack([np.empty((2, 0), np.int64), *pairs])
+    return OperatorMatrix(L.n, np.r_[upper, lower], np.r_[lower, upper], np.ones(2 * upper.size, np.int64), 2)
 
 
 def hamiltonian(L: FiniteLattice, method: str = "atoms") -> OperatorMatrix:
-    """The symmetric operator (1/2) * sum over atoms of (L_a + L_a^t).
+    """The symmetric operator (1/2) * sum over atoms of (L_a + L_a^t), L_a
+    read from the creation pairs (method="atoms") or the lowering pairs
+    (method="covers"); they agree when no atom raises rank by more than one.
 
-    method="atoms" assembles atom by atom from the creation operators;
-    method="covers" uses the equivalent cover-counting rule: a cover x < y
-    contributes (atoms below y - atoms below x)/2 at (y, x) and (x, y).
-    The two assemblies agree entry for entry.
-    """
+    Corollary (the cover rule): a cover x ⋖ y gains the a(y) - a(x) atoms
+    below y and not below x (a(.) counts atoms below), so method="covers"
+    holds (a(y) - a(x))/2 at (y, x) and (x, y), and nothing off the covers."""
     if method == "atoms":
-        upper, lower = np.hstack([np.empty((2, 0), np.int64)] + [_creation_pairs(L, a) for a in L.atoms])
-        weights = np.ones(upper.size, dtype=np.int64)
-    elif method == "covers":
-        lower, upper = np.array(list(L.covers()), dtype=np.int64).reshape(-1, 2).T
-        weights = np.fromiter((L.count_atoms_below(y) - L.count_atoms_below(x) for x, y in L.covers()), np.int64)
-    else:
-        raise ValueError(f"unknown assembly method {method!r}")
-    return OperatorMatrix(L.n, np.r_[upper, lower], np.r_[lower, upper], np.r_[weights, weights], 2, symmetric=True)
+        return _assemble(L, (_creation_pairs(L, a) for a in L.atoms))
+    if method == "covers":
+        return _assemble(L, _lowering_pairs(L))
+    raise ValueError(f"unknown assembly method {method!r}")

@@ -242,8 +242,11 @@ class FiniteLattice:
         except KeyError:
             raise NotALatticeError(f"elements {x} and {y} have no unique join") from None
 
+    def atoms_below(self, x: int) -> int:
+        return self._down[x] & ((1 << len(self.atoms)) - 1)
+
     def count_atoms_below(self, x: int) -> int:
-        return (self._down[x] & ((1 << len(self.atoms)) - 1)).bit_count()
+        return self.atoms_below(x).bit_count()
 
     def covers(self) -> Iterator[tuple[int, int]]:
         """All cover pairs (x, y) with x covered by y."""

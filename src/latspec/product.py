@@ -64,7 +64,7 @@ def kronecker_sum(H1: OperatorMatrix, H2: OperatorMatrix) -> OperatorMatrix:
     rows = np.r_[(H1.rows[:, None] * n2 + x2).ravel(), (x1 * n2 + H2.rows).ravel()]
     cols = np.r_[(H1.cols[:, None] * n2 + x2).ravel(), (x1 * n2 + H2.cols).ravel()]
     nums = np.r_[np.repeat(fit(H1.nums, f1) * f1, n2), np.tile(fit(H2.nums, f2) * f2, n1)]
-    return OperatorMatrix(n1 * n2, rows, cols, nums, denom, symmetric=H1.symmetric and H2.symmetric)
+    return OperatorMatrix(n1 * n2, rows, cols, nums, denom)
 
 
 def _kronecker_agrees(direct: OperatorMatrix, H1: OperatorMatrix, H2: OperatorMatrix) -> bool:

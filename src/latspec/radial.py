@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .diamond import OperatorMatrix, check_dim, fit, hamiltonian
+from .diamond import OperatorMatrix, _lowering_pairs, check_dim, fit, hamiltonian
 from .lattice import FiniteLattice
 
 
@@ -100,13 +100,11 @@ def rank_layers(L: FiniteLattice) -> RankLayers:
 
 
 def cover_weight_sums(L: FiniteLattice) -> tuple[int, ...]:
-    """W_k = sum over covers x < y with rank(x) = k of (a(y) - a(x)),
-    where a(.) counts atoms below.  Every cover is counted once, at the
-    rank of x, so sum(W) is that sum over all covers."""
-    W = [0] * L.top_rank
-    for x, y in L.covers():
-        W[L.rank[x]] += L.count_atoms_below(y) - L.count_atoms_below(x)
-    return tuple(W)
+    """W_k = sum over covers x < y with rank(x) = k of (a(y) - a(x)), a(.)
+    counting atoms below: the lowering pairs (y, x) with rank(x) = k.  Every
+    cover is counted once, at the rank of x, so sum(W) is that sum over all covers."""
+    lower = np.hstack([np.empty(0, np.int64), *(pairs[1] for pairs in _lowering_pairs(L))])
+    return tuple(np.bincount(np.asarray(L.rank)[lower], minlength=L.top_rank).tolist())
 
 
 def jacobi_from_formula(L: FiniteLattice) -> JacobiData:
@@ -120,30 +118,25 @@ def jacobi_from_compression(L: FiniteLattice, H: OperatorMatrix | None = None) -
     Summing N by the ranks of each entry's row and column gives every
     <s_m, N s_k> at once; <s_k, H s_{k+1}> is read off exactly, and the
     compression diagonal <s_k, H s_k>, which vanishes on any graded
-    lattice, is checked.  The integer W is twice the inner product (every
-    entry of H is a half-integer)."""
+    lattice, is checked.  The integer W_k = 2<s_k, H s_{k+1}> (every entry
+    of H is a half-integer) then gives beta_k^2 through `from_weights`."""
     if H is None:
         H = hamiltonian(L)
     check_dim(L, H)
-    layers = rank_layers(L)
     rank = np.asarray(L.rank)
     nums = fit(H.nums, H.nnz())
-    block = np.zeros((layers.r + 1, layers.r + 1), dtype=nums.dtype)
+    block = np.zeros((L.top_rank + 1, L.top_rank + 1), dtype=nums.dtype)
     np.add.at(block, (rank[H.rows], rank[H.cols]), nums)
-    for k in range(layers.r + 1):
+    for k in range(L.top_rank + 1):
         if block[k, k]:
             raise ArithmeticError(
                 f"nonzero radial diagonal {Fraction(int(block[k, k]), H.denom)} at level {k}: "
                 "the lattice is not graded or the Hamiltonian is corrupt"
             )
-    beta_sq, W = [], []
-    for k in range(layers.r):
-        inner = Fraction(int(block[k, k + 1]), H.denom)
-        beta_sq.append(inner * inner / (layers[k] * layers[k + 1]))
-        if (2 * inner).denominator != 1:
-            raise ArithmeticError(f"cover weight sum 2<s_k, H s_(k+1)> = {2 * inner} is not an integer")
-        W.append(int(2 * inner))
-    return JacobiData(layers.r, tuple(beta_sq), tuple(W), layers)
+    W = [2 * Fraction(int(block[k, k + 1]), H.denom) for k in range(L.top_rank)]
+    if fractional := [w for w in W if w.denominator != 1]:
+        raise ArithmeticError(f"cover weight sum 2<s_k, H s_(k+1)> = {fractional[0]} is not an integer")
+    return JacobiData.from_weights(L.layer_sizes(), [int(w) for w in W])
 
 
 def radial_invariance(L: FiniteLattice, H: OperatorMatrix | None = None) -> InvarianceReport:

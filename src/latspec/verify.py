@@ -11,10 +11,11 @@ bottom as unit of the diamond product (`diamond`: J(0) is empty, so
 0 ∧ x = 0, and M(0) ⊇ M(x), so 0 ∨ x = x), the total cover weight
 (`cover_weight_sums`) and D_k(0) = 1 (`spectral._continuant`).
 
-`operators:transpose-consistency` fails on exactly the atoms where
-`diamond:atom-raises-rank` does: with exact meets and joins, the creation
-transpose holds every pair (x, a ⋄ x), the cover form only those with
-r(a ⋄ x) = r(x) + 1 (`annihilation_operator`).
+Each atom's creation pairs (a ⋄ x, x), from `diamond`, and lowering pairs,
+from the covers that gain it, are built once: atom-raises-rank reads the
+first, transpose-consistency compares the two and so fails exactly where
+atom-raises-rank does (`annihilation_operator`), and assembly-agreement
+compares their assemblies, the first being the H every later check reads.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .diamond import annihilation_operator, creation_operator, hamiltonian
+from .diamond import _assemble, _creation_pairs, _lowering_pairs
 from .lattice import FiniteLattice, validate
 from .radial import jacobi_from_compression, jacobi_from_formula, radial_invariance
 from .spectral import eigendecompose, resolvent, vacuum_moments_full, vacuum_moments_radial
@@ -79,22 +80,23 @@ def run_invariant_suite(L: FiniteLattice) -> list[SuiteResult]:
     if L.first_meetless_pair is not None:
         return results
 
-    # Each column x of a creation operator holds at most the one entry
-    # a ⋄ x, and columns are sorted, so the first bad entry is the first x.
-    creation = {a: creation_operator(L, a) for a in L.atoms}
+    # Both lists hold at most one pair per x, in x order (`_lowering_pairs`),
+    # so equal arrays are equal operators and the first bad pair is the first x.
+    creation = [_creation_pairs(L, a) for a in L.atoms]
+    lowering = _lowering_pairs(L)
     rank = np.asarray(L.rank)
     bad = next(
-        (f"atom {a}, element {C.cols[i[0]]}" for a, C in creation.items()
-         if (i := np.flatnonzero(rank[C.rows] != rank[C.cols] + 1)).size),
+        (f"atom {a}, element {lower[i[0]]}" for a, (upper, lower) in zip(L.atoms, creation)
+         if (i := np.flatnonzero(rank[upper] != rank[lower] + 1)).size),
         "",
     )
     results.append(SuiteResult("diamond:atom-raises-rank", not bad, bad))
 
-    bad = next((f"atom {a}" for a, C in creation.items() if annihilation_operator(L, a) != C.transpose()), "")
+    bad = next((f"atom {a}" for a, C, A in zip(L.atoms, creation, lowering) if not np.array_equal(C, A)), "")
     results.append(SuiteResult("operators:transpose-consistency", not bad, bad))
 
-    H = hamiltonian(L)
-    ok = H == hamiltonian(L, method="covers")
+    H = _assemble(L, creation)
+    ok = H == _assemble(L, lowering)
     results.append(SuiteResult("hamiltonian:assembly-agreement", ok))
 
     bad = np.flatnonzero((np.abs(rank[H.rows] - rank[H.cols]) != 1) | (H.nums <= 0) | (2 % H.denom != 0))
@@ -108,7 +110,7 @@ def run_invariant_suite(L: FiniteLattice) -> list[SuiteResult]:
 
     J_formula = jacobi_from_formula(L)
     J_comp = jacobi_from_compression(L, H)
-    jacobi_ok = J_formula.beta_sq == J_comp.beta_sq and J_formula.W == J_comp.W
+    jacobi_ok = J_formula.W == J_comp.W  # both are `from_weights`, so equal W gives equal beta_sq
     results.append(
         SuiteResult(
             "jacobi:formula-equals-compression",
@@ -127,20 +129,11 @@ def run_invariant_suite(L: FiniteLattice) -> list[SuiteResult]:
     )
 
     inv = radial_invariance(L, H)
+    full_ok, detail = True, f"skipped: radial subspace not invariant (level {inv.failing_level})"
     if inv.invariant:
         radial_long = vacuum_moments_radial(J_formula, 10)
-        full_long = moments.values[: len(radial_long)]
-        results.append(
-            SuiteResult("moments:full-equals-radial", full_long == radial_long.values)
-        )
-    else:
-        results.append(
-            SuiteResult(
-                "moments:full-equals-radial",
-                True,
-                f"skipped: radial subspace not invariant (level {inv.failing_level})",
-            )
-        )
+        full_ok, detail = moments.values[: len(radial_long)] == radial_long.values, ""
+    results.append(SuiteResult("moments:full-equals-radial", full_ok, detail))
 
     measure = eigendecompose(J_comp)
     radial_f = vacuum_moments_radial(J_comp, 10)
