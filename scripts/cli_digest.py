@@ -125,6 +125,10 @@ COMMANDS = (
     ["validate", "hexagon.json", "--format", "machine"],
     ["jacobi", "--input", "hexagon.json", "--format", "machine"],
     ["verify", "--input", "hexagon.json", "--format", "machine"],
+    # a zero beta_1^2: the reduced resolvent is cut at the first level
+    ["resolvent", "--input", "hexagon.json", "--format", "machine"],
+    # the first non-invariant lattice: full against radial moments through order 3
+    ["verify", "--family", "product", "--left", "uniform:2,3", "--right", "boolean:1"],
     # error paths
     ["frobnicate"],
     ["jacobi"],

@@ -71,6 +71,7 @@ from .spectral import (
     determinant_polynomials,
     eigendecompose,
     projective_jacobi,
+    reduced_resolvent,
     resolvent,
     vacuum_moments_full,
     vacuum_moments_radial,
@@ -133,6 +134,7 @@ __all__ = [
     "radial_invariance",
     "rank_layers",
     "read_lattice_file",
+    "reduced_resolvent",
     "resolvent",
     "run_invariant_suite",
     "shuffle_entry",

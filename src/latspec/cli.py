@@ -33,6 +33,7 @@ from .spectral import (
     MomentSequence,
     SpectralMeasure,
     eigendecompose,
+    reduced_resolvent,
     resolvent,
     vacuum_moments_full,
     vacuum_moments_radial,
@@ -215,7 +216,7 @@ def _cmd_resolvent(args: argparse.Namespace) -> int:
     L = _make_lattice(args)
     J = jacobi_from_compression(L)
     G = resolvent(J)
-    reduced = G.reduce()
+    reduced = reduced_resolvent(J)
     lines = [
         "numerator:   " + " ".join(str(c) for c in G.numerator.coeffs),
         "denominator: " + " ".join(str(c) for c in G.denominator.coeffs),

@@ -110,7 +110,10 @@ def size_cap(override: int | None = None) -> int:
     if override is not None:
         return override
     env = os.environ.get(SIZE_CAP_ENV)
-    return int(env) if env else DEFAULT_SIZE_CAP
+    try:
+        return int(env) if env else DEFAULT_SIZE_CAP
+    except ValueError:
+        raise SizeBoundError(f"{SIZE_CAP_ENV}={env!r} is not an integer") from None
 
 
 def _check_size(n: int, cap: int | None) -> None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from math import comb
 from typing import Iterable, Mapping
 
@@ -96,40 +97,8 @@ class RationalPolynomial:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __repr__(self) -> str:
         return f"RationalPolynomial({[str(c) for c in self.coeffs]})"
-
-    def divmod(self, other: "RationalPolynomial"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quot = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.coeffs
-        while len(rem) >= len(d) and any(rem):
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            shift = len(rem) - len(d)
-            factor = rem[-1] / d[-1]
-            quot[shift] = factor
-            for i, c in enumerate(d):
-                rem[shift + i] -= factor * c
-            rem.pop()
-        return RationalPolynomial(quot), RationalPolynomial(rem)
-
-    @staticmethod
-    def gcd(a: "RationalPolynomial", b: "RationalPolynomial") -> "RationalPolynomial":
-        """Monic greatest common divisor (Euclid over the rationals)."""
-        while not b.is_zero():
-            _, r = a.divmod(b)
-            a, b = b, r
-        if a.is_zero():
-            return a
-        lead = a.coeffs[-1]
-        return RationalPolynomial(tuple(c / lead for c in a.coeffs))
 
 
 _ONE = RationalPolynomial((1,))
@@ -137,29 +106,15 @@ _T2 = RationalPolynomial((0, 0, 1))
 
 
 class RationalFunction:
-    """Quotient of rational polynomials normalized so denominator(0) = 1."""
+    """Quotient of rational polynomials whose denominator is 1 at t = 0."""
 
     __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator: RationalPolynomial, denominator: RationalPolynomial):
-        if denominator.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        c = denominator.coefficient(0)
-        if c == 0:
-            raise ValueError("denominator must not vanish at t = 0")
-        if c != 1:
-            numerator = numerator * (1 / c)
-            denominator = denominator * (1 / c)
+        if denominator.coefficient(0) != 1:
+            raise ValueError("the denominator must be 1 at t = 0")
         self.numerator = numerator
         self.denominator = denominator
-
-    def reduce(self) -> "RationalFunction":
-        g = RationalPolynomial.gcd(self.numerator, self.denominator)
-        if g.is_zero() or g.degree == 0:
-            return self
-        num, _ = self.numerator.divmod(g)
-        den, _ = self.denominator.divmod(g)
-        return RationalFunction(num, den)
 
     def series(self, order: int) -> tuple[Fraction, ...]:
         """Taylor coefficients c_0..c_order at t = 0 (denominator(0) = 1)."""
@@ -196,9 +151,6 @@ class MomentSequence:
 
     def __getitem__(self, k: int) -> Fraction:
         return self.values[k]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
     @property
     def order(self) -> int:
@@ -268,13 +220,27 @@ def resolvent(J: JacobiData) -> RationalFunction:
 
     Numerator: det(I - tJ') for the minor J' deleting the first row and
     column (coefficients beta_1..beta_{r-1}); denominator: det(I - tJ).
-    Returns the constant function 1 when r = 0.
+    At r = 0 both are the empty continuant 1.
     """
-    if J.r == 0:
-        return RationalFunction(_ONE, _ONE)
-    numerator = _continuant(J.beta_sq[1:])[-1]
-    denominator = _continuant(J.beta_sq)[-1]
-    return RationalFunction(numerator, denominator)
+    return _quotient(J.beta_sq)
+
+
+def reduced_resolvent(J: JacobiData) -> RationalFunction:
+    """The vacuum resolvent in lowest terms: the resolvent of beta_0..beta_(j-1),
+    cut before the first zero beta_j^2 (j = r when none is zero).
+
+    beta_j = 0 splits J into two blocks, and e_0 lies in the first, J_j on
+    coordinates 0..j, so the function is unchanged.  J_j has positive
+    coefficients, so its eigenvalues are simple and those of J_j' strictly
+    interlace them (Cauchy): none is shared.  As det(I - tA) is the product
+    of (1 - t lambda) over the eigenvalues of A, numerator and denominator
+    share no factor, and the denominator's degree 2 floor((j+1)/2) counts
+    the nonzero eigenvalues of J_j, a spectrum symmetric about 0."""
+    return _quotient(tuple(takewhile(bool, J.beta_sq)))
+
+
+def _quotient(beta_sq: tuple[Fraction, ...]) -> RationalFunction:
+    return RationalFunction(_continuant(beta_sq[1:])[-1], _continuant(beta_sq)[-1])
 
 
 def vacuum_moments_full(L: FiniteLattice, H: OperatorMatrix, K: int) -> MomentSequence:
@@ -310,10 +276,9 @@ def vacuum_moments_radial(J: JacobiData, K: int) -> MomentSequence:
 def eigendecompose(J: JacobiData) -> SpectralMeasure:
     """Eigenvalues of the symmetric tridiagonal matrix with zero diagonal and
     off-diagonals beta_k; the weight of an eigenvalue is the squared first
-    component of its normalized eigenvector."""
+    component of its normalized eigenvector; at r = 0, eigh of the 1 x 1
+    zero matrix gives the point mass at 0."""
     r = J.r
-    if r == 0:
-        return SpectralMeasure(((0.0, 1.0),))
     T = np.zeros((r + 1, r + 1))
     for k, b in enumerate(J.beta):
         T[k, k + 1] = T[k + 1, k] = b

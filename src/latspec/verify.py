@@ -16,6 +16,15 @@ from the covers that gain it, are built once: atom-raises-rank reads the
 first, transpose-consistency compares the two and so fails exactly where
 atom-raises-rank does (`annihilation_operator`), and assembly-agreement
 compares their assemblies, the first being the H every later check reads.
+
+Full and radial moments agree through order 2l+1, l the first level whose
+layer sum s_l is mapped by H out of the radial span (`radial_invariance`),
+and at every order when there is none.  Proof (Krylov): e_0 = s_0 and H s_k is
+radial for k < l, so for j <= l, H^j e_0 lies in span{s_0..s_j}, where H
+acts as its compression J.  So m_(i+j) = <H^i e_0, H^j e_0> = <J^i e_0,
+J^j e_0> for i, j <= l, and m_(2l+1) = <H^l e_0, H H^l e_0> = <J^l e_0,
+J^(l+1) e_0>, as J compresses H whatever the invariance.  The check
+compares orders 0..min(MOMENT_ORDER, 2l+1), or 0..MOMENT_ORDER.
 """
 
 from __future__ import annotations
@@ -65,7 +74,8 @@ class SuiteResult:
     detail: str = ""
 
 
-MAX_MOMENT = 11
+# Orders compared with the radial moments; odd-vanish reads one order more.
+MOMENT_ORDER = 10
 
 
 def run_invariant_suite(L: FiniteLattice) -> list[SuiteResult]:
@@ -104,8 +114,8 @@ def run_invariant_suite(L: FiniteLattice) -> list[SuiteResult]:
     detail = "" if i is None else f"entry ({H.rows[i]}, {H.cols[i]}) = {Fraction(int(H.nums[i]), H.denom)}"
     results.append(SuiteResult("hamiltonian:bipartite-half-integer", not bad.size, detail))
 
-    moments = vacuum_moments_full(L, H, MAX_MOMENT)
-    odd_ok = all(moments[k] == 0 for k in range(1, MAX_MOMENT + 1, 2))
+    moments = vacuum_moments_full(L, H, MOMENT_ORDER + 1)
+    odd_ok = all(moments[k] == 0 for k in range(1, MOMENT_ORDER + 2, 2))
     results.append(SuiteResult("moments:odd-vanish", odd_ok))
 
     J_formula = jacobi_from_formula(L)
@@ -128,19 +138,18 @@ def run_invariant_suite(L: FiniteLattice) -> list[SuiteResult]:
         )
     )
 
-    inv = radial_invariance(L, H)
-    full_ok, detail = True, f"skipped: radial subspace not invariant (level {inv.failing_level})"
-    if inv.invariant:
-        radial_long = vacuum_moments_radial(J_formula, 10)
-        full_ok, detail = moments.values[: len(radial_long)] == radial_long.values, ""
+    radial = vacuum_moments_radial(J_comp, MOMENT_ORDER)
+    level = radial_invariance(L, H).failing_level
+    K = MOMENT_ORDER if level is None else min(MOMENT_ORDER, 2 * level + 1)
+    full_ok = moments.values[: K + 1] == radial.values[: K + 1]
+    detail = "" if level is None else f"orders 0..{K}: radial subspace not invariant at level {level}"
     results.append(SuiteResult("moments:full-equals-radial", full_ok, detail))
 
     measure = eigendecompose(J_comp)
-    radial_f = vacuum_moments_radial(J_comp, 10)
     rho = max(abs(eig) for eig, _ in measure.atoms)
     ok, detail = True, ""
-    for k in range(11):
-        if abs(measure.moment(k) - float(radial_f[k])) > measure_moment_bound(k, J_comp.r, rho):
+    for k in range(MOMENT_ORDER + 1):
+        if abs(measure.moment(k) - float(radial[k])) > measure_moment_bound(k, J_comp.r, rho):
             ok, detail = False, f"moment {k}"
             break
     results.append(SuiteResult("spectral:measure-moments", ok, detail))

@@ -5,6 +5,13 @@ import pytest
 from latspec.cli import FAMILIES, _lattice_from_spec, _make_lattice, build_parser, main
 
 
+# a graded lattice that is not atomistic: two chains of length 3
+HEXAGON = {
+    "elements": [{"id": i} for i in range(6)],
+    "covers": [[0, 1], [0, 2], [1, 3], [2, 4], [3, 5], [4, 5]],
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -46,6 +53,26 @@ class TestResolvent:
         assert data["numerator"] == ["1", "0", "-1/2"]
         assert data["denominator"] == ["1", "0", "-1"]
 
+    def test_hexagon_is_reduced_to_its_first_block(self, capsys, tmp_path):
+        # beta_1^2 = 0 on the hexagon, so the reduced resolvent is 1 / (1 - t^2/2)
+        path = tmp_path / "hexagon.json"
+        path.write_text(json.dumps(HEXAGON))
+        code, out, _ = run(capsys, "resolvent", "--input", str(path))
+        assert code == 0
+        assert out.splitlines() == [
+            "numerator:   1 0 -1/2",
+            "denominator: 1 0 -1 0 1/4",
+            "reduced numerator:   1",
+            "reduced denominator: 1 0 -1/2",
+        ]
+        code, out, _ = run(capsys, "resolvent", "--input", str(path), "--format", "machine")
+        assert json.loads(out) == {
+            "numerator": ["1", "0", "-1/2"],
+            "denominator": ["1", "0", "-1", "0", "1/4"],
+            "reduced_numerator": ["1"],
+            "reduced_denominator": ["1", "0", "-1/2"],
+        }
+
 
 class TestBuildAndValidate:
     def test_roundtrip(self, capsys, tmp_path):
@@ -65,14 +92,7 @@ class TestBuildAndValidate:
 
     def test_validate_failure_exit_code(self, capsys, tmp_path):
         path = tmp_path / "hexagon.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "elements": [{"id": i} for i in range(6)],
-                    "covers": [[0, 1], [0, 2], [1, 3], [2, 4], [3, 5], [4, 5]],
-                }
-            )
-        )
+        path.write_text(json.dumps(HEXAGON))
         code, out, _ = run(capsys, "validate", str(path))
         assert code == 1
         assert "FAIL" in out
@@ -313,6 +333,16 @@ class TestUsageErrors:
         monkeypatch.setenv("LATTICE_SIZE_CAP", "5")
         code, _, err = run(capsys, "build", "--family", "boolean", "--n", "4")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["build", "--family", "boolean", "--n", "2"], ["verify", "--input", "doc.json"]]
+    )
+    def test_malformed_size_cap_env(self, capsys, monkeypatch, tmp_path, argv):
+        (tmp_path / "doc.json").write_text(json.dumps(HEXAGON))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("LATTICE_SIZE_CAP", "abc")
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: LATTICE_SIZE_CAP='abc' is not an integer\n")
 
 
 class TestDeterminism:

@@ -426,6 +426,12 @@ class TestSizeCap:
         monkeypatch.setenv("LATTICE_SIZE_CAP", "10")
         assert build_boolean(4, cap=50).n == 16
 
+    def test_malformed_env_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setenv("LATTICE_SIZE_CAP", "abc")
+        with pytest.raises(SizeBoundError, match="LATTICE_SIZE_CAP='abc' is not an integer"):
+            build_boolean(2)
+        assert build_boolean(2, cap=10).n == 4
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())

@@ -23,8 +23,10 @@ from latspec import (
     hamiltonian,
     jacobi_from_compression,
     jacobi_from_formula,
+    parse_lattice,
     projective_jacobi,
     q_int,
+    reduced_resolvent,
     resolvent,
     vacuum_moments_full,
     vacuum_moments_radial,
@@ -36,6 +38,10 @@ beta_sq_lists = st.lists(
     st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=8),
     min_size=1,
     max_size=6,
+).map(tuple)
+beta_sq_with_zeros = st.lists(
+    st.one_of(st.just(Fraction(0)), st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=8)),
+    max_size=7,
 ).map(tuple)
 
 
@@ -60,19 +66,6 @@ class TestRationalPolynomial:
         p = _poly(1, 2, 3)
         assert p(Fraction(2)) == 1 + 4 + 12
 
-    def test_divmod_exact(self):
-        num = _poly(-1, 0, 1)  # t^2 - 1
-        den = _poly(1, 1)  # t + 1
-        q, r = num.divmod(den)
-        assert q == _poly(-1, 1)
-        assert r.is_zero()
-
-    def test_gcd_is_monic_common_divisor(self):
-        a = _poly(-1, 0, 1)  # (t-1)(t+1)
-        b = _poly(1, 2, 1)  # (t+1)^2
-        g = RationalPolynomial.gcd(a, b)
-        assert g == _poly(1, 1)
-
     @settings(max_examples=80, deadline=None)
     @given(small_polys, small_polys, small_polys)
     def test_ring_laws(self, a, b, c):
@@ -82,17 +75,6 @@ class TestRationalPolynomial:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a - a == RationalPolynomial()
-
-    @settings(max_examples=60, deadline=None)
-    @given(small_polys, small_polys)
-    def test_divmod_roundtrip(self, a, b):
-        if b.is_zero():
-            with pytest.raises(ZeroDivisionError):
-                a.divmod(b)
-            return
-        q, r = a.divmod(b)
-        assert q * b + r == a
-        assert r.is_zero() or r.degree < b.degree
 
 
 class TestDeterminants:
@@ -163,11 +145,38 @@ class TestResolvent:
             order = 2 * J.r
             assert G.series(order) == vacuum_moments_radial(J, order).values, L.family_tag
 
-    def test_reduce_strips_common_factor(self):
-        f = RationalFunction(_poly(-1, 0, 1), _poly(1, 1))  # (t^2-1)/(t+1)
-        g = f.reduce()
-        assert g.numerator == _poly(-1, 1) and g.denominator == _poly(1)
-        assert f == g  # cross-multiplied equality
+    def test_denominator_must_be_one_at_zero(self):
+        with pytest.raises(ValueError):
+            RationalFunction(_poly(1), _poly(2, 1))
+
+
+class TestReducedResolvent:
+    @settings(max_examples=150, deadline=None)
+    @given(beta_sq_with_zeros)
+    def test_cut_at_the_first_zero_is_the_same_function_in_lowest_terms(self, beta_sq):
+        J = _jacobi_of(beta_sq)
+        G, reduced = resolvent(J), reduced_resolvent(J)
+        assert reduced == G  # cross-multiplied equality
+        j = beta_sq.index(0) if 0 in beta_sq else J.r
+        # J_j and J_j' have simple spectra symmetric about 0, so their
+        # determinants det(I - tA) count the nonzero eigenvalues
+        assert reduced.denominator.degree == 2 * ((j + 1) // 2)
+        assert reduced.numerator.degree == 2 * (j // 2)
+        if j == J.r:
+            assert (reduced.numerator, reduced.denominator) == (G.numerator, G.denominator)
+
+    def test_hexagon_keeps_the_first_level(self):
+        # two chains of length 3 glued at their ends: the middle covers gain
+        # no atom, so beta_1 = 0 and only the bottom block is seen
+        L = parse_lattice({
+            "elements": [{"id": i} for i in range(6)],
+            "covers": [[0, 1], [0, 2], [1, 3], [2, 4], [3, 5], [4, 5]],
+        })
+        J = jacobi_from_compression(L)
+        assert J.beta_sq == (Fraction(1, 2), 0, Fraction(1, 2))
+        G = reduced_resolvent(J)
+        assert (G.numerator, G.denominator) == (_poly(1), _poly(1, 0, Fraction(-1, 2)))
+        assert resolvent(J).denominator == _poly(1, 0, Fraction(-1, 2)) * _poly(1, 0, Fraction(-1, 2))
 
 
 class TestMoments:

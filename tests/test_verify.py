@@ -4,9 +4,10 @@ import random
 import pytest
 
 import latspec.verify
-from helpers import random_bounded_graded_poset
+from helpers import random_bounded_graded_poset, random_flats_document
 from latspec import (
     FiniteLattice,
+    MomentSequence,
     NotALatticeError,
     build_affine,
     build_boolean,
@@ -14,12 +15,15 @@ from latspec import (
     build_projective,
     build_uniform,
     eigendecompose,
+    hamiltonian,
     jacobi_from_compression,
     parse_lattice,
+    radial_invariance,
     run_invariant_suite,
+    vacuum_moments_full,
     vacuum_moments_radial,
 )
-from latspec.verify import measure_moment_bound
+from latspec.verify import MOMENT_ORDER, measure_moment_bound
 
 
 def test_suite_passes_on_families(small_lattices):
@@ -29,11 +33,67 @@ def test_suite_passes_on_families(small_lattices):
         assert not bad, (L.family_tag, bad)
 
 
-def test_suite_skips_moment_agreement_when_not_invariant(m3, b1):
-    results = run_invariant_suite(build_product(m3, b1))
-    entry = next(r for r in results if r.name == "moments:full-equals-radial")
-    assert entry.passed
-    assert "skipped" in entry.detail
+def _full_and_radial(L, extra=0):
+    """The first non-invariant level l, and the full and radial moments
+    through order 2l+1+extra, or MOMENT_ORDER+extra when there is no l."""
+    H = hamiltonian(L)
+    level = radial_invariance(L, H).failing_level
+    K = (MOMENT_ORDER if level is None else 2 * level + 1) + extra
+    return level, vacuum_moments_full(L, H, K), vacuum_moments_radial(jacobi_from_compression(L, H), K)
+
+
+@pytest.mark.parametrize(
+    "left, right, level",
+    [
+        ((build_uniform, 2, 3), (build_boolean, 1), 1),
+        ((build_projective, 4, 2), (build_boolean, 4), 1),
+        ((build_affine, 2, 2), (build_boolean, 1), 2),
+        ((build_uniform, 3, 4), (build_boolean, 2), 2),
+    ],
+)
+def test_full_and_radial_moments_agree_exactly_through_the_krylov_bound(left, right, level):
+    L = build_product(left[0](*left[1:]), right[0](*right[1:]))
+    found, full, radial = _full_and_radial(L, extra=1)
+    assert found == level
+    assert full.values[: 2 * level + 2] == radial.values[: 2 * level + 2]
+    # m_(2l+2) = ||H^(l+1) e_0||^2 exceeds ||J^(l+1) e_0||^2, the squared norm
+    # of its radial part, once H^(l+1) e_0 leaves the radial span
+    assert full[2 * level + 2] > radial[2 * level + 2]
+
+
+def test_full_and_radial_moments_agree_through_the_krylov_bound_on_random_lattices():
+    lattices = []
+    for seed in range(1500):
+        n, covers = random_bounded_graded_poset(random.Random(seed))
+        try:
+            lattices.append(FiniteLattice.from_covers(n, covers))
+        except NotALatticeError:
+            continue
+    lattices += [parse_lattice(random_flats_document(random.Random(seed))) for seed in range(60)]
+    levels = []
+    for L in lattices:
+        level, full, radial = _full_and_radial(L)
+        assert full == radial, L.to_document()
+        levels.append(level)
+    assert len(levels) == 1135 and len(levels) - levels.count(None) == 185
+
+
+def test_suite_reports_every_moment_order_it_compares(m3, b1):
+    entry = next(r for r in run_invariant_suite(build_product(m3, b1)) if r.name == "moments:full-equals-radial")
+    assert (entry.passed, entry.detail) == (True, "orders 0..3: radial subspace not invariant at level 1")
+
+
+def test_full_equals_radial_fails_on_a_non_invariant_lattice_when_a_moment_is_wrong(m3, b1, monkeypatch):
+    exact = latspec.verify.vacuum_moments_radial
+
+    def perturbed(J, K):
+        values = list(exact(J, K).values)
+        values[2] += 1
+        return MomentSequence(tuple(values))
+
+    monkeypatch.setattr(latspec.verify, "vacuum_moments_radial", perturbed)
+    results = {r.name: r.passed for r in run_invariant_suite(build_product(m3, b1))}
+    assert results["moments:full-equals-radial"] is False
 
 
 def test_suite_reports_validation_failures():
