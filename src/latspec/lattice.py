@@ -224,7 +224,6 @@ class FiniteLattice:
         self._up = _irreducible_masks(self.layers[::-1], self.covers_up)
         self._down_index = {m: i for i, m in enumerate(self._down)}
         self._up_index = {m: i for i, m in enumerate(self._up)}
-        self.validation = None  # optionally attached by parse_lattice / validate
 
     # -- order queries ----------------------------------------------------
 
@@ -282,6 +281,11 @@ class FiniteLattice:
 
         pairs = (p for layer in self.layers for u in layer for p in combinations(lower[u], 2))
         return next(((x, y) for x, y in pairs if not has_meet(x, y)), None)
+
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """The `validate` report, computed once, on first read."""
+        return validate(self)
 
     # -- construction from raw cover data ----------------------------------
 
@@ -577,8 +581,8 @@ def parse_lattice(document: str | bytes | dict, *, cap: int | None = None) -> Fi
 
     Ranks are inferred from cover chains; ids must be dense from 0 and are
     remapped to rank-major order.  Non-posets, non-lattices, and non-graded
-    posets are rejected with distinguishing errors.  The returned lattice
-    carries a ValidationReport in its `validation` attribute.
+    posets are rejected with distinguishing errors.  The lattice's
+    `validation` report is computed on first read, not here.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -618,9 +622,7 @@ def parse_lattice(document: str | bytes | dict, *, cap: int | None = None) -> Fi
             raise ParseError(f"malformed cover entry {pair!r}; expected [lo, hi]")
         pairs.append((pair[0], pair[1]))
 
-    L = FiniteLattice.from_covers(n, pairs, "custom", labels, cap=cap)
-    L.validation = validate(L)
-    return L
+    return FiniteLattice.from_covers(n, pairs, "custom", labels, cap=cap)
 
 
 def read_lattice_file(path: str, *, cap: int | None = None) -> FiniteLattice:
@@ -644,17 +646,12 @@ class CheckResult:
 class ValidationReport:
     """Outcome of the structural checks run by validate().
 
-    is_geometric and is_semimodular_atomic hold the same value: the measured
-    conjunction of every check (lattice-pairs, semimodular, atomic).
     A finite lattice is geometric exactly when it is atomistic and
-    semimodular, so the two names state one fact.  Both keys are kept
-    because consumers of validate output read both.  Notes record
-    family-specific caveats.
+    semimodular, so `passed()` is both verdicts; `render` prints it under
+    both names, is_geometric and is_semimodular_atomic.
     """
 
     checks: tuple[CheckResult, ...]
-    is_geometric: bool
-    is_semimodular_atomic: bool
     notes: tuple[str, ...] = ()
 
     def passed(self) -> bool:
@@ -669,8 +666,8 @@ class ValidationReport:
             status = "PASS" if c.passed else "FAIL"
             extra = f"  counterexample={c.counterexample}" if c.counterexample else ""
             lines.append(f"{c.name:<24s} {status}{extra}")
-        lines.append(f"{'is_geometric':<24s} {self.is_geometric}")
-        lines.append(f"{'is_semimodular_atomic':<24s} {self.is_semimodular_atomic}")
+        for name in ("is_geometric", "is_semimodular_atomic"):
+            lines.append(f"{name:<24s} {self.passed()}")
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines)
@@ -695,30 +692,17 @@ def validate(L: FiniteLattice) -> ValidationReport:
     atomic, are not run, and a note says so.
     """
     meetless = L.first_meetless_pair
-    checks = [CheckResult("lattice-pairs", meetless is None, meetless)]
-    notes: list[str] = []
-    if meetless is None:
-        pairs = (p for z in range(L.n) for p in combinations(L.covers_up[z], 2))
-        semi_ce = next(((x, y) for x, y in pairs if L.rank[L.join(x, y)] != L.rank[x] + 1), None)
-        checks.append(CheckResult("semimodular", semi_ce is None, semi_ce))
-
-        atomic_ce = next(((x,) for x in range(L.n) if L.rank[x] > 1 and len(L.covers_down[x]) == 1), None)
-        checks.append(CheckResult("atomic", atomic_ce is None, atomic_ce))
-    else:
-        notes.append("not a lattice: the semimodular and atomic checks were not run")
-
-    core_ok = all(c.passed for c in checks)
-    if L.family_tag.startswith("affine("):
-        notes.append(
-            "affine family: admitted through the atomic + semimodular route; "
-            "the geometric flag reports the measured checks"
-        )
-    return ValidationReport(
-        checks=tuple(checks),
-        is_geometric=core_ok,
-        is_semimodular_atomic=core_ok,
-        notes=tuple(notes),
-    )
+    lattice = CheckResult("lattice-pairs", meetless is None, meetless)
+    if meetless is not None:
+        return ValidationReport((lattice,), ("not a lattice: the semimodular and atomic checks were not run",))
+    pairs = (p for z in range(L.n) for p in combinations(L.covers_up[z], 2))
+    semi_ce = next(((x, y) for x, y in pairs if L.rank[L.join(x, y)] != L.rank[x] + 1), None)
+    atomic_ce = next(((x,) for x in range(L.n) if L.rank[x] > 1 and len(L.covers_down[x]) == 1), None)
+    return ValidationReport((
+        lattice,
+        CheckResult("semimodular", semi_ce is None, semi_ce),
+        CheckResult("atomic", atomic_ce is None, atomic_ce),
+    ))
 
 
 def count_atoms_below(L: FiniteLattice, x: int) -> int:

@@ -1,7 +1,7 @@
 """Rank layers and the radial Jacobi compression.
 
 The radial subspace is spanned by the normalized rank-layer sums; the
-compression of the Hamiltonian to it is tridiagonal with zero diagonal.
+compression of the Hamiltonian to it has zero diagonal, and J is its tridiagonal part.
 All computations here use the *unnormalized* layer sums s_k so that every
 quantity stays an exact rational: the off-diagonal coefficients enter as
 
@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
-from .diamond import OperatorMatrix, _lowering_pairs, check_dim, fit, hamiltonian
+from .diamond import OperatorMatrix, check_dim, fit, hamiltonian
 from .lattice import FiniteLattice
 
 
@@ -100,11 +101,16 @@ def rank_layers(L: FiniteLattice) -> RankLayers:
 
 
 def cover_weight_sums(L: FiniteLattice) -> tuple[int, ...]:
-    """W_k = sum over covers x < y with rank(x) = k of (a(y) - a(x)), a(.)
-    counting atoms below: the lowering pairs (y, x) with rank(x) = k.  Every
-    cover is counted once, at the rank of x, so sum(W) is that sum over all covers."""
-    lower = np.hstack([np.empty(0, np.int64), *(pairs[1] for pairs in _lowering_pairs(L))])
-    return tuple(np.bincount(np.asarray(L.rank)[lower], minlength=L.top_rank).tolist())
+    """W_k = sum over covers x ⋖ y with rank(x) = k of (a(y) - a(x)), a(.)
+    counting atoms below, read from the covers alone.  As J(x) ⊆ J(y), the
+    cover gains exactly a(y) - a(x) atoms: W_k counts the lowering pairs
+    (y, x) with rank(x) = k, each cover once, at the rank of x."""
+    atoms = np.fromiter(map(L.count_atoms_below, range(L.n)), np.int64, L.n)
+    lower = np.repeat(np.arange(L.n), [len(ups) for ups in L.covers_up])
+    upper = np.fromiter(chain.from_iterable(L.covers_up), np.int64, lower.size)
+    W = np.zeros(L.top_rank, np.int64)
+    np.add.at(W, np.asarray(L.rank)[lower], atoms[upper] - atoms[lower])
+    return tuple(W.tolist())
 
 
 def jacobi_from_formula(L: FiniteLattice) -> JacobiData:
@@ -119,7 +125,9 @@ def jacobi_from_compression(L: FiniteLattice, H: OperatorMatrix | None = None) -
     <s_m, N s_k> at once; <s_k, H s_{k+1}> is read off exactly, and the
     compression diagonal <s_k, H s_k>, which vanishes on any graded
     lattice, is checked.  The integer W_k = 2<s_k, H s_{k+1}> (every entry
-    of H is a half-integer) then gives beta_k^2 through `from_weights`."""
+    of H is a half-integer) then gives beta_k^2 through `from_weights`.
+    Where an atom raises rank by two, the compression also has entries two
+    levels apart, and the result is its tridiagonal part only (`verify`)."""
     if H is None:
         H = hamiltonian(L)
     check_dim(L, H)

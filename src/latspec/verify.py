@@ -1,42 +1,48 @@
 """Aggregated invariant suite for a single lattice, run by `lattice verify`.
 
 Every check is exact and can fail: validation, atoms raising rank,
-creation against annihilation, the atom against the cover Hamiltonian and
-its bipartite half-integer entries, odd moments, formula against
-compression, resolvent against radial moments, full against radial
-moments, and the float measure against a derived bound.  Laws true by
-construction are proved where they are made true, not checked: a unique
-bottom and top and graded covers (`FiniteLattice`), commutativity and the
-bottom as unit of the diamond product (`diamond`: J(0) is empty, so
-0 ∧ x = 0, and M(0) ⊇ M(x), so 0 ∨ x = x), the total cover weight
-(`cover_weight_sums`) and D_k(0) = 1 (`spectral._continuant`).
+creation against annihilation, the atom against the cover Hamiltonian,
+odd moments, formula against compression, resolvent against radial
+moments, full against radial moments, and the float measure against a
+derived bound.  Laws true by construction are proved where they are made
+true, not checked: a unique bottom and top and graded covers
+(`FiniteLattice`), commutativity and the bottom as unit of the diamond
+product (`diamond`: J(0) is empty, so 0 ∧ x = 0, and M(0) ⊇ M(x), so
+0 ∨ x = x), the total cover weight (`cover_weight_sums`) and D_k(0) = 1
+(`spectral._continuant`).
 
 Each atom's creation pairs (a ⋄ x, x), from `diamond`, and lowering pairs,
 from the covers that gain it, are built once: atom-raises-rank reads the
 first, transpose-consistency compares the two and so fails exactly where
 atom-raises-rank does (`annihilation_operator`), and assembly-agreement
 compares their assemblies, the first being the H every later check reads.
+So H needs no bipartite check: as `_assemble` of the creation pairs, its
+entries have those pairs' rank gaps, which atom-raises-rank reads, and
+each is a sum of halves, one per pair there: a positive half-integer.
 
 Full and radial moments agree through order 2l+1, l the first level whose
-layer sum s_l is mapped by H out of the radial span (`radial_invariance`),
-and at every order when there is none.  Proof (Krylov): e_0 = s_0 and H s_k is
-radial for k < l, so for j <= l, H^j e_0 lies in span{s_0..s_j}, where H
-acts as its compression J.  So m_(i+j) = <H^i e_0, H^j e_0> = <J^i e_0,
-J^j e_0> for i, j <= l, and m_(2l+1) = <H^l e_0, H H^l e_0> = <J^l e_0,
-J^(l+1) e_0>, as J compresses H whatever the invariance.  The check
-compares orders 0..min(MOMENT_ORDER, 2l+1), or 0..MOMENT_ORDER.
+layer sum s_l is not mapped by H into span{s_(l-1), s_(l+1)}
+(`radial_invariance`), and at every order when there is none.  Proof
+(Krylov), in the normalized layer sums u_k, u_0 = e_0: on span{u_0..u_l}
+the compression of H is J.  Its diagonal is zero, as no entry of H joins
+two elements of one rank, and an entry <u_m, H u_k> = <u_k, H u_m> with
+m >= k+2 puts H u_k out of span{u_(k-1), u_(k+1)}, so k >= l and m > l.
+Such entries, as where an atom raises rank by two, are not in J.  As
+H u_k = J u_k for k < l, H^j e_0 = J^j e_0 lies in span{u_0..u_j} for
+j <= l.  So m_(i+j) = <H^i e_0, H^j e_0> = <J^i e_0, J^j e_0> for i, j <= l,
+and m_(2l+1) = <v, H v> = <v, J v> with v = J^l e_0.  The check compares
+orders 0..min(MOMENT_ORDER, 2l+1), or 0..MOMENT_ORDER.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .diamond import _assemble, _creation_pairs, _lowering_pairs
-from .lattice import FiniteLattice, validate
+from .lattice import FiniteLattice
 from .radial import jacobi_from_compression, jacobi_from_formula, radial_invariance
 from .spectral import eigendecompose, resolvent, vacuum_moments_full, vacuum_moments_radial
 
@@ -79,13 +85,12 @@ MOMENT_ORDER = 10
 
 
 def run_invariant_suite(L: FiniteLattice) -> list[SuiteResult]:
-    """Every check's outcome, validation first.  A parsed document's
-    attached report is reused.  On a non-lattice only the validation
-    results are returned: the other checks need meets and joins."""
-    report = L.validation or validate(L)
+    """Every check's outcome, validation first, read from `L.validation`.
+    On a non-lattice only the validation results are returned: the other
+    checks need meets and joins."""
     results = [
         SuiteResult(f"validate:{c.name}", c.passed, f"counterexample {c.counterexample}" if c.counterexample else "")
-        for c in report.checks
+        for c in L.validation.checks
     ]
     if L.first_meetless_pair is not None:
         return results
@@ -108,11 +113,6 @@ def run_invariant_suite(L: FiniteLattice) -> list[SuiteResult]:
     H = _assemble(L, creation)
     ok = H == _assemble(L, lowering)
     results.append(SuiteResult("hamiltonian:assembly-agreement", ok))
-
-    bad = np.flatnonzero((np.abs(rank[H.rows] - rank[H.cols]) != 1) | (H.nums <= 0) | (2 % H.denom != 0))
-    i = bad[0] if bad.size else None
-    detail = "" if i is None else f"entry ({H.rows[i]}, {H.cols[i]}) = {Fraction(int(H.nums[i]), H.denom)}"
-    results.append(SuiteResult("hamiltonian:bipartite-half-integer", not bad.size, detail))
 
     moments = vacuum_moments_full(L, H, MOMENT_ORDER + 1)
     odd_ok = all(moments[k] == 0 for k in range(1, MOMENT_ORDER + 2, 2))
@@ -147,11 +147,8 @@ def run_invariant_suite(L: FiniteLattice) -> list[SuiteResult]:
 
     measure = eigendecompose(J_comp)
     rho = max(abs(eig) for eig, _ in measure.atoms)
-    ok, detail = True, ""
-    for k in range(MOMENT_ORDER + 1):
-        if abs(measure.moment(k) - float(radial[k])) > measure_moment_bound(k, J_comp.r, rho):
-            ok, detail = False, f"moment {k}"
-            break
-    results.append(SuiteResult("spectral:measure-moments", ok, detail))
+    bad = next((f"moment {k}" for k in range(MOMENT_ORDER + 1)
+                if abs(measure.moment(k) - float(radial[k])) > measure_moment_bound(k, J_comp.r, rho)), "")
+    results.append(SuiteResult("spectral:measure-moments", not bad, bad))
 
     return results

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import latspec.lattice
+from latspec import build_boolean
 from latspec.cli import FAMILIES, _lattice_from_spec, _make_lattice, build_parser, main
 
 
@@ -103,6 +105,26 @@ class TestBuildAndValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 1
         assert "invalid" in err
+
+    def test_machine_flags_are_the_overall_verdict(self, capsys, tmp_path):
+        # both keys are read by the benchmark's checks, and each is the pass of every check
+        for doc, passed in ((build_boolean(3).to_document(), True), (HEXAGON, False)):
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc))
+            code, out, _ = run(capsys, "validate", str(path), "--format", "machine")
+            data = json.loads(out)
+            assert all(c["passed"] for c in data["checks"]) is passed
+            assert (code, data["is_geometric"], data["is_semimodular_atomic"]) == (int(not passed), passed, passed)
+
+    def test_jacobi_input_does_not_validate(self, capsys, monkeypatch, tmp_path):
+        def fail(_):
+            raise AssertionError("validate ran")
+
+        monkeypatch.setattr(latspec.lattice, "validate", fail)
+        path = tmp_path / "hexagon.json"
+        path.write_text(json.dumps(HEXAGON))
+        code, out, _ = run(capsys, "jacobi", "--input", str(path), "--format", "machine")
+        assert code == 0 and json.loads(out)["beta_sq"] == ["1/2", "0", "1/2"]
 
     def test_build_machine_prints_document(self, capsys):
         code, out, _ = run(
@@ -342,6 +364,13 @@ class TestUsageErrors:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("LATTICE_SIZE_CAP", "abc")
         code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: LATTICE_SIZE_CAP='abc' is not an integer\n")
+
+    def test_malformed_size_cap_env_is_not_blamed_on_the_document(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(HEXAGON))
+        monkeypatch.setenv("LATTICE_SIZE_CAP", "abc")
+        code, out, err = run(capsys, "validate", str(path))
         assert (code, out, err) == (1, "", "error: LATTICE_SIZE_CAP='abc' is not an integer\n")
 
 

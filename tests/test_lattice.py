@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latspec.lattice
 from helpers import closure_lattice, closure_semimodular, random_bounded_graded_poset, random_flats_document
 from latspec import (
     FiniteLattice,
@@ -255,14 +256,12 @@ class TestValidate:
     def test_boolean_is_geometric(self, b3):
         report = validate(b3)
         assert report.passed()
-        assert report.is_geometric
-        assert report.is_semimodular_atomic
+        assert report.notes == ()
 
     def test_affine_passes_with_note(self, ag22):
         report = validate(ag22)
         assert report.passed()
-        assert report.is_semimodular_atomic
-        assert any("affine" in note for note in report.notes)
+        assert report.notes == ()
 
     def test_hexagon_fails_semimodularity(self):
         # 0 < a, b; a < c; b < d; c, d < top -- ranks 0,1,1,2,2,3
@@ -326,7 +325,24 @@ class TestCoCoverCertificate:
         report = validate(L)
         lattice = next(c for c in report.checks if c.name == "lattice-pairs")
         assert not lattice.passed and lattice.counterexample == (3, 4)
-        assert not report.passed() and not report.is_geometric
+        assert not report.passed()
+        assert report.notes == ("not a lattice: the semimodular and atomic checks were not run",)
+
+
+def test_validation_is_computed_once_on_first_read(monkeypatch):
+    calls = []
+    validate_ = latspec.lattice.validate
+
+    def counted(L):
+        calls.append(L)
+        return validate_(L)
+
+    monkeypatch.setattr(latspec.lattice, "validate", counted)
+    L = parse_lattice(build_projective(3, 2).to_document())
+    assert calls == []
+    first = L.validation
+    assert L.validation is first and first.passed()
+    assert calls == [L]
 
 
 def test_one_parse_computes_the_lattice_certificate_once(monkeypatch):

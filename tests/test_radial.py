@@ -4,10 +4,13 @@ from math import comb
 
 import pytest
 
-from helpers import random_flats_document
+from helpers import random_bounded_graded_poset, random_flats_document
 from latspec import (
+    FiniteLattice,
     JacobiData,
+    NotALatticeError,
     RankLayers,
+    build_affine,
     build_boolean,
     build_product,
     build_projective,
@@ -20,6 +23,7 @@ from latspec import (
     radial_invariance,
     rank_layers,
 )
+from latspec.diamond import _lowering_pairs
 
 
 class TestRankLayers:
@@ -63,6 +67,23 @@ class TestCoverWeights:
                 L.count_atoms_below(y) - L.count_atoms_below(x) for x, y in L.covers()
             )
             assert by_level == by_cover
+
+    def test_equal_the_lowering_pairs_counted_by_rank(self, small_lattices):
+        # the oracle: every atom's lowering pairs (y, x), counted at rank(x)
+        lattices = [*small_lattices, build_projective(3, 5), build_projective(3, 7), build_affine(2, 5)]
+        for seed in range(1500):
+            try:
+                lattices.append(FiniteLattice.from_covers(*random_bounded_graded_poset(random.Random(seed))))
+            except NotALatticeError:
+                pass
+        lattices += [parse_lattice(random_flats_document(random.Random(seed))) for seed in range(60)]
+        assert len(lattices) == 1152
+        for L in lattices:
+            W = [0] * L.top_rank
+            for _, lower in _lowering_pairs(L):
+                for x in lower.tolist():
+                    W[L.rank[x]] += 1
+            assert cover_weight_sums(L) == tuple(W), list(L.covers())
 
 
 class TestJacobiFormula:

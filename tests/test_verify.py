@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 
@@ -17,6 +18,7 @@ from latspec import (
     eigendecompose,
     hamiltonian,
     jacobi_from_compression,
+    jacobi_from_formula,
     parse_lattice,
     radial_invariance,
     run_invariant_suite,
@@ -141,7 +143,6 @@ SUITE_NAMES = [
     "diamond:atom-raises-rank",
     "operators:transpose-consistency",
     "hamiltonian:assembly-agreement",
-    "hamiltonian:bipartite-half-integer",
     "moments:odd-vanish",
     "jacobi:formula-equals-compression",
     "spectral:resolvent-moment-duality",
@@ -156,15 +157,54 @@ def test_suite_check_names_in_order(m3):
 
 
 def test_suite_reuses_the_report_of_a_parsed_document(m3, monkeypatch):
+    # the report is computed once per lattice, whoever reads it first
+    calls = []
+    validate = latspec.lattice.validate
+
+    def counted(L):
+        calls.append(L)
+        return validate(L)
+
+    monkeypatch.setattr(latspec.lattice, "validate", counted)
     L = parse_lattice(m3.to_document())
+    assert calls == []
+    for _ in range(2):
+        results = run_invariant_suite(L)
+        assert [r.name for r in results] == SUITE_NAMES
+        assert all(r.passed for r in results)
+    assert L.validation.passed()
+    assert calls == [L]
 
-    def fail(_):
-        raise AssertionError("validate ran again")
 
-    monkeypatch.setattr(latspec.verify, "validate", fail)
-    results = run_invariant_suite(L)
-    assert [r.name for r in results] == SUITE_NAMES
-    assert all(r.passed for r in results)
+def _count_lowering_passes(monkeypatch) -> list:
+    """Patch `_lowering_pairs` in every module that holds it; return the calls."""
+    calls = []
+    modules = [importlib.import_module(f"latspec.{name}") for name in ("diamond", "radial", "verify")]
+    lowering = modules[0]._lowering_pairs
+
+    def counted(L):
+        calls.append(L)
+        return lowering(L)
+
+    for module in modules:
+        if hasattr(module, "_lowering_pairs"):
+            monkeypatch.setattr(module, "_lowering_pairs", counted)
+    return calls
+
+
+def test_formula_makes_no_lowering_pass(monkeypatch):
+    calls = _count_lowering_passes(monkeypatch)
+    for L in (build_boolean(5), build_projective(3, 3), build_affine(2, 3)):
+        jacobi_from_formula(L)
+    assert calls == []
+
+
+def test_suite_makes_one_lowering_pass(monkeypatch):
+    calls = _count_lowering_passes(monkeypatch)
+    for L in (build_boolean(5), build_projective(3, 3), build_product(build_uniform(2, 3), build_boolean(1))):
+        calls.clear()
+        assert len(run_invariant_suite(L)) == len(SUITE_NAMES)
+        assert calls == [L]
 
 
 class TestDocumentRoundTrip:
