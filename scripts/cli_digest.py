@@ -14,7 +14,13 @@ early commands write with `--out` are the inputs of later ones; the inputs
 no command writes, malformed files and a few hand-written documents, are
 put there first (FILES).  The checkout's own `src/` is put on PYTHONPATH,
 LATTICE_SIZE_CAP is cleared and the help width is fixed at 80 columns, so
-the output depends only on the code.
+the output depends only on the code.  The rest of the environment is
+passed on to each command, so runs under different PYTHONHASHSEED values
+show whether any output depends on the hash seed:
+
+    PYTHONHASHSEED=0 python scripts/cli_digest.py > seed0.txt
+    PYTHONHASHSEED=1 python scripts/cli_digest.py > seed1.txt
+    diff seed0.txt seed1.txt
 
 Run from any directory:
 
@@ -48,6 +54,9 @@ VERBS = (
 FILES = {
     "broken.json": "{broken",
     "half-weights.json": '{"atoms": [[-1, 0.25], [1, 0.25]]}',
+    # Python's json reads NaN, and reads true and false as ints
+    "nan-weights.json": '{"atoms": [[0, NaN]]}',
+    "bool-ids.json": '{"elements": [{"id": false}, {"id": true}], "covers": [[false, true]]}',
     # two atoms under two rank-2 elements under a top: not a lattice
     "bowtie.json": json.dumps({
         "elements": [{"id": i} for i in range(6)],
@@ -157,6 +166,8 @@ COMMANDS = (
     ["convolve", "--left", "broken.json", "--right", "mu4.json"],
     ["convolve", "--left", "mu4.json", "--right", "b1.json"],
     ["convolve", "--left", "half-weights.json", "--right", "mu4.json"],
+    ["convolve", "--left", "nan-weights.json", "--right", "mu4.json"],
+    ["jacobi", "--input", "bool-ids.json", "--format", "machine"],
     ["moments", "--family", "boolean", "--n", "2", "--max-k", "-1"],
     ["spectrum", "--family", "boolean", "--n", "2", "--precision", "-1"],
 )

@@ -35,13 +35,11 @@ from .lattice import (
     build_product,
     build_projective,
     build_uniform,
-    count_atoms_below,
     parse_lattice,
     read_lattice_file,
     validate,
 )
 from .product import (
-    TensorIdentification,
     convolve_measures,
     convolve_moments,
     kronecker_sum,
@@ -57,7 +55,6 @@ from .radial import (
     jacobi_from_compression,
     jacobi_from_formula,
     radial_invariance,
-    rank_layers,
 )
 from .spectral import (
     MomentSequence,
@@ -67,7 +64,6 @@ from .spectral import (
     affine_jacobi,
     boolean_closed_form,
     boolean_jacobi,
-    closed_form_beta,
     determinant_polynomials,
     eigendecompose,
     projective_jacobi,
@@ -99,7 +95,6 @@ __all__ = [
     "SizeBoundError",
     "SpectralMeasure",
     "SuiteResult",
-    "TensorIdentification",
     "ValidationReport",
     "affine_jacobi",
     "annihilation_operator",
@@ -110,10 +105,8 @@ __all__ = [
     "build_product",
     "build_projective",
     "build_uniform",
-    "closed_form_beta",
     "convolve_measures",
     "convolve_moments",
-    "count_atoms_below",
     "cover_weight_sums",
     "creation_operator",
     "determinant_polynomials",
@@ -132,7 +125,6 @@ __all__ = [
     "projective_jacobi",
     "q_int",
     "radial_invariance",
-    "rank_layers",
     "read_lattice_file",
     "reduced_resolvent",
     "resolvent",

@@ -270,7 +270,11 @@ def _lowering_pairs(L: FiniteLattice) -> list[np.ndarray]:
     gains it (a <= y, a ≰ x) as a 2 x m array in x order: one pass over the
     covers reads the gained atoms J(y) & ~J(x), where atom i holds bit i.
     On a lattice an atom has at most one pair per lower element x: if
-    covers y1 != y2 of x both gained a, then a <= y1 ∧ y2 = x."""
+    covers y1 != y2 of x both gained a, then a <= y1 ∧ y2 = x.
+
+    Corollary (the cover rule): a cover x ⋖ y gains a(y) - a(x) atoms (a(.)
+    counts atoms below), so `_assemble` of these pairs holds (a(y) - a(x))/2
+    at (y, x) and (x, y), and nothing off the covers."""
     below = [L.atoms_below(x) for x in range(L.n)]
     found: list[list[int]] = [[] for _ in L.atoms]  # y0, x0, y1, x1, ... per atom
     for x, y in L.covers():
@@ -311,16 +315,8 @@ def _assemble(L: FiniteLattice, pairs: Iterable[np.ndarray]) -> OperatorMatrix:
     return OperatorMatrix(L.n, np.r_[upper, lower], np.r_[lower, upper], np.ones(2 * upper.size, np.int64), 2)
 
 
-def hamiltonian(L: FiniteLattice, method: str = "atoms") -> OperatorMatrix:
+def hamiltonian(L: FiniteLattice) -> OperatorMatrix:
     """The symmetric operator (1/2) * sum over atoms of (L_a + L_a^t), L_a
-    read from the creation pairs (method="atoms") or the lowering pairs
-    (method="covers"); they agree when no atom raises rank by more than one.
-
-    Corollary (the cover rule): a cover x ⋖ y gains the a(y) - a(x) atoms
-    below y and not below x (a(.) counts atoms below), so method="covers"
-    holds (a(y) - a(x))/2 at (y, x) and (x, y), and nothing off the covers."""
-    if method == "atoms":
-        return _assemble(L, (_creation_pairs(L, a) for a in L.atoms))
-    if method == "covers":
-        return _assemble(L, _lowering_pairs(L))
-    raise ValueError(f"unknown assembly method {method!r}")
+    read from the creation pairs.  It equals the assembly of the lowering
+    pairs (`_lowering_pairs`) when no atom raises rank by more than one."""
+    return _assemble(L, (_creation_pairs(L, a) for a in L.atoms))

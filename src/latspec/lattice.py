@@ -579,10 +579,11 @@ def build_product(L1: FiniteLattice, L2: FiniteLattice, *, cap: int | None = Non
 def parse_lattice(document: str | bytes | dict, *, cap: int | None = None) -> FiniteLattice:
     """Parse the interchange document {"elements": [...], "covers": [...]}.
 
-    Ranks are inferred from cover chains; ids must be dense from 0 and are
-    remapped to rank-major order.  Non-posets, non-lattices, and non-graded
-    posets are rejected with distinguishing errors.  The lattice's
-    `validation` report is computed on first read, not here.
+    Ranks are inferred from cover chains; ids must be JSON integers dense
+    from 0 (true and false, which Python reads as ints, are rejected) and
+    are remapped to rank-major order.  Non-posets, non-lattices, and
+    non-graded posets are rejected with distinguishing errors.  The
+    lattice's `validation` report is computed on first read, not here.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -604,7 +605,7 @@ def parse_lattice(document: str | bytes | dict, *, cap: int | None = None) -> Fi
     labels = [f"e{i}" for i in range(n)]
     seen_ids = set()
     for entry in elements:
-        if not isinstance(entry, dict) or not isinstance(entry.get("id"), int):
+        if not isinstance(entry, dict) or type(entry.get("id")) is not int:
             raise ParseError('each element must be an object with an integer "id"')
         i = entry["id"]
         if i in seen_ids or not 0 <= i < n:
@@ -617,7 +618,7 @@ def parse_lattice(document: str | bytes | dict, *, cap: int | None = None) -> Fi
         if (
             not isinstance(pair, (list, tuple))
             or len(pair) != 2
-            or not all(isinstance(v, int) for v in pair)
+            or not all(type(v) is int for v in pair)
         ):
             raise ParseError(f"malformed cover entry {pair!r}; expected [lo, hi]")
         pairs.append((pair[0], pair[1]))
@@ -656,9 +657,6 @@ class ValidationReport:
 
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failed_checks(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
 
     def render(self) -> str:
         lines = []
@@ -703,10 +701,3 @@ def validate(L: FiniteLattice) -> ValidationReport:
         CheckResult("semimodular", semi_ce is None, semi_ce),
         CheckResult("atomic", atomic_ce is None, atomic_ce),
     ))
-
-
-def count_atoms_below(L: FiniteLattice, x: int) -> int:
-    """Number of atoms p with p <= x."""
-    if not 0 <= x < L.n:
-        raise ValueError(f"element id {x} out of range")
-    return L.count_atoms_below(x)

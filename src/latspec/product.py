@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
@@ -29,28 +28,6 @@ SHUFFLE_MAX_POWER = 4
 
 # Convolved atoms closer than this merge: float eigenvalues can collide.
 MERGE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class TensorIdentification:
-    """Bijection between product-lattice ids and component id pairs.
-
-    Product elements are ordered lexicographically, so the maps are pure
-    index arithmetic; ranks add across the identification.
-    """
-
-    n1: int
-    n2: int
-
-    def combine(self, x1: int, x2: int) -> int:
-        if not (0 <= x1 < self.n1 and 0 <= x2 < self.n2):
-            raise ValueError(f"pair ({x1}, {x2}) out of range")
-        return x1 * self.n2 + x2
-
-    def split(self, x: int) -> tuple[int, int]:
-        if not 0 <= x < self.n1 * self.n2:
-            raise ValueError(f"id {x} out of range")
-        return divmod(x, self.n2)
 
 
 def kronecker_sum(H1: OperatorMatrix, H2: OperatorMatrix) -> OperatorMatrix:
@@ -99,8 +76,9 @@ def shuffle_entry(
     with d1, d2 the component rank gaps and d = d1 + d2 (the entry at any
     other power with the same endpoints is forced to zero or involves
     non-minimal walks, which are outside this formula's scope).  The entry
-    is also computed directly on the product lattice, from
-    `product_hamiltonian` when given, and the two values are asserted equal.
+    is also computed directly on the product lattice, where (x1, x2) has id
+    x1 * L2.n + x2 (`build_product`), from `product_hamiltonian` when given,
+    and the two values are asserted equal.
     """
     (x1, x2), (y1, y2) = x, y
     if not (L1.leq(x1, y1) and L2.leq(x2, y2)):
@@ -114,8 +92,7 @@ def shuffle_entry(
     )
     if product_hamiltonian is None:
         product_hamiltonian = hamiltonian(build_product(L1, L2))
-    ident = TensorIdentification(L1.n, L2.n)
-    direct = product_hamiltonian.power_entry(ident.combine(x1, x2), ident.combine(y1, y2), d1 + d2)
+    direct = product_hamiltonian.power_entry(x1 * L2.n + x2, y1 * L2.n + y2, d1 + d2)
     if direct != value:
         raise AssertionError(f"shuffle formula {value} disagrees with direct entry {direct} for {x} -> {y}")
     return value
@@ -129,12 +106,11 @@ def _shuffle_agrees(
     column.  With w = (N^d e_y)_x on each side, it is compared in integers
     as C(d, d1) w1 w2 denomP^d = wP denom1^d1 denom2^d2."""
     p = SHUFFLE_MAX_POWER
-    ident = TensorIdentification(L1.n, L2.n)
     walks1 = [[v.tolist() for v in H1.walk(y1, p)] for y1 in range(L1.n)]
     walks2 = [[v.tolist() for v in H2.walk(y2, p)] for y2 in range(L2.n)]
     below1, below2 = ([[x for x in range(L.n) if L.leq(x, y)] for y in range(L.n)] for L in (L1, L2))
     for y1, y2 in itertools.product(range(L1.n), range(L2.n)):
-        walk = [v.tolist() for v in HP.walk(ident.combine(y1, y2), p)]
+        walk = [v.tolist() for v in HP.walk(y1 * L2.n + y2, p)]
         for x1 in below1[y1]:
             d1 = L1.rank[y1] - L1.rank[x1]
             for x2 in below2[y2]:
@@ -142,7 +118,7 @@ def _shuffle_agrees(
                 if d > p:
                     continue
                 factors = comb(d, d1) * walks1[y1][d1][x1] * walks2[y2][d - d1][x2] * HP.denom**d
-                if walk[d][ident.combine(x1, x2)] * H1.denom**d1 * H2.denom ** (d - d1) != factors:
+                if walk[d][x1 * L2.n + x2] * H1.denom**d1 * H2.denom ** (d - d1) != factors:
                     log.warning("shuffle formula fails for %s -> %s", (x1, x2), (y1, y2))
                     return False
     return True

