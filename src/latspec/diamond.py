@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -259,7 +259,9 @@ def check_dim(L: FiniteLattice, H: OperatorMatrix) -> None:
 
 def _creation_pairs(L: FiniteLattice, a: int) -> np.ndarray:
     """(a ⋄ x, x) for every x whose product with the atom a is a lattice
-    element, as a 2 x m array in x order: the rows over the columns."""
+    element, as a 2 x m array in x order: the rows over the columns.  One
+    `diamond` per element: the definition side, which `creation_operator`,
+    `verify` and the tests read; `hamiltonian` reads the covers instead."""
     products = np.fromiter((-1 if (y := diamond(L, a, x)) is ZERO else y for x in range(L.n)), np.int64, L.n)
     lower = np.flatnonzero(products >= 0)
     return np.stack([products[lower], lower])
@@ -272,9 +274,8 @@ def _lowering_pairs(L: FiniteLattice) -> list[np.ndarray]:
     On a lattice an atom has at most one pair per lower element x: if
     covers y1 != y2 of x both gained a, then a <= y1 ∧ y2 = x.
 
-    Corollary (the cover rule): a cover x ⋖ y gains a(y) - a(x) atoms (a(.)
-    counts atoms below), so `_assemble` of these pairs holds (a(y) - a(x))/2
-    at (y, x) and (x, y), and nothing off the covers."""
+    So `_assemble` of these pairs holds (a(y) - a(x))/2 at (y, x) and
+    (x, y), a(.) counting atoms below, and nothing off the covers."""
     below = [L.atoms_below(x) for x in range(L.n)]
     found: list[list[int]] = [[] for _ in L.atoms]  # y0, x0, y1, x1, ... per atom
     for x, y in L.covers():
@@ -315,8 +316,47 @@ def _assemble(L: FiniteLattice, pairs: Iterable[np.ndarray]) -> OperatorMatrix:
     return OperatorMatrix(L.n, np.r_[upper, lower], np.r_[lower, upper], np.ones(2 * upper.size, np.int64), 2)
 
 
+def _cover_arrays(L: FiniteLattice) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(lower, upper, gained, a): the covers x ⋖ y in `L.covers()` order as
+    arrays of x and y, the a(y) - a(x) atoms each gains, and a(.), the count
+    of atoms below each element.  As J(x) ⊆ J(y), a cover gains exactly the
+    atoms of J(y) ∖ J(x)."""
+    a = np.fromiter(map(L.count_atoms_below, range(L.n)), np.int64, L.n)
+    lower = np.repeat(np.arange(L.n), [len(ups) for ups in L.covers_up])
+    upper = np.fromiter(chain.from_iterable(L.covers_up), np.int64, lower.size)
+    return lower, upper, a[upper] - a[lower], a
+
+
 def hamiltonian(L: FiniteLattice) -> OperatorMatrix:
-    """The symmetric operator (1/2) * sum over atoms of (L_a + L_a^t), L_a
-    read from the creation pairs.  It equals the assembly of the lowering
-    pairs (`_lowering_pairs`) when no atom raises rank by more than one."""
-    return _assemble(L, (_creation_pairs(L, a) for a in L.atoms))
+    """(1/2) sum over atoms a of (L_a + L_a^t), L_a left multiplication by
+    a, read from the covers by the cover rule; defined on lattices only:
+
+        H = 1/2 sum over covers x ⋖ y of (a(y) - a(x)) (e_y e_x^t + e_x e_y^t)
+          + 1/2 sum over skipping atoms b of x of (e_(x∨b) e_x^t + e_x e_(x∨b)^t)
+
+    L_a has a 1 at (x ∨ a, x) for each atom a ≰ x, as then a ∧ x = 0.  Those
+    with x ∨ a covering x are the covers x ⋖ y, each with an atom of
+    J(y) ∖ J(x): given those, x < x ∨ a <= y, so x ∨ a = y.  Distinct covers
+    of x gain disjoint atoms, as one gained by y1 and y2 lies below
+    y1 ∧ y2 = x.  The other atoms a ≰ x, len(atoms) - a(x) - (atoms gained by
+    x's covers) in number, skip a rank (none does under semimodularity), and
+    only they need a `join`.  So H is `_assemble` of the creation pairs, the
+    definition `verify` reads, with one entry per cover, not one per pair."""
+    lower, upper, gained, a = _cover_arrays(L)
+    unreached = len(L.atoms) - a
+    np.subtract.at(unreached, lower, gained)
+    skips: list[int] = []  # x ∨ b, x, ... per skipping atom b of x
+    for x in np.flatnonzero(unreached).tolist():
+        reached = L.atoms_below(x)
+        for y in L.covers_up[x]:
+            reached |= L.atoms_below(y)
+        free = ((1 << len(L.atoms)) - 1) & ~reached
+        while free:
+            skips += (L.join(x, L.atoms[(free & -free).bit_length() - 1]), x)
+            free &= free - 1
+    upper_skip, lower_skip = np.array(skips, np.int64).reshape(-1, 2).T
+    ones = np.ones(upper_skip.size, np.int64)
+    rows, cols = np.r_[upper, lower, upper_skip, lower_skip], np.r_[lower, upper, lower_skip, upper_skip]
+    nums = np.r_[gained, gained, ones, ones]
+    del lower, upper, gained, a, unreached  # freed before the constructor sorts the entries
+    return OperatorMatrix(L.n, rows, cols, nums, 2)

@@ -54,9 +54,9 @@ def _kronecker_agrees(direct: OperatorMatrix, H1: OperatorMatrix, H2: OperatorMa
 
 
 def kronecker_sum_check(L1: FiniteLattice, L2: FiniteLattice) -> bool:
-    """Build the product Hamiltonian from the product lattice's own diamond
-    product and independently as a Kronecker sum, then compare entry for
-    entry.  Exact equality or bust."""
+    """Build the product Hamiltonian from the product lattice's own covers
+    and independently as a Kronecker sum of the factors', then compare
+    entry for entry.  Exact equality or bust."""
     return _kronecker_agrees(hamiltonian(build_product(L1, L2)), hamiltonian(L1), hamiltonian(L2))
 
 
@@ -81,6 +81,8 @@ def shuffle_entry(
     and the two values are asserted equal.
     """
     (x1, x2), (y1, y2) = x, y
+    if not (0 <= x1 < L1.n and 0 <= y1 < L1.n and 0 <= x2 < L2.n and 0 <= y2 < L2.n):
+        raise ValueError(f"{x} or {y} names no element of {L1.family_tag} x {L2.family_tag}")
     if not (L1.leq(x1, y1) and L2.leq(x2, y2)):
         raise ValueError(f"{x} is not componentwise below {y}")
     d1 = L1.rank[y1] - L1.rank[x1]

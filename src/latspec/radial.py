@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
-from .diamond import OperatorMatrix, check_dim, fit, hamiltonian
+from .diamond import OperatorMatrix, _cover_arrays, check_dim, fit, hamiltonian
 from .lattice import FiniteLattice
 
 
@@ -98,14 +97,11 @@ class InvarianceReport:
 
 def cover_weight_sums(L: FiniteLattice) -> tuple[int, ...]:
     """W_k = sum over covers x ⋖ y with rank(x) = k of (a(y) - a(x)), a(.)
-    counting atoms below, read from the covers alone.  As J(x) ⊆ J(y), the
-    cover gains exactly a(y) - a(x) atoms: W_k counts the lowering pairs
-    (y, x) with rank(x) = k, each cover once, at the rank of x."""
-    atoms = np.fromiter(map(L.count_atoms_below, range(L.n)), np.int64, L.n)
-    lower = np.repeat(np.arange(L.n), [len(ups) for ups in L.covers_up])
-    upper = np.fromiter(chain.from_iterable(L.covers_up), np.int64, lower.size)
+    counting atoms below, read from the covers alone: W_k counts the
+    lowering pairs (y, x) with rank(x) = k, each cover once, at the rank of x."""
+    lower, _, gained, _ = _cover_arrays(L)
     W = np.zeros(L.top_rank, np.int64)
-    np.add.at(W, np.asarray(L.rank)[lower], atoms[upper] - atoms[lower])
+    np.add.at(W, np.asarray(L.rank)[lower], gained)
     return tuple(W.tolist())
 
 

@@ -23,6 +23,13 @@ So H needs no bipartite check: as `_assemble` of the creation pairs, its
 entries have those pairs' rank gaps, which atom-raises-rank reads, and
 each is a sum of halves, one per pair there: a positive half-integer.
 
+Three checks hold on every finite lattice, so a FAIL there is a code
+fault, not a property of the input.  formula-equals-compression: a
+creation pair of rank gap one is a cover with an atom it gains
+(`hamiltonian`), so the compression's W_k counts what `cover_weight_sums`
+counts.  full-equals-radial: the proof below.  measure-moments: its bound
+is derived for every Jacobi matrix (`measure_moment_bound`).
+
 Full and radial moments agree through order 2l+1, l the first level whose
 layer sum s_l is not mapped by H into span{s_(l-1), s_(l+1)}
 (`radial_invariance`), and at every order when there is none.  Proof

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
-from latspec import OperatorMatrix, RationalPolynomial
+from latspec import FiniteLattice, NotALatticeError, OperatorMatrix, RationalPolynomial, parse_lattice
 from latspec.gf import in_rowspace, rref
 
 
@@ -254,3 +255,17 @@ def random_flats_document(rng: random.Random) -> dict:
         "elements": sorted(elements, key=lambda e: e["id"]),
         "covers": sorted([id_of[lo], id_of[hi]] for lo, hi in covers),
     }
+
+
+@cache
+def random_lattices() -> tuple[FiniteLattice, ...]:
+    """The 1,075 lattices among `random_bounded_graded_poset` seeds 0..1499,
+    then `random_flats_document` seeds 0..59; built once per session."""
+    lattices = []
+    for seed in range(1500):
+        n, covers = random_bounded_graded_poset(random.Random(seed))
+        try:
+            lattices.append(FiniteLattice.from_covers(n, covers))
+        except NotALatticeError:
+            continue
+    return (*lattices, *(parse_lattice(random_flats_document(random.Random(seed))) for seed in range(60)))

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -6,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import annihilation_by_defining_sum, dense_power_entry, random_bounded_graded_poset, random_flats_document
+from helpers import (
+    annihilation_by_defining_sum,
+    dense_power_entry,
+    random_bounded_graded_poset,
+    random_flats_document,
+    random_lattices,
+)
 from latspec import (
     ZERO,
     FiniteLattice,
@@ -15,6 +22,7 @@ from latspec import (
     annihilation_operator,
     build_affine,
     build_boolean,
+    build_product,
     build_projective,
     build_uniform,
     creation_operator,
@@ -25,7 +33,7 @@ from latspec import (
     parse_lattice,
     vacuum_moments_full,
 )
-from latspec.diamond import _assemble, _lowering_pairs
+from latspec.diamond import _assemble, _creation_pairs, _lowering_pairs
 
 HALF = Fraction(1, 2)
 
@@ -347,3 +355,51 @@ def test_assemblies_equal_public_operator_sums(small_lattices):
         assert all(np.unique(P.cols).size == P.nnz() for P in lowering)
         rank_two += any((rank[C.rows] == rank[C.cols] + 2).any() for C in creation)
     assert len(lattices) == len(small_lattices) + 360 and rank_two == 23
+
+
+def _by_definition(L):
+    """(1/2) sum over atoms of (L_a + L_a^t), L_a read from `diamond`."""
+    return _assemble(L, [_creation_pairs(L, a) for a in L.atoms])
+
+
+def test_cover_rule_equals_the_definition_on_random_lattices():
+    skipping = 0
+    for L in random_lattices():
+        H = hamiltonian(L)
+        assert H == _by_definition(L), L.to_document()
+        rank = np.asarray(L.rank)
+        skipping += bool((np.abs(rank[H.rows] - rank[H.cols]) > 1).any())
+    # the lattices with an atom that skips a rank, read through `join`
+    assert skipping == 81
+
+
+@pytest.mark.parametrize(
+    "build, params",
+    [
+        (build_projective, (6, 2)),
+        (build_affine, (5, 2)),
+        (build_boolean, (14,)),
+        (build_boolean, (15,)),
+        (build_uniform, (4, 7)),
+        (build_affine, (3, 3)),
+        (build_projective, (3, 31)),
+        (build_product, (build_uniform(2, 3), build_boolean(1))),
+    ],
+)
+def test_cover_rule_equals_the_definition_on_families(build, params):
+    L = build(*params)
+    assert hamiltonian(L) == _by_definition(L)
+
+
+def test_hamiltonian_reads_no_product(monkeypatch):
+    calls = []
+    module = importlib.import_module("latspec.diamond")  # `latspec.diamond` is the function
+    for name in ("diamond", "_creation_pairs"):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, f=original, name=name: calls.append(name) or f(*args))
+    # in the hexagon 1 ∨ 2 is the top, two ranks above 2: the skipping branch runs
+    hexagon = parse_lattice({"elements": [{"id": i} for i in range(6)],
+                             "covers": [[0, 1], [0, 2], [1, 3], [2, 4], [3, 5], [4, 5]]})
+    for L in (build_boolean(4), build_projective(3, 3), build_affine(2, 3), hexagon):
+        assert hamiltonian(L).nnz() > 0
+    assert calls == []

@@ -80,6 +80,12 @@ class TestShuffle:
         with pytest.raises(ValueError):
             shuffle_entry(m3, b1, (1, 0), (2, 1))
 
+    @pytest.mark.parametrize("x, y", [((0, 0), (0, 99)), ((0, -1), (1, 3)), ((-1, 0), (1, 3)), ((0, 0), (2, 0))])
+    def test_ids_outside_a_factor_rejected(self, b1, x, y):
+        # checked before `leq`, which reads -1 as the last element
+        with pytest.raises(ValueError, match="names no element"):
+            shuffle_entry(b1, build_boolean(2), x, y)
+
     @pytest.mark.parametrize("factors", [(1, 1), (2, 1)])
     def test_exhaustive_small_products(self, factors, m3):
         L1 = build_boolean(factors[0])

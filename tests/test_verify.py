@@ -5,7 +5,7 @@ import random
 import pytest
 
 import latspec.verify
-from helpers import random_bounded_graded_poset, random_flats_document
+from helpers import random_bounded_graded_poset, random_lattices
 from latspec import (
     FiniteLattice,
     MomentSequence,
@@ -64,16 +64,8 @@ def test_full_and_radial_moments_agree_exactly_through_the_krylov_bound(left, ri
 
 
 def test_full_and_radial_moments_agree_through_the_krylov_bound_on_random_lattices():
-    lattices = []
-    for seed in range(1500):
-        n, covers = random_bounded_graded_poset(random.Random(seed))
-        try:
-            lattices.append(FiniteLattice.from_covers(n, covers))
-        except NotALatticeError:
-            continue
-    lattices += [parse_lattice(random_flats_document(random.Random(seed))) for seed in range(60)]
     levels = []
-    for L in lattices:
+    for L in random_lattices():
         level, full, radial = _full_and_radial(L)
         assert full == radial, L.to_document()
         levels.append(level)
