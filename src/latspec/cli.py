@@ -144,17 +144,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print(f"invalid lattice document: {exc}", file=sys.stderr)
         return 1
     report = L.validation
-    machine = {
-        "checks": [
-            {"name": c.name, "passed": c.passed, "counterexample": c.counterexample}
-            for c in report.checks
-        ],
-        "is_geometric": report.passed(),
-        "is_semimodular_atomic": report.passed(),
-        "notes": list(report.notes),
-    }
-    _emit(args, report.render().splitlines(), machine)
-    return 0 if report.passed() else 1
+    ok = report.passed()
+    verdicts = {"is_geometric": ok, "is_semimodular_atomic": ok}  # geometric = semimodular and atomistic
+    lines = [
+        f"{c.name:<24s} {'PASS' if c.passed else 'FAIL'}" + (f"  counterexample={c.counterexample}" if c.counterexample else "")
+        for c in report.checks
+    ]
+    lines += [f"{name:<24s} {v}" for name, v in verdicts.items()] + [f"note: {note}" for note in report.notes]
+    checks = [{"name": c.name, "passed": c.passed, "counterexample": c.counterexample} for c in report.checks]
+    _emit(args, lines, {"checks": checks, **verdicts, "notes": list(report.notes)})
+    return 0 if ok else 1
 
 
 def _cmd_diamond_table(args: argparse.Namespace) -> int:
@@ -254,14 +253,16 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
-    L = _make_lattice(args)
-    measure = eigendecompose(jacobi_from_compression(L))
+def _emit_measure(args: argparse.Namespace, measure: SpectralMeasure) -> int:
     lines = [f"{'eigenvalue':>20s} {'weight':>20s}"]
     for eig, weight in measure.atoms:
         lines.append(f"{_flt(eig, args.precision):>20s} {_flt(weight, args.precision):>20s}")
     _emit(args, lines, measure.to_document())
     return 0
+
+
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    return _emit_measure(args, eigendecompose(jacobi_from_compression(_make_lattice(args))))
 
 
 def _cmd_product_check(args: argparse.Namespace) -> int:
@@ -288,12 +289,7 @@ def _cmd_convolve(args: argparse.Namespace) -> int:
             except ValueError as exc:  # not JSON, not a measure document, or not a probability measure
                 print(f"error: {path}: {exc}", file=sys.stderr)
                 return 1
-    out = convolve_measures(*measures)
-    lines = [f"{'eigenvalue':>20s} {'weight':>20s}"]
-    for eig, weight in out.atoms:
-        lines.append(f"{_flt(eig, args.precision):>20s} {_flt(weight, args.precision):>20s}")
-    _emit(args, lines, out.to_document())
-    return 0
+    return _emit_measure(args, convolve_measures(*measures))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

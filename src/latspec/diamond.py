@@ -74,6 +74,8 @@ def diamond(L: FiniteLattice, x: int, y: int) -> DiamondResult:
     uniform(r, m) with 3 <= r < m are such cases.  For lattices that are
     not atomistic, such as some custom documents, the converse is open.
     """
+    if not (0 <= x < L.n and 0 <= y < L.n):
+        raise ValueError(f"({x}, {y}) names no element of {L.family_tag}")
     return L.join(x, y) if L.meet(x, y) == 0 else ZERO
 
 
@@ -272,10 +274,7 @@ def _lowering_pairs(L: FiniteLattice) -> list[np.ndarray]:
     gains it (a <= y, a ≰ x) as a 2 x m array in x order: one pass over the
     covers reads the gained atoms J(y) & ~J(x), where atom i holds bit i.
     On a lattice an atom has at most one pair per lower element x: if
-    covers y1 != y2 of x both gained a, then a <= y1 ∧ y2 = x.
-
-    So `_assemble` of these pairs holds (a(y) - a(x))/2 at (y, x) and
-    (x, y), a(.) counting atoms below, and nothing off the covers."""
+    covers y1 != y2 of x both gained a, then a <= y1 ∧ y2 = x."""
     below = [L.atoms_below(x) for x in range(L.n)]
     found: list[list[int]] = [[] for _ in L.atoms]  # y0, x0, y1, x1, ... per atom
     for x, y in L.covers():

@@ -163,7 +163,8 @@ class FiniteLattice:
     certify every other input.  The constructor raises unless id 0 is the
     only rank-0 element, exactly one element, of top rank, has no upper
     cover, and every cover steps up one rank, so `validate` need not check
-    these.
+    these.  `leq`, `meet`, `join` and `atoms_below` expect ids in
+    range(n) and do not check them: a negative id indexes from the end.
 
     The object is immutable after construction and safe to share across
     threads; all query methods are pure.
@@ -648,8 +649,8 @@ class ValidationReport:
     """Outcome of the structural checks run by validate().
 
     A finite lattice is geometric exactly when it is atomistic and
-    semimodular, so `passed()` is both verdicts; `render` prints it under
-    both names, is_geometric and is_semimodular_atomic.
+    semimodular, so `passed()` is both verdicts; `lattice validate` prints
+    it under both names.
     """
 
     checks: tuple[CheckResult, ...]
@@ -657,18 +658,6 @@ class ValidationReport:
 
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def render(self) -> str:
-        lines = []
-        for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
-            extra = f"  counterexample={c.counterexample}" if c.counterexample else ""
-            lines.append(f"{c.name:<24s} {status}{extra}")
-        for name in ("is_geometric", "is_semimodular_atomic"):
-            lines.append(f"{name:<24s} {self.passed()}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return "\n".join(lines)
 
 
 def validate(L: FiniteLattice) -> ValidationReport:

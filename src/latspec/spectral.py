@@ -7,11 +7,12 @@ The characteristic polynomials follow the continuant recurrence
     D_{k+1}(t) = D_k(t) - beta_k^2 t^2 D_{k-1}(t),   D_{-1} = D_0 = 1,
 
 for D_k(t) = det(I - t J_k) of the leading (k+1) x (k+1) minor.  The
-vacuum resolvent sum_k t^k <e_0, J^k e_0> equals, by Cramer's rule, the
-complementary-minor quotient det(I - t J') / det(I - t J) with J' the
-block obtained by deleting the *first* row and column (coefficients
-beta_1..beta_{r-1}).  For palindromic coefficient sequences, such as every
-subset lattice, that numerator coincides with the leading minor D_{r-1}.
+vacuum resolvent is the complementary-minor quotient det(I - t J') /
+det(I - t J) with J' the block obtained by deleting the *first* row and
+column (coefficients beta_1..beta_{r-1}), and its Taylor coefficients are
+the vacuum moments (`vacuum_moments_radial`).  For palindromic coefficient
+sequences, such as every subset lattice, that numerator coincides with the
+leading minor D_{r-1}.
 """
 
 from __future__ import annotations
@@ -254,25 +255,16 @@ def vacuum_moments_full(L: FiniteLattice, H: OperatorMatrix, K: int) -> MomentSe
 
 
 def vacuum_moments_radial(J: JacobiData, K: int) -> MomentSequence:
-    """Moments of the Jacobi matrix at its first basis vector, computed as
-    weighted Dyck-path sums: a conjugated transfer step carries beta_k^2 on
-    the way up and 1 on the way down, so no square roots ever appear."""
+    """<e_0, J^k e_0> for k = 0..K, the Taylor coefficients of `resolvent`.
+
+    (I - tJ)^-1_00 is the sum of t^k <e_0, J^k e_0>, and by Cramer's rule it
+    is det(I - tJ') / det(I - tJ), J' deleting the first row and column, for
+    every zero-diagonal tridiagonal J, zero beta^2 included.  So the series
+    of that quotient of continuants is the moment sequence, exact and free
+    of square roots."""
     if K < 0:
         raise ValueError("K must be non-negative")
-    r = J.r
-    v = [Fraction(0)] * (r + 1)
-    v[0] = Fraction(1)
-    values = [Fraction(1)]
-    for _ in range(K):
-        nxt = [Fraction(0)] * (r + 1)
-        for i in range(r + 1):
-            if i > 0 and v[i - 1]:
-                nxt[i] += J.beta_sq[i - 1] * v[i - 1]
-            if i < r and v[i + 1]:
-                nxt[i] += v[i + 1]
-        v = nxt
-        values.append(v[0])
-    return MomentSequence(tuple(values))
+    return MomentSequence(resolvent(J).series(K))
 
 
 def eigendecompose(J: JacobiData) -> SpectralMeasure:

@@ -8,23 +8,24 @@ construction are proved where they are made true, not checked: a unique
 bottom and top and graded covers (`FiniteLattice`), commutativity and the
 bottom as unit of the diamond product (`diamond`: J(0) is empty, so
 0 ∧ x = 0, and M(0) ⊇ M(x), so 0 ∨ x = x), the total cover weight
-(`cover_weight_sums`) and D_k(0) = 1 (`spectral._continuant`).  So is the
-duality of `resolvent` and `vacuum_moments_radial` for every beta^2, not
-only a lattice's: by Cramer's rule (I - tJ)^-1_00 = det(I - tJ')/det(I - tJ)
-for every zero-diagonal tridiagonal J, and its Taylor coefficients are the
-<e_0, J^k e_0> that the Dyck-path sums count.
+(`cover_weight_sums`) and D_k(0) = 1 (`spectral._continuant`).  So is
+the duality of `resolvent` and `vacuum_moments_radial`, which reads the
+moments off the resolvent's series (Cramer's rule, in its docstring).
 
 Each atom's creation pairs (a ⋄ x, x), from `diamond`, and lowering pairs,
 from the covers that gain it, are built once: atom-raises-rank reads the
-first, transpose-consistency compares the two and so fails exactly where
-atom-raises-rank does (`annihilation_operator`), and assembly-agreement
-compares their assemblies, the first being the H every later check reads.
+first, and transpose-consistency compares the two and so fails exactly
+where atom-raises-rank does (`annihilation_operator`).  assembly-agreement
+compares `_assemble` of the creation pairs, the H every later check reads,
+with `hamiltonian`, the cover rule from which every other verb reads H.
 So H needs no bipartite check: as `_assemble` of the creation pairs, its
 entries have those pairs' rank gaps, which atom-raises-rank reads, and
 each is a sum of halves, one per pair there: a positive half-integer.
 
-Three checks hold on every finite lattice, so a FAIL there is a code
-fault, not a property of the input.  formula-equals-compression: a
+Four checks hold on every finite lattice, so a FAIL there is a code
+fault, not a property of the input.  assembly-agreement: the cover rule
+equals the creation-pair assembly on every lattice, atoms that skip a
+rank included (`hamiltonian`).  formula-equals-compression: a
 creation pair of rank gap one is a cover with an atom it gains
 (`hamiltonian`), so the compression's W_k counts what `cover_weight_sums`
 counts.  full-equals-radial: the proof below.  measure-moments: its bound
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diamond import _assemble, _creation_pairs, _lowering_pairs
+from .diamond import _assemble, _creation_pairs, _lowering_pairs, hamiltonian
 from .lattice import FiniteLattice
 from .radial import jacobi_from_compression, jacobi_from_formula, radial_invariance
 from .spectral import eigendecompose, vacuum_moments_full, vacuum_moments_radial
@@ -121,8 +122,7 @@ def run_invariant_suite(L: FiniteLattice) -> list[SuiteResult]:
     results.append(SuiteResult("operators:transpose-consistency", not bad, bad))
 
     H = _assemble(L, creation)
-    ok = H == _assemble(L, lowering)
-    results.append(SuiteResult("hamiltonian:assembly-agreement", ok))
+    results.append(SuiteResult("hamiltonian:assembly-agreement", H == hamiltonian(L)))
 
     moments = vacuum_moments_full(L, H, MOMENT_ORDER + 1)
     odd_ok = all(moments[k] == 0 for k in range(1, MOMENT_ORDER + 2, 2))

@@ -66,6 +66,12 @@ class TestDiamond:
     def test_self_product_of_atom_is_zero(self, m3):
         assert diamond(m3, 1, 1) is ZERO
 
+    @pytest.mark.parametrize("x, y", [(0, 99), (1, -1), (-1, 1), (4, 0)])
+    def test_ids_out_of_range_are_rejected(self, b2, x, y):
+        # before the check, (0, 99) raised IndexError and (1, -1) read -1 as the top
+        with pytest.raises(ValueError, match="names no element"):
+            diamond(b2, x, y)
+
     def test_algebra_zero_is_falsy_singleton(self):
         assert not ZERO
         assert repr(ZERO) == "0"

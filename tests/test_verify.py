@@ -10,6 +10,7 @@ from latspec import (
     FiniteLattice,
     MomentSequence,
     NotALatticeError,
+    OperatorMatrix,
     build_affine,
     build_boolean,
     build_product,
@@ -117,6 +118,27 @@ def test_transpose_consistency_fails_exactly_where_an_atom_raises_rank_by_more()
         assert results["operators:transpose-consistency"] == results["diamond:atom-raises-rank"], covers
         verdicts.append(results["operators:transpose-consistency"])
     assert len(verdicts) == 360 and verdicts.count(False) == 23
+
+
+def test_assembly_agreement_passes_on_random_lattices():
+    # skipping atoms included: the cover rule is the creation-pair assembly
+    for L in random_lattices():
+        results = {r.name: r.passed for r in run_invariant_suite(L)}
+        assert results["hamiltonian:assembly-agreement"], L.to_document()
+
+
+def test_assembly_agreement_fails_when_the_cover_rule_is_wrong(m3, monkeypatch):
+    exact = latspec.verify.hamiltonian
+
+    def perturbed(L):
+        H = exact(L)
+        nums = H.nums.copy()
+        nums[0] += 1
+        return OperatorMatrix(H.dim, H.rows, H.cols, nums, H.denom)
+
+    monkeypatch.setattr(latspec.verify, "hamiltonian", perturbed)
+    results = {r.name: r.passed for r in run_invariant_suite(m3)}
+    assert results["hamiltonian:assembly-agreement"] is False
 
 
 def test_suite_stops_after_validation_on_a_non_lattice():
