@@ -28,7 +28,7 @@ from .lattice import (
     size_cap,
 )
 from .product import SHUFFLE_MAX_POWER, convolve_measures, product_law_checks
-from .radial import jacobi_from_compression, radial_invariance
+from .radial import jacobi_from_compression, jacobi_from_formula, radial_invariance
 from .spectral import (
     MomentSequence,
     SpectralMeasure,
@@ -213,8 +213,7 @@ def _cmd_jacobi(args: argparse.Namespace) -> int:
 
 
 def _cmd_resolvent(args: argparse.Namespace) -> int:
-    L = _make_lattice(args)
-    J = jacobi_from_compression(L)
+    J = jacobi_from_formula(_make_lattice(args))
     G = resolvent(J)
     reduced = reduced_resolvent(J)
     lines = [
@@ -236,13 +235,12 @@ def _cmd_resolvent(args: argparse.Namespace) -> int:
 
 def _cmd_moments(args: argparse.Namespace) -> int:
     L = _make_lattice(args)
-    H = hamiltonian(L)
     K = args.max_k
     cols: dict[str, MomentSequence] = {}
     if args.via in ("full", "both"):
-        cols["full"] = vacuum_moments_full(L, H, K)
+        cols["full"] = vacuum_moments_full(L, hamiltonian(L), K)
     if args.via in ("radial", "both"):
-        cols["radial"] = vacuum_moments_radial(jacobi_from_compression(L, H), K)
+        cols["radial"] = vacuum_moments_radial(jacobi_from_formula(L), K)
     header = f"{'k':>3s}" + "".join(f" {name:>16s}" for name in cols)
     lines = [header]
     for k in range(K + 1):
@@ -262,7 +260,7 @@ def _emit_measure(args: argparse.Namespace, measure: SpectralMeasure) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    return _emit_measure(args, eigendecompose(jacobi_from_compression(_make_lattice(args))))
+    return _emit_measure(args, eigendecompose(jacobi_from_formula(_make_lattice(args))))
 
 
 def _cmd_product_check(args: argparse.Namespace) -> int:

@@ -76,13 +76,12 @@ def diamond(L: FiniteLattice, x: int, y: int) -> DiamondResult:
     """
     if not (0 <= x < L.n and 0 <= y < L.n):
         raise ValueError(f"({x}, {y}) names no element of {L.family_tag}")
+    return _diamond(L, x, y)
+
+
+def _diamond(L: FiniteLattice, x: int, y: int) -> DiamondResult:
+    """`diamond` without the id check, for callers whose ids are in range."""
     return L.join(x, y) if L.meet(x, y) == 0 else ZERO
-
-
-def _diamond_absorbing(L: FiniteLattice, u, v):
-    if u is ZERO or v is ZERO:
-        return ZERO
-    return diamond(L, u, v)
 
 
 def nonassociativity_witness(L: FiniteLattice) -> tuple[int, int, int] | None:
@@ -93,10 +92,10 @@ def nonassociativity_witness(L: FiniteLattice) -> tuple[int, int, int] | None:
     """
     for x in range(L.n):
         for y in range(L.n):
-            xy = diamond(L, x, y)
-            for z in range(L.n):
-                lhs = _diamond_absorbing(L, xy, z)
-                rhs = _diamond_absorbing(L, x, diamond(L, y, z))
+            xy = _diamond(L, x, y)
+            for z in range(L.n):  # ZERO absorbs
+                lhs = ZERO if xy is ZERO else _diamond(L, xy, z)
+                rhs = ZERO if (yz := _diamond(L, y, z)) is ZERO else _diamond(L, x, yz)
                 if lhs is not rhs and lhs != rhs:
                     return (x, y, z)
     return None
@@ -106,7 +105,7 @@ def diamond_table(L: FiniteLattice) -> list[list]:
     """Full product table (list of rows); entries are element ids or ZERO."""
     if L.n > TABLE_LIMIT:
         raise SizeBoundError(f"product tables are limited to {TABLE_LIMIT} elements")
-    return [[diamond(L, x, y) for y in range(L.n)] for x in range(L.n)]
+    return [[_diamond(L, x, y) for y in range(L.n)] for x in range(L.n)]
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +261,9 @@ def check_dim(L: FiniteLattice, H: OperatorMatrix) -> None:
 def _creation_pairs(L: FiniteLattice, a: int) -> np.ndarray:
     """(a ⋄ x, x) for every x whose product with the atom a is a lattice
     element, as a 2 x m array in x order: the rows over the columns.  One
-    `diamond` per element: the definition side, which `creation_operator`,
+    `_diamond` per element: the definition side, which `creation_operator`,
     `verify` and the tests read; `hamiltonian` reads the covers instead."""
-    products = np.fromiter((-1 if (y := diamond(L, a, x)) is ZERO else y for x in range(L.n)), np.int64, L.n)
+    products = np.fromiter((-1 if (y := _diamond(L, a, x)) is ZERO else y for x in range(L.n)), np.int64, L.n)
     lower = np.flatnonzero(products >= 0)
     return np.stack([products[lower], lower])
 
@@ -305,7 +304,8 @@ def annihilation_operator(L: FiniteLattice, a: int) -> OperatorMatrix:
     creation transpose exactly when a raises no rank by more than one."""
     if a not in L.atoms:
         raise ValueError(f"element {a} is not an atom")
-    upper, lower = _lowering_pairs(L)[L.atoms.index(a)]
+    above = [L.leq(a, x) for x in range(L.n)]
+    lower, upper = np.array([(x, y) for x, y in L.covers() if above[y] and not above[x]], np.int64).reshape(-1, 2).T
     return OperatorMatrix(L.n, lower, upper, np.ones(upper.size, dtype=np.int64))
 
 

@@ -69,7 +69,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, product
 from math import comb
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
@@ -154,7 +154,7 @@ class FiniteLattice:
     atoms : ids of the rank-1 elements, ascending
     layers : layers[k] lists the ids of rank k
     family_tag : provenance label, e.g. "boolean(3)" or "custom"
-    labels : display label per element
+    labels : display label per element, rendered on first read
 
     `leq`, `meet` and `join` read join- and meet-irreducible masks (module
     docstring), which order the elements exactly only on a lattice: they
@@ -166,8 +166,10 @@ class FiniteLattice:
     these.  `leq`, `meet`, `join` and `atoms_below` expect ids in
     range(n) and do not check them: a negative id indexes from the end.
 
-    The object is immutable after construction and safe to share across
-    threads; all query methods are pure.
+    `labels`, `first_meetless_pair`, `validation` and the masks and indexes
+    that `join` and `meet` read are computed on first read.  The object is
+    immutable after construction and safe to share across threads: all
+    query methods are pure, and a racing first read computes the same value.
     """
 
     def __init__(
@@ -175,7 +177,7 @@ class FiniteLattice:
         rank: Sequence[int],
         covers_up: Sequence[Sequence[int]],
         family_tag: str = "custom",
-        labels: Sequence[str] | None = None,
+        labels: Sequence[str] | Callable[[], Iterable[str]] | None = None,
     ):
         n = len(rank)
         if n == 0:
@@ -184,9 +186,14 @@ class FiniteLattice:
         self.rank = tuple(rank)
         self.covers_up = tuple(tuple(sorted(ups)) for ups in covers_up)
         self.family_tag = family_tag
-        self.labels = tuple(labels) if labels is not None else tuple(f"e{i}" for i in range(n))
-        if len(self.covers_up) != n or len(self.labels) != n:
-            raise LatticeError("rank, covers_up, and labels must have equal length")
+        if labels is None or callable(labels):  # rendered on first read; a partial keeps L picklable
+            self._labels = labels or partial(map, "e{}".format, range(n))
+        elif len(labels := tuple(labels)) == n:
+            self.labels = labels  # an instance value shadows the cached property
+        else:
+            raise LatticeError(f"{len(labels)} labels given for {n} elements")
+        if len(self.covers_up) != n:
+            raise LatticeError("rank and covers_up must have equal length")
         self.top_rank = max(self.rank)
 
         covers_down: list[list[int]] = [[] for _ in range(n)]
@@ -218,13 +225,15 @@ class FiniteLattice:
         self.layers = tuple(tuple(lay) for lay in layers)
         self.atoms = self.layers[1] if self.top_rank >= 1 else ()
 
-        # J(x) and M(x) masks, filled in rank order (ids need not be
-        # rank-sorted: product lattices are ordered lexicographically).  The
-        # atoms are the first join-irreducibles, so they hold the low bits.
+        # J(x) masks, filled in rank order (ids need not be rank-sorted:
+        # product lattices are ordered lexicographically).  The atoms are the
+        # first join-irreducibles, so they hold the low bits.
         self._down = _irreducible_masks(self.layers, self.covers_down)
-        self._up = _irreducible_masks(self.layers[::-1], self.covers_up)
-        self._down_index = {m: i for i, m in enumerate(self._down)}
-        self._up_index = {m: i for i, m in enumerate(self._up)}
+
+    labels = cached_property(lambda self: tuple(self._labels()))
+    _up = cached_property(lambda self: _irreducible_masks(self.layers[::-1], self.covers_up))
+    _down_index = cached_property(lambda self: {m: i for i, m in enumerate(self._down)})
+    _up_index = cached_property(lambda self: {m: i for i, m in enumerate(self._up)})
 
     # -- order queries ----------------------------------------------------
 
@@ -232,16 +241,16 @@ class FiniteLattice:
         return (self._down[x] & self._down[y]) == self._down[x]
 
     def meet(self, x: int, y: int) -> int:
-        m = self._down[x] & self._down[y]
+        down = self._down  # each mask list read once: `meet` and `join` are `verify`'s hot path
         try:
-            return self._down_index[m]
+            return self._down_index[down[x] & down[y]]
         except KeyError:
             raise NotALatticeError(f"elements {x} and {y} have no unique meet") from None
 
     def join(self, x: int, y: int) -> int:
-        m = self._up[x] & self._up[y]
+        up = self._up
         try:
-            return self._up_index[m]
+            return self._up_index[up[x] & up[y]]
         except KeyError:
             raise NotALatticeError(f"elements {x} and {y} have no unique join") from None
 
@@ -357,6 +366,8 @@ class FiniteLattice:
         new_covers: list[list[int]] = [[] for _ in range(n)]
         for lo, hi in seen:
             new_covers[new_id[lo]].append(new_id[hi])
+        if labels is not None and len(labels) != n:
+            raise LatticeError(f"{len(labels)} labels given for {n} elements")
         new_labels = None if labels is None else [labels[old] for old in perm]
         L = cls(new_rank, new_covers, family_tag, new_labels)
         pair = L.first_meetless_pair
@@ -399,9 +410,9 @@ def _build_flats(tag: str, bottom: Hashable, atoms: int, close: Callable[[int, i
     F ∨ p = G; so once a cover G is found, its points are skipped, and each
     cover of F is closed once and named once, when first found.  Within a
     rank, flats are ordered by their names, which fixes the ids: the bottom
-    is 0 and the top is n - 1.
+    is 0 and the top is n - 1.  `label` renders the names on first read.
     """
-    rank, labels, covers_up = [0], [label(bottom)], []
+    rank, names, covers_up = [0], [bottom], []
     layer, k = {0: bottom}, 0
     while layer:
         ups, found = [], {}
@@ -418,8 +429,8 @@ def _build_flats(tag: str, bottom: Hashable, atoms: int, close: Callable[[int, i
         ids = {G: j for j, G in enumerate(layer, len(rank))}
         covers_up.extend([ids[G] for G in up] for up in ups)
         rank += [k] * len(layer)
-        labels += map(label, layer.values())
-    return FiniteLattice(rank, covers_up, tag, labels)
+        names += layer.values()
+    return FiniteLattice(rank, covers_up, tag, partial(map, label, names))
 
 
 def _subset_label(mask: int) -> str:
@@ -546,11 +557,12 @@ def build_affine(r: int, q: int, *, cap: int | None = None) -> FiniteLattice:
         basis = gf.rref(basis + (tuple((a - b) % q for a, b in zip(point, rep)),), q)
         return basis, gf.reduce_vector(rep, basis, q)
 
-    def label(flat: tuple[gf.Rref, gf.Vec] | None) -> str:
-        return "empty" if flat is None else "".join(map(str, flat[1])) + "+" + _rref_label(flat[0])
-
     chart = ((1 << q**r) - 1) << (len(points) - q**r)
-    return _build_flats(f"affine({r},{q})", None, chart, close, name, label)
+    return _build_flats(f"affine({r},{q})", None, chart, close, name, _affine_label)
+
+
+def _affine_label(flat: tuple[gf.Rref, gf.Vec] | None) -> str:
+    return "empty" if flat is None else "".join(map(str, flat[1])) + "+" + _rref_label(flat[0])
 
 
 def build_product(L1: FiniteLattice, L2: FiniteLattice, *, cap: int | None = None) -> FiniteLattice:
@@ -566,10 +578,11 @@ def build_product(L1: FiniteLattice, L2: FiniteLattice, *, cap: int | None = Non
         for x1 in range(n1)
         for x2 in range(n2)
     ]
-    labels = [
-        f"({L1.labels[x1]},{L2.labels[x2]})" for x1 in range(n1) for x2 in range(n2)
-    ]
-    return FiniteLattice(rank, covers_up, f"product({L1.family_tag},{L2.family_tag})", labels)
+    return FiniteLattice(rank, covers_up, f"product({L1.family_tag},{L2.family_tag})", partial(_product_labels, L1, L2))
+
+
+def _product_labels(L1: FiniteLattice, L2: FiniteLattice) -> Iterator[str]:
+    return (f"({a},{b})" for a in L1.labels for b in L2.labels)
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,6 @@ class RationalPolynomial:
 
 
 _ONE = RationalPolynomial((1,))
-_T2 = RationalPolynomial((0, 0, 1))
 
 
 class RationalFunction:
@@ -209,7 +208,7 @@ def _continuant(beta_sq: tuple[Fraction, ...]) -> list[RationalPolynomial]:
     subtracts a multiple of t^2, so every D_k(0) = 1."""
     out = [_ONE, _ONE]
     for b in beta_sq:
-        out.append(out[-1] - b * (_T2 * out[-2]))
+        out.append(out[-1] - b * RationalPolynomial((0, 0, *out[-2].coeffs)))
     return out
 
 

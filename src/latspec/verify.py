@@ -17,7 +17,7 @@ from the covers that gain it, are built once: atom-raises-rank reads the
 first, and transpose-consistency compares the two and so fails exactly
 where atom-raises-rank does (`annihilation_operator`).  assembly-agreement
 compares `_assemble` of the creation pairs, the H every later check reads,
-with `hamiltonian`, the cover rule from which every other verb reads H.
+with `hamiltonian`, the cover rule from which the other verbs read H.
 So H needs no bipartite check: as `_assemble` of the creation pairs, its
 entries have those pairs' rank gaps, which atom-raises-rank reads, and
 each is a sum of halves, one per pair there: a positive half-integer.

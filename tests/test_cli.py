@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import latspec.cli
 import latspec.lattice
-from latspec import build_boolean
+import latspec.radial
+from latspec import build_boolean, hamiltonian
 from latspec.cli import FAMILIES, _lattice_from_spec, _make_lattice, build_parser, main
 
 
@@ -195,6 +197,26 @@ class TestMoments:
         )
         data = json.loads(out)
         assert "radial" not in data
+
+
+class TestHamiltonianOnlyWhereNeeded:
+    """spectrum, resolvent and moments --via radial read J off the covers
+    (`jacobi_from_formula`); the verbs that read H assemble it once."""
+
+    @pytest.mark.parametrize("argv,calls", [
+        (["spectrum"], 0),
+        (["resolvent"], 0),
+        (["moments", "--via", "radial"], 0),
+        (["jacobi"], 1),
+        (["moments", "--via", "full"], 1),
+        (["moments", "--via", "both"], 1),
+    ])
+    def test_hamiltonian_calls(self, capsys, monkeypatch, argv, calls):
+        seen = []
+        for module in (latspec.cli, latspec.radial):
+            monkeypatch.setattr(module, "hamiltonian", lambda L: seen.append(L) or hamiltonian(L))
+        code, _, _ = run(capsys, *argv, "--family", "boolean", "--n", "4")
+        assert code == 0 and len(seen) == calls
 
 
 class TestSpectrumAndConvolve:

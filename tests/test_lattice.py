@@ -1,4 +1,6 @@
+import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -9,6 +11,7 @@ import latspec.lattice
 from helpers import closure_lattice, closure_semimodular, random_bounded_graded_poset, random_flats_document
 from latspec import (
     FiniteLattice,
+    LatticeError,
     NotALatticeError,
     NotAPosetError,
     NotGradedError,
@@ -19,11 +22,18 @@ from latspec import (
     build_product,
     build_projective,
     build_uniform,
+    eigendecompose,
     gaussian_binomial,
+    hamiltonian,
+    jacobi_from_compression,
+    jacobi_from_formula,
     parse_lattice,
     q_int,
+    radial_invariance,
+    vacuum_moments_full,
     validate,
 )
+from latspec import gf
 
 M3_DOCUMENT = {
     "elements": [
@@ -474,3 +484,90 @@ def test_order_laws_on_sampled_pairs(data):
     assert L.join(x, x) == x and L.meet(x, x) == x
     assert L.join(x, m) == x and L.meet(x, j) == x
     assert L.rank[x] + L.rank[y] >= L.rank[j] + L.rank[m]
+
+
+class TestBuiltOnFirstRead:
+    """Labels and the join and meet indexes are built on first read; the
+    numeric layers read neither."""
+
+    def test_boolean_renders_no_label_until_read(self, monkeypatch):
+        rendered = []
+        subset_label = latspec.lattice._subset_label
+        monkeypatch.setattr(latspec.lattice, "_subset_label", lambda mask: rendered.append(mask) or subset_label(mask))
+        L = build_boolean(12)
+        assert rendered == []
+        assert L.labels[0] == "{}" and L.labels[-1] == "{1,2,3,4,5,6,7,8,9,10,11,12}"
+        assert len(rendered) == L.n
+        assert L.labels is L.labels and len(rendered) == L.n
+
+    def test_numeric_layers_build_no_label_or_join_index(self):
+        L = build_boolean(8)
+        H = hamiltonian(L)
+        jacobi_from_compression(L, H)
+        radial_invariance(L, H)
+        vacuum_moments_full(L, H, 6)
+        eigendecompose(jacobi_from_formula(L))
+        assert not {"labels", "_up", "_up_index", "_down_index"} & set(vars(L))
+        assert L.join(1, 2) == 9 and {"_up", "_up_index"} <= set(vars(L))  # {1} ∨ {2}, the first of rank 2
+
+    @staticmethod
+    def _eager_labels(L, family, r, q):
+        """Each element's name read back from the atoms below it, rendered
+        as the builders render it: atom i is the i-th point in lexicographic
+        order."""
+        atoms = [[j for j in range(len(L.atoms)) if L.atoms_below(x) >> j & 1] for x in range(L.n)]
+        if family in ("boolean", "uniform"):
+            return tuple(latspec.lattice._subset_label(L.atoms_below(x)) for x in range(L.n))
+        if family == "projective":
+            points = [v for v in itertools.product(range(q), repeat=r) if next((c for c in v if c), 0) == 1]
+            return tuple(latspec.lattice._rref_label(gf.rref([points[j] for j in below], q)) for below in atoms)
+        points = list(itertools.product(range(q), repeat=r))
+        labels = ["empty"]
+        for first, *rest in ([points[j] for j in below] for below in atoms[1:]):
+            basis = gf.rref([tuple((a - b) % q for a, b in zip(p, first)) for p in rest], q)
+            rep = gf.reduce_vector(first, basis, q)
+            labels.append("".join(map(str, rep)) + "+" + latspec.lattice._rref_label(basis))
+        return tuple(labels)
+
+    @pytest.mark.parametrize("family,params", [
+        ("boolean", (5,)), ("uniform", (3, 5)), ("projective", (3, 3)), ("projective", (4, 2)),
+        ("affine", (2, 3)), ("affine", (3, 2)),
+    ])
+    def test_family_labels_equal_the_eager_rendering(self, family, params):
+        L = {"boolean": build_boolean, "uniform": build_uniform,
+             "projective": build_projective, "affine": build_affine}[family](*params)
+        r, q = params if len(params) == 2 else (None, None)
+        assert L.labels == self._eager_labels(L, family, r, q)
+
+    def test_product_labels_equal_the_eager_rendering(self, m3):
+        L1, L2 = build_projective(2, 2), m3
+        P = build_product(L1, L2)
+        assert P.labels == tuple(f"({L1.labels[x1]},{L2.labels[x2]})" for x1 in range(L1.n) for x2 in range(L2.n))
+
+    def test_parsed_labels_follow_the_elements(self):
+        L = build_affine(2, 2)
+        doc = L.to_document()
+        perm = list(range(L.n))
+        random.Random(5).shuffle(perm)
+        shuffled = {
+            "elements": [{"id": perm[e["id"]], "label": e["label"]} for e in doc["elements"]],
+            "covers": [[perm[x], perm[y]] for x, y in doc["covers"]],
+        }
+        P = parse_lattice(shuffled)
+        assert parse_lattice(doc).labels == L.labels
+        assert sorted(P.labels) == sorted(L.labels)
+        assert {(P.labels[x], P.labels[y]) for x, y in P.covers()} == {(L.labels[x], L.labels[y]) for x, y in L.covers()}
+        assert parse_lattice({"elements": [{"id": 0}], "covers": []}).labels == ("e0",)
+
+    def test_pickling_keeps_the_labels_before_and_after_the_first_read(self, m3):
+        for L in (build_boolean(3), build_affine(2, 2), build_product(m3, build_boolean(1)), parse_lattice(M3_DOCUMENT)):
+            unread = pickle.loads(pickle.dumps(L))
+            assert unread.labels == L.labels == pickle.loads(pickle.dumps(L)).labels
+            assert unread == L
+
+    @pytest.mark.parametrize("labels", [[], ["a"], ["a", "b", "c"]])
+    def test_wrong_number_of_labels_is_rejected(self, labels):
+        with pytest.raises(LatticeError, match=f"^{len(labels)} labels given for 2 elements$"):
+            FiniteLattice((0, 1), ((1,), ()), labels=labels)
+        with pytest.raises(LatticeError, match=f"^{len(labels)} labels given for 2 elements$"):
+            FiniteLattice.from_covers(2, [(0, 1)], labels=labels)
