@@ -338,9 +338,9 @@ def hamiltonian(L: FiniteLattice) -> OperatorMatrix:
     J(y) ∖ J(x): given those, x < x ∨ a <= y, so x ∨ a = y.  Distinct covers
     of x gain disjoint atoms, as one gained by y1 and y2 lies below
     y1 ∧ y2 = x.  The other atoms a ≰ x, len(atoms) - a(x) - (atoms gained by
-    x's covers) in number, skip a rank (none does under semimodularity), and
-    only they need a `join`.  So H is `_assemble` of the creation pairs, the
-    definition `verify` reads, with one entry per cover, not one per pair."""
+    x's covers) in number, skip a rank (none does under semimodularity; see
+    `lattice.validate`), and only they need a `join`.  So H is `_assemble` of
+    the creation pairs `verify` reads, with one entry per cover, not per pair."""
     lower, upper, gained, a = _cover_arrays(L)
     unreached = len(L.atoms) - a
     np.subtract.at(unreached, lower, gained)

@@ -30,9 +30,9 @@ The masks order an element set exactly only when it is a lattice, so
 and products are lattices by construction; `from_covers` and `validate`
 certify every other input.
 
-Lattice-ness and semimodularity are certified exactly from co-cover pairs,
-two elements that cover, or are covered by, a common element; no pair
-survey over all n² pairs is needed.
+Lattice-ness is certified exactly from co-cover pairs, two elements that
+cover, or are covered by, a common element, and semimodularity from the
+covers on atomistic input; no pair survey over all n² pairs is needed.
 
 * Lattice-ness.  A finite poset with a top is a lattice iff every two lower
   covers of a common element have a meet.  Proof, by induction on u: every
@@ -59,9 +59,17 @@ survey over all n² pairs is needed.
   whichever covers the walks take, and the first failing pair is the
   first meetless one.
 * Upper semimodularity.  A finite lattice is upper semimodular iff,
-  whenever x and y both cover z, x ∨ y covers both (Stanley, Enumerative
-  Combinatorics I, Prop. 3.3.2).  In a graded lattice a failing pair has
-  x ∧ y = z and r(x ∨ y) > r(z) + 2, so r(x) + r(y) < r(x ∨ y) + r(x ∧ y).
+  whenever x and y both cover z, x ∨ y covers both, iff r(x) + r(y) >=
+  r(x ∨ y) + r(x ∧ y) (Stanley, EC1, Prop. 3.3.2); a failing pair has
+  x ∧ y = z and r(x ∨ y) > r(z) + 2.  An atomistic lattice is semimodular
+  iff x ⋖ x ∨ a for every x and atom a ≰ x.  ⇒: a ∧ x = 0 ⋖ a, so
+  r(x ∨ a) <= r(x) + 1.  ⇐: if x, y cover z, take an atom a <= y, a ≰ z;
+  then y = z ∨ a, and x ∨ y = x ∨ a covers x, as a ≰ x (else y <= x), and
+  likewise y.  `validate` counts this from the covers: an atom a gained by
+  a cover y of x (a <= y, a ≰ x) has x < x ∨ a <= y, so x ∨ a = y, and no
+  other cover of x gains it, as two meet in x.  So with a(x) the atoms
+  below x, a(x) + Σ_{x⋖y} (a(y) - a(x)) <= |atoms|, with equality iff every
+  atom a ≰ x has x ⋖ x ∨ a; the sum over x is n·|atoms| iff all are equal.
 """
 
 from __future__ import annotations
@@ -70,8 +78,9 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 from math import comb
+from operator import itemgetter, mul, sub
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from . import gf
@@ -160,11 +169,12 @@ class FiniteLattice:
     docstring), which order the elements exactly only on a lattice: they
     are defined only when `first_meetless_pair` is None.  Built-in families
     and products are lattices by construction; `from_covers` and `validate`
-    certify every other input.  The constructor raises unless id 0 is the
-    only rank-0 element, exactly one element, of top rank, has no upper
-    cover, and every cover steps up one rank, so `validate` need not check
-    these.  `leq`, `meet`, `join` and `atoms_below` expect ids in
-    range(n) and do not check them: a negative id indexes from the end.
+    certify every other input.  The constructor raises unless the covers
+    of each element are distinct ids in range(n), id 0 is the only rank-0
+    element, exactly one element, of top rank, has no upper cover, and
+    every cover steps up one rank, so `validate` need not check these.
+    `leq`, `meet`, `join` and `atoms_below` expect ids in range(n) and do
+    not check them: a negative id indexes from the end.
 
     `labels`, `first_meetless_pair`, `validation` and the masks and indexes
     that `join` and `meet` read are computed on first read.  The object is
@@ -183,8 +193,8 @@ class FiniteLattice:
         if n == 0:
             raise NotALatticeError("empty element list: no bottom element")
         self.n = n
-        self.rank = tuple(rank)
-        self.covers_up = tuple(tuple(sorted(ups)) for ups in covers_up)
+        self.rank = rank = tuple(rank)
+        self.covers_up = tuple(map(tuple, map(sorted, covers_up)))
         self.family_tag = family_tag
         if labels is None or callable(labels):  # rendered on first read; a partial keeps L picklable
             self._labels = labels or partial(map, "e{}".format, range(n))
@@ -196,26 +206,30 @@ class FiniteLattice:
             raise LatticeError("rank and covers_up must have equal length")
         self.top_rank = max(self.rank)
 
+        # distinct ids in range(n), checked in C; only a failure is walked, to name the cover
+        if (min(map(itemgetter(0), filter(None, self.covers_up)), default=0) < 0
+                or max(map(itemgetter(-1), filter(None, self.covers_up)), default=0) >= n
+                or sum(map(len, map(set, self.covers_up))) != sum(map(len, self.covers_up))):
+            x, y, z = next((x, y, z) for x, u in enumerate(self.covers_up)
+                           for y, z in zip(u, u[1:] + (None,)) if y == z or not 0 <= y < n)
+            raise LatticeError(f"cover [{x}, {y}] {'is repeated' if y == z else 'references an unknown element id'}")
         covers_down: list[list[int]] = [[] for _ in range(n)]
         for x, ups in enumerate(self.covers_up):
+            step = rank[x] + 1
             for y in ups:
-                # the rank-ordered layers and mask fill below rely on this
-                if self.rank[y] != self.rank[x] + 1:
-                    raise NotGradedError(
-                        f"cover [{x}, {y}] spans ranks {self.rank[x]} -> {self.rank[y]}"
-                    )
+                if rank[y] != step:  # the rank-ordered layers and mask fill below rely on this
+                    raise NotGradedError(f"cover [{x}, {y}] spans ranks {rank[x]} -> {rank[y]}")
                 covers_down[y].append(x)
-        self.covers_down = tuple(tuple(sorted(downs)) for downs in covers_down)
+        self.covers_down = tuple(map(tuple, covers_down))  # appended in ascending x, so sorted
 
-        if [i for i in range(n) if self.rank[i] == 0] != [0]:
+        if self.rank.count(0) != 1 or self.rank[0] != 0:
             raise NotALatticeError("the bottom must be the unique rank-0 element and have id 0")
-        for i in range(1, n):
-            if not covers_down[i]:
-                raise NotALatticeError(f"element {i} has rank {self.rank[i]} but covers nothing")
-        tops = [i for i in range(n) if not self.covers_up[i]]
-        if len(tops) != 1:
-            raise NotALatticeError(f"expected a unique top element, found {len(tops)}")
-        self.top = tops[0]
+        if [] in islice(covers_down, 1, None):
+            i = covers_down.index([], 1)
+            raise NotALatticeError(f"element {i} has rank {self.rank[i]} but covers nothing")
+        if self.covers_up.count(()) != 1:
+            raise NotALatticeError(f"expected a unique top element, found {self.covers_up.count(())}")
+        self.top = self.covers_up.index(())
         if self.rank[self.top] != self.top_rank:
             raise NotGradedError("the unique maximal element does not have the maximal rank")
 
@@ -262,9 +276,7 @@ class FiniteLattice:
 
     def covers(self) -> Iterator[tuple[int, int]]:
         """All cover pairs (x, y) with x covered by y."""
-        for x, ups in enumerate(self.covers_up):
-            for y in ups:
-                yield x, y
+        return ((x, y) for x, ups in enumerate(self.covers_up) for y in ups)
 
     def layer_sizes(self) -> tuple[int, ...]:
         return tuple(len(lay) for lay in self.layers)
@@ -283,14 +295,12 @@ class FiniteLattice:
                 x = next((c for c in lower[x] if (down[c] & s) == s), None)
             return x
 
-        def has_meet(x: int, y: int) -> bool:
-            s = down[x] & down[y]
-            t = index.get(s)
-            return (t in lower[x] and t in lower[y]) or (
-                (m := descend(x, s)) is not None and m == descend(y, s))
-
-        pairs = (p for layer in self.layers for u in layer for p in combinations(lower[u], 2))
-        return next(((x, y) for x, y in pairs if not has_meet(x, y)), None)
+        for u in chain.from_iterable(self.layers):
+            for x, y in combinations(lower[u], 2):
+                t = index.get(s := down[x] & down[y])
+                if not (t in lower[x] and t in lower[y]) and ((m := descend(x, s)) is None or m != descend(y, s)):
+                    return x, y
+        return None
 
     @cached_property
     def validation(self) -> "ValidationReport":
@@ -328,48 +338,37 @@ class FiniteLattice:
                 raise ParseError(f"cover [{lo}, {hi}] references an unknown element id")
             if lo == hi:
                 raise NotAPosetError(f"cover [{lo}, {hi}] is a self-loop")
-            if (lo, hi) in seen:
-                continue
-            seen.add((lo, hi))
-            succ[lo].append(hi)
-            indeg[hi] += 1
+            if (pair := (lo, hi)) not in seen:
+                seen.add(pair)
+                succ[lo].append(hi)
+                indeg[hi] += 1
 
-        sources = [i for i in range(n) if indeg[i] == 0]
-        if len(sources) != 1:
-            raise NotALatticeError(f"expected a unique bottom element, found {len(sources)} minimal elements")
+        if indeg.count(0) != 1:
+            raise NotALatticeError(f"expected a unique bottom element, found {indeg.count(0)} minimal elements")
 
-        # Kahn toposort with longest-path ranks; leftover nodes mean a cycle.
+        # Kahn's toposort by ranks: y's last lower cover x has the top rank, so y's longest chain is rank[x] + 1
         rank = [0] * n
-        pending = list(indeg)
-        queue = [sources[0]]
-        visited = 0
-        while queue:
-            x = queue.pop()
-            visited += 1
-            for y in succ[x]:
-                rank[y] = max(rank[y], rank[x] + 1)
-                pending[y] -= 1
-                if pending[y] == 0:
-                    queue.append(y)
-        if visited != n:
+        layer = [indeg.index(0)]
+        while layer:
+            below, layer = layer, []
+            for x in below:
+                for y in succ[x]:
+                    indeg[y] -= 1
+                    if not indeg[y]:
+                        rank[y] = rank[x] + 1
+                        layer.append(y)
+        if any(indeg):  # a node never released
             raise NotAPosetError("cover relation contains a cycle")
 
-        for lo, hi in seen:
-            if rank[hi] != rank[lo] + 1:
-                raise NotGradedError(
-                    f"cover [{lo}, {hi}] spans ranks {rank[lo]} -> {rank[hi]}; the poset is not graded"
-                )
-
-        perm = sorted(range(n), key=lambda i: (rank[i], i))
-        new_id = {old: new for new, old in enumerate(perm)}
-        new_rank = [rank[old] for old in perm]
-        new_covers: list[list[int]] = [[] for _ in range(n)]
-        for lo, hi in seen:
-            new_covers[new_id[lo]].append(new_id[hi])
-        if labels is not None and len(labels) != n:
-            raise LatticeError(f"{len(labels)} labels given for {n} elements")
-        new_labels = None if labels is None else [labels[old] for old in perm]
-        L = cls(new_rank, new_covers, family_tag, new_labels)
+        if any(rank[hi] != rank[lo] + 1 for lo, ups in enumerate(succ) for hi in ups):
+            lo, hi = next((lo, hi) for lo, hi in seen if rank[hi] != rank[lo] + 1)  # reported in `seen` order
+            raise NotGradedError(f"cover [{lo}, {hi}] spans ranks {rank[lo]} -> {rank[hi]}; the poset is not graded")
+        perm = sorted(range(n), key=rank.__getitem__)  # stable: ties keep the input order
+        new_id = sorted(range(n), key=perm.__getitem__)  # the inverse of perm
+        if labels is not None and len(labels) == n:  # a wrong count is the constructor's to reject
+            labels = [labels[old] for old in perm]
+        new_covers = [list(map(new_id.__getitem__, succ[old])) for old in perm]
+        L = cls([rank[old] for old in perm], new_covers, family_tag, labels)
         pair = L.first_meetless_pair
         if pair is not None:
             raise NotALatticeError(f"elements {perm[pair[0]]} and {perm[pair[1]]} have no unique meet")
@@ -616,24 +615,18 @@ def parse_lattice(document: str | bytes | dict, *, cap: int | None = None) -> Fi
         raise NotALatticeError("empty element list: no bottom element")
 
     n = len(elements)
-    labels = [f"e{i}" for i in range(n)]
-    seen_ids = set()
+    labels: list[str | None] = [None] * n  # n distinct ids in range(n) fill every slot
     for entry in elements:
         if not isinstance(entry, dict) or type(entry.get("id")) is not int:
             raise ParseError('each element must be an object with an integer "id"')
         i = entry["id"]
-        if i in seen_ids or not 0 <= i < n:
+        if not 0 <= i < n or labels[i] is not None:
             raise ParseError(f"element ids must be dense from 0; offending id {i}")
-        seen_ids.add(i)
         labels[i] = str(entry.get("label", f"e{i}"))
 
     pairs = []
     for pair in covers:
-        if (
-            not isinstance(pair, (list, tuple))
-            or len(pair) != 2
-            or not all(type(v) is int for v in pair)
-        ):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2 or (type(pair[0]), type(pair[1])) != (int, int):
             raise ParseError(f"malformed cover entry {pair!r}; expected [lo, hi]")
         pairs.append((pair[0], pair[1]))
 
@@ -679,27 +672,34 @@ def validate(L: FiniteLattice) -> ValidationReport:
 
     lattice-pairs: every two lower covers of a common element have a meet,
     which holds iff every pair has a meet and a join (proof in the module
-    docstring).  semimodular: if x and y both cover z, x ∨ y covers both
-    (Stanley, EC1, Prop. 3.3.2); a counterexample (x, y) has r(x) + r(y) <
-    r(x ∨ y) + r(x ∧ y).  atomic: every element is the join of the atoms
-    below it, that is, every join-irreducible is an atom; a counterexample
-    is the first join-irreducible above rank 1 in id order, which, when ids
-    are a linear extension, is the first element that is not the join of
-    its atoms.  Associativity and absorption are not checked: `meet` and
-    `join` return the greatest lower and least upper bound in the order
-    `leq` reads, so once lattice-pairs passes they obey every lattice
-    identity.  On a non-lattice the checks that need joins, semimodular and
-    atomic, are not run, and a note says so.
+    docstring).  atomic: every join-irreducible is an atom; a counterexample
+    is the first one above rank 1 in id order, which, when ids are a linear
+    extension, is the first element that is not the join of its atoms.
+    semimodular: if x and y both cover z, x ∨ y covers both; a
+    counterexample (x, y) has r(x) + r(y) < r(x ∨ y) + r(x ∧ y).
+    Associativity and absorption are not checked: `meet` and `join` return
+    the greatest lower and least upper bound in the order `leq` reads, so
+    once lattice-pairs passes they obey every lattice identity.  On a
+    non-lattice the checks that need joins, semimodular and atomic, are not
+    run, and a note says so.
+
+    Cost: `first_meetless_pair` (cached), then one pass over the elements
+    and one over the covers, which certifies semimodularity on atomistic
+    input by the atoms each cover gains (module docstring), with no join.
+    Only when that count fails, or the lattice is not atomistic, are the
+    upper covers of each z joined in pairs, to name the first counterexample.
     """
     meetless = L.first_meetless_pair
     lattice = CheckResult("lattice-pairs", meetless is None, meetless)
     if meetless is not None:
         return ValidationReport((lattice,), ("not a lattice: the semimodular and atomic checks were not run",))
-    pairs = (p for z in range(L.n) for p in combinations(L.covers_up[z], 2))
-    semi_ce = next(((x, y) for x, y in pairs if L.rank[L.join(x, y)] != L.rank[x] + 1), None)
     atomic_ce = next(((x,) for x in range(L.n) if L.rank[x] > 1 and len(L.covers_down[x]) == 1), None)
-    return ValidationReport((
-        lattice,
-        CheckResult("semimodular", semi_ce is None, semi_ce),
-        CheckResult("atomic", atomic_ce is None, atomic_ce),
-    ))
+    # a(z) when every mask bit is an atom; the per-x counts sum to Σ_z a(z) (1 + #down(z) - #up(z))
+    a = list(map(int.bit_count, L._down))
+    counted = sum(a) + sum(map(mul, a, map(sub, map(len, L.covers_down), map(len, L.covers_up))))
+    semi_ce = None
+    if atomic_ce is not None or counted != L.n * len(L.atoms):
+        pairs = (p for z in range(L.n) for p in combinations(L.covers_up[z], 2))
+        semi_ce = next(((x, y) for x, y in pairs if L.rank[L.join(x, y)] != L.rank[x] + 1), None)
+    semi = CheckResult("semimodular", semi_ce is None, semi_ce)
+    return ValidationReport((lattice, semi, CheckResult("atomic", atomic_ce is None, atomic_ce)))

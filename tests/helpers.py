@@ -176,6 +176,30 @@ def closure_semimodular(n: int, covers: list[tuple[int, int]]) -> bool:
     return all(rank[x] + rank[y] >= rank[join[x, y]] + rank[meet[x, y]] for x, y in meet)
 
 
+def validation_by_pair_survey(L) -> tuple[tuple[str, bool, tuple | None], ...]:
+    """(name, passed, counterexample) of each of `validate`'s checks on a
+    lattice, from the definitions and the joins of `closure_lattice`.
+
+    semimodular is the pair survey: for z in id order and each two upper
+    covers x < y of z, x ∨ y must cover x; the first failing pair is the
+    counterexample.  atomic: the first element above rank 1 that is not
+    the join of the atoms below it."""
+    rank, meet, join = closure_lattice(L.n, list(L.covers()))
+    semi = next(((x, y) for z in range(L.n) for x, y in combinations(L.covers_up[z], 2)
+                 if rank[join[x, y]] != rank[x] + 1), None)
+    atoms = [a for a in range(L.n) if rank[a] == 1]
+
+    def join_of_atoms_below(x: int) -> int:
+        j = 0
+        for a in atoms:
+            if meet[a, x] == a:
+                j = join[j, a]
+        return j
+
+    atomic = next(((x,) for x in range(L.n) if rank[x] > 1 and join_of_atoms_below(x) != x), None)
+    return ("lattice-pairs", True, None), ("semimodular", semi is None, semi), ("atomic", atomic is None, atomic)
+
+
 def random_bounded_graded_poset(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
     """(n, covers) of a random graded poset with one bottom and one top.
 

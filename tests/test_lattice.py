@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latspec.lattice
-from helpers import closure_lattice, closure_semimodular, random_bounded_graded_poset, random_flats_document
+from helpers import (
+    closure_lattice,
+    closure_semimodular,
+    random_bounded_graded_poset,
+    random_flats_document,
+    random_lattices,
+    validation_by_pair_survey,
+)
 from latspec import (
     FiniteLattice,
     LatticeError,
@@ -349,6 +356,51 @@ class TestCoCoverCertificate:
         assert not lattice.passed and lattice.counterexample == (3, 4)
         assert not report.passed()
         assert report.notes == ("not a lattice: the semimodular and atomic checks were not run",)
+
+
+class TestSemimodularFromGainedAtoms:
+    """On atomistic input `validate` certifies semimodularity by counting
+    the atoms each cover gains, and joins pairs of upper covers only when
+    the count fails; the verdicts and counterexamples are those of the
+    pair survey."""
+
+    def test_checks_equal_the_pair_survey_oracle(self):
+        verdicts = []
+        for L in random_lattices():
+            report = validate(L)
+            assert tuple((c.name, c.passed, c.counterexample) for c in report.checks) == validation_by_pair_survey(L)
+            verdicts.append((report.checks[1].passed, report.checks[2].passed))
+        atomistic = [semimodular for semimodular, atomic in verdicts if atomic]
+        assert len(atomistic) > 400 and 10 <= atomistic.count(False) < 50
+
+    def test_geometric_lattices_validate_without_a_join(self, monkeypatch):
+        doc = build_projective(5, 2).to_document()
+        perm = list(range(len(doc["elements"])))
+        random.Random(7).shuffle(perm)
+        relabelled = {
+            "elements": [{"id": perm[e["id"]], "label": e["label"]} for e in doc["elements"]],
+            "covers": [[perm[x], perm[y]] for x, y in doc["covers"]],
+        }
+        lattices = [build_projective(6, 2), build_affine(4, 2), build_boolean(10), parse_lattice(relabelled)]
+
+        def no_join(self, x, y):
+            raise AssertionError(f"join({x}, {y}) called")
+
+        monkeypatch.setattr(FiniteLattice, "join", no_join)
+        for L in lattices:
+            assert validate(L).passed(), L.family_tag
+
+    @pytest.mark.parametrize("covers_up, message", [
+        ([[1, 1], []], r"^cover \[0, 1\] is repeated$"),
+        ([[-1], []], r"^cover \[0, -1\] references an unknown element id$"),
+        ([[5], []], r"^cover \[0, 5\] references an unknown element id$"),
+    ])
+    def test_constructor_rejects_repeated_and_unknown_cover_ids(self, covers_up, message):
+        with pytest.raises(LatticeError, match=message):
+            FiniteLattice([0, 1], covers_up)
+
+    def test_from_covers_still_merges_repeated_covers(self):
+        assert FiniteLattice.from_covers(2, [(0, 1), (0, 1)]) == FiniteLattice([0, 1], [[1], []])
 
 
 def test_validation_is_computed_once_on_first_read(monkeypatch):
