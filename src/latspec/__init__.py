@@ -7,7 +7,27 @@ resulting Hamiltonian to the rank-radial Jacobi matrix; and computes
 determinant recurrences, vacuum resolvents and moments, spectral
 measures, and the product/convolution laws, with every rational quantity
 exact.
+
+Importing latspec starts numpy with OpenBLAS limited to one thread; set
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS, or import
+numpy first, to keep the BLAS default.
 """
+
+import os as _os
+import sys as _sys
+from types import ModuleType as _ModuleType
+
+# The one LAPACK call, eigh of an (r+1)x(r+1) Jacobi matrix, is far below the
+# size at which OpenBLAS splits work, so a BLAS worker thread could only cost
+# start-up time and a spinning core.  The limit holds for numpy's import only:
+# OpenBLAS reads it once, and subprocesses see the caller's environment.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in _sys.modules and not any(var in _os.environ for var in _BLAS_THREAD_VARS):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .diamond import (
     ZERO,
@@ -76,61 +96,4 @@ from .verify import SuiteResult, run_invariant_suite
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ZERO",
-    "CheckResult",
-    "FiniteLattice",
-    "InvarianceReport",
-    "JacobiData",
-    "LatticeError",
-    "MomentSequence",
-    "NotALatticeError",
-    "NotAPosetError",
-    "NotGradedError",
-    "OperatorMatrix",
-    "ParseError",
-    "RankLayers",
-    "RationalFunction",
-    "RationalPolynomial",
-    "SizeBoundError",
-    "SpectralMeasure",
-    "SuiteResult",
-    "ValidationReport",
-    "affine_jacobi",
-    "annihilation_operator",
-    "boolean_closed_form",
-    "boolean_jacobi",
-    "build_affine",
-    "build_boolean",
-    "build_product",
-    "build_projective",
-    "build_uniform",
-    "convolve_measures",
-    "convolve_moments",
-    "cover_weight_sums",
-    "creation_operator",
-    "determinant_polynomials",
-    "diamond",
-    "diamond_table",
-    "eigendecompose",
-    "gaussian_binomial",
-    "hamiltonian",
-    "jacobi_from_compression",
-    "jacobi_from_formula",
-    "kronecker_sum",
-    "kronecker_sum_check",
-    "nonassociativity_witness",
-    "parse_lattice",
-    "product_law_checks",
-    "projective_jacobi",
-    "q_int",
-    "radial_invariance",
-    "read_lattice_file",
-    "reduced_resolvent",
-    "resolvent",
-    "run_invariant_suite",
-    "shuffle_entry",
-    "vacuum_moments_full",
-    "vacuum_moments_radial",
-    "validate",
-]
+__all__ = [name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _ModuleType))]

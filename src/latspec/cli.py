@@ -350,7 +350,7 @@ def _add_common_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write machine-readable output to this path")
     sub.add_argument("--format", dest="fmt", choices=("table", "machine"), default="table")
     sub.add_argument("--precision", type=non_negative_int, default=12, help="decimal digits for floats")
-    sub.add_argument("--size-cap", type=int, default=None, help="override the element count cap")
+    sub.add_argument("--size-cap", type=non_negative_int, default=None, help="override the element count cap")
 
 
 def build_parser() -> argparse.ArgumentParser:

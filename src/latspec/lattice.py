@@ -120,9 +120,12 @@ def size_cap(override: int | None = None) -> int:
         return override
     env = os.environ.get(SIZE_CAP_ENV)
     try:
-        return int(env) if env else DEFAULT_SIZE_CAP
+        cap = int(env) if env else DEFAULT_SIZE_CAP
     except ValueError:
         raise SizeBoundError(f"{SIZE_CAP_ENV}={env!r} is not an integer") from None
+    if cap < 0:
+        raise SizeBoundError(f"{SIZE_CAP_ENV}={env!r} is negative")
+    return cap
 
 
 def _check_size(n: int, cap: int | None) -> None:

@@ -345,6 +345,7 @@ class TestBadSourceErrors:
             ["moments", "--family", "boolean", "--n", "2", "--max-k", "-1"],
             ["product-check", "--left", "boolean:1", "--right", "boolean:1", "--max-k", "-1"],
             ["spectrum", "--family", "boolean", "--n", "2", "--precision", "-1"],
+            ["build", "--family", "boolean", "--n", "2", "--size-cap", "-1"],
         ],
     )
     def test_negative_flag_is_a_usage_error(self, capsys, argv):
@@ -387,9 +388,10 @@ class TestUsageErrors:
     def test_malformed_size_cap_env(self, capsys, monkeypatch, tmp_path, argv):
         (tmp_path / "doc.json").write_text(json.dumps(HEXAGON))
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("LATTICE_SIZE_CAP", "abc")
-        code, out, err = run(capsys, *argv)
-        assert (code, out, err) == (1, "", "error: LATTICE_SIZE_CAP='abc' is not an integer\n")
+        for value, reason in (("abc", "is not an integer"), ("-1", "is negative")):
+            monkeypatch.setenv("LATTICE_SIZE_CAP", value)
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (1, "", f"error: LATTICE_SIZE_CAP='{value}' {reason}\n")
 
     def test_malformed_size_cap_env_is_not_blamed_on_the_document(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "doc.json"

@@ -513,10 +513,11 @@ class TestSizeCap:
         assert build_boolean(4, cap=50).n == 16
 
     def test_malformed_env_is_a_typed_error(self, monkeypatch):
-        monkeypatch.setenv("LATTICE_SIZE_CAP", "abc")
-        with pytest.raises(SizeBoundError, match="LATTICE_SIZE_CAP='abc' is not an integer"):
-            build_boolean(2)
-        assert build_boolean(2, cap=10).n == 4
+        for value, reason in (("abc", "is not an integer"), ("-1", "is negative")):
+            monkeypatch.setenv("LATTICE_SIZE_CAP", value)
+            with pytest.raises(SizeBoundError, match=f"^LATTICE_SIZE_CAP='{value}' {reason}$"):
+                build_boolean(2)
+            assert build_boolean(2, cap=10).n == 4
 
 
 @settings(max_examples=60, deadline=None)

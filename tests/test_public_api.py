@@ -1,11 +1,18 @@
-"""The names that the benchmark and the scripts import from latspec exist.
+"""The names that the benchmark and the scripts import from latspec exist,
+and importing latspec starts numpy with one BLAS thread unless the caller
+chose otherwise.
 
 `perfbench/` and `scripts/` run outside tier-1, so a deleted public name
 they read would otherwise fail only there."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -40,3 +47,52 @@ def test_all_resolves_and_holds_no_deleted_name():
     assert all(hasattr(latspec, name) for name in latspec.__all__)
     assert not set(DELETED) & set(latspec.__all__)
     assert not any(hasattr(latspec, name) for name in DELETED)
+
+
+def test_all_holds_no_module_and_no_private_name():
+    assert not [name for name in latspec.__all__ if name.startswith("_")]
+    assert not [name for name in latspec.__all__ if isinstance(getattr(latspec, name), ModuleType)]
+    assert callable(latspec.diamond)
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _import_in_fresh_interpreter(code: str, **env: str) -> dict:
+    """Run `code` then report the BLAS thread variables and the thread count."""
+    report = (
+        "import json, os\n"
+        f"{code}\n"
+        "task = '/proc/self/task'\n"
+        f"print(json.dumps({{'env': {{v: os.environ.get(v) for v in {BLAS_THREAD_VARS!r}}},"
+        " 'threads': len(os.listdir(task)) if os.path.isdir(task) else None}))"
+    )
+    child_env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    child_env.update(env, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", report], env=child_env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def test_import_starts_one_thread_and_restores_the_environment():
+    result = _import_in_fresh_interpreter("import latspec")
+    assert result["env"] == dict.fromkeys(BLAS_THREAD_VARS)
+    if result["threads"] is not None:
+        assert result["threads"] == 1
+
+
+def test_callers_openblas_thread_count_is_kept():
+    result = _import_in_fresh_interpreter("import latspec", OPENBLAS_NUM_THREADS="2")
+    assert result["env"]["OPENBLAS_NUM_THREADS"] == "2"
+    assert result["threads"] == _import_in_fresh_interpreter("import numpy", OPENBLAS_NUM_THREADS="2")["threads"]
+
+
+def test_numpy_imported_first_is_left_alone():
+    code = "import numpy\nbefore = dict(os.environ)\nimport latspec\nassert dict(os.environ) == before"
+    result = _import_in_fresh_interpreter(code)
+    assert result["env"] == dict.fromkeys(BLAS_THREAD_VARS)
+
+
+def test_callers_omp_thread_count_is_respected():
+    result = _import_in_fresh_interpreter("import latspec", OMP_NUM_THREADS="2")
+    assert result["env"] == {"OPENBLAS_NUM_THREADS": None, "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": "2"}
+    assert result["threads"] == _import_in_fresh_interpreter("import numpy", OMP_NUM_THREADS="2")["threads"]
