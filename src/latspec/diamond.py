@@ -268,20 +268,15 @@ def _creation_pairs(L: FiniteLattice, a: int) -> np.ndarray:
     return np.stack([products[lower], lower])
 
 
-def _lowering_pairs(L: FiniteLattice) -> list[np.ndarray]:
-    """Per atom a, in `L.atoms` order, the (y, x) of each cover x ⋖ y that
-    gains it (a <= y, a ≰ x) as a 2 x m array in x order: one pass over the
-    covers reads the gained atoms J(y) & ~J(x), where atom i holds bit i.
-    On a lattice an atom has at most one pair per lower element x: if
-    covers y1 != y2 of x both gained a, then a <= y1 ∧ y2 = x."""
-    below = [L.atoms_below(x) for x in range(L.n)]
-    found: list[list[int]] = [[] for _ in L.atoms]  # y0, x0, y1, x1, ... per atom
-    for x, y in L.covers():
-        gained = below[y] & ~below[x]
-        while gained:
-            found[(gained & -gained).bit_length() - 1] += (y, x)
-            gained &= gained - 1
-    return [np.array(pairs, dtype=np.int64).reshape(-1, 2).T for pairs in found]
+def _lowering_pairs(L: FiniteLattice, i: int, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The (y, x) of each cover x ⋖ y, given as `_cover_arrays`' lower and
+    upper, that gains the atom L.atoms[i] (bit i set in J(y), clear in J(x)),
+    as a 2 x m array in x order.  On a lattice an atom has at most one pair
+    per lower element x: if covers y1 != y2 of x both gained a, then
+    a <= y1 ∧ y2 = x."""
+    holds = np.fromiter(map((1 << i).__and__, L._down), bool, L.n)
+    gains = holds[upper] & ~holds[lower]
+    return np.stack([upper[gains], lower[gains]])
 
 
 def creation_operator(L: FiniteLattice, a: int) -> OperatorMatrix:
@@ -295,7 +290,8 @@ def creation_operator(L: FiniteLattice, a: int) -> OperatorMatrix:
 
 def annihilation_operator(L: FiniteLattice, a: int) -> OperatorMatrix:
     """Lowering by the atom a: column y holds a 1 at each lower cover x of
-    y with a <= y and a ≰ x, from the covers and atom masks, never `diamond`.
+    y with a <= y and a ≰ x, the pairs `_lowering_pairs` selects from the
+    covers and atom masks, never `diamond`; `verify` reads the same pairs.
 
     On any lattice each entry is a term of the adjoint's defining sum,
     a ∨ x = y and a ∧ x = 0: x < a ∨ x <= y with x ⋖ y, and a ∧ x < a.
@@ -304,15 +300,18 @@ def annihilation_operator(L: FiniteLattice, a: int) -> OperatorMatrix:
     creation transpose exactly when a raises no rank by more than one."""
     if a not in L.atoms:
         raise ValueError(f"element {a} is not an atom")
-    above = [L.leq(a, x) for x in range(L.n)]
-    lower, upper = np.array([(x, y) for x, y in L.covers() if above[y] and not above[x]], np.int64).reshape(-1, 2).T
+    upper, lower = _lowering_pairs(L, L.atoms.index(a), *_cover_arrays(L)[:2])
     return OperatorMatrix(L.n, lower, upper, np.ones(upper.size, dtype=np.int64))
 
 
 def _assemble(L: FiniteLattice, pairs: Iterable[np.ndarray]) -> OperatorMatrix:
-    """(1/2) * sum over atoms of (P_a + P_a^t), P_a holding a 1 at each pair of a."""
-    upper, lower = np.hstack([np.empty((2, 0), np.int64), *pairs])
-    return OperatorMatrix(L.n, np.r_[upper, lower], np.r_[lower, upper], np.ones(2 * upper.size, np.int64), 2)
+    """(1/2) * sum over atoms of (P_a + P_a^t), P_a holding a 1 at each pair
+    of a.  Equal pairs are counted by their key y·n + x before mirroring, so
+    the constructor sees each entry once."""
+    keys = np.concatenate([np.empty(0, np.int64), *(y * L.n + x for y, x in pairs)])
+    keys, counts = np.unique(keys, return_counts=True)
+    upper, lower = np.divmod(keys, L.n)
+    return OperatorMatrix(L.n, np.r_[upper, lower], np.r_[lower, upper], np.r_[counts, counts], 2)
 
 
 def _cover_arrays(L: FiniteLattice) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -8,6 +8,7 @@ dictionary keys.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Iterable
 
 Vec = tuple[int, ...]
@@ -15,14 +16,7 @@ Rref = tuple[Vec, ...]
 
 
 def is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 1
-    return True
+    return q >= 2 and all(q % d for d in range(2, isqrt(q) + 1))
 
 
 def q_int(m: int, q: int) -> int:

@@ -78,7 +78,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, combinations, islice, product
+from itertools import accumulate, chain, combinations, islice, product
 from math import comb
 from operator import itemgetter, mul, sub
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
@@ -128,8 +128,13 @@ def size_cap(override: int | None = None) -> int:
     return cap
 
 
-def _check_size(n: int, cap: int | None) -> None:
+def _check_size(sizes: Iterable[int], cap: int | None) -> None:
+    """Refuse layer sizes that sum past the cap, summing no further than max(cap, 2^64)."""
     limit = size_cap(cap)
+    stop, n = max(limit, 2**64), 0
+    for n in accumulate(sizes):
+        if n > stop:
+            raise SizeBoundError(f"lattice would have more than {stop} elements, exceeding the cap of {limit}")
     if n > limit:
         raise SizeBoundError(f"lattice would have {n} elements, exceeding the cap of {limit}")
 
@@ -332,7 +337,7 @@ class FiniteLattice:
         """
         if n == 0:
             raise NotALatticeError("empty element list: no bottom element")
-        _check_size(n, cap)
+        _check_size((n,), cap)
         succ: list[list[int]] = [[] for _ in range(n)]
         indeg = [0] * n
         seen = set()
@@ -448,7 +453,7 @@ def build_boolean(n: int, *, cap: int | None = None) -> FiniteLattice:
         raise ValueError("n must be non-negative")
     if n > BOOLEAN_MAX_GROUND:
         raise SizeBoundError(f"boolean ground sets are limited to {BOOLEAN_MAX_GROUND} elements")
-    _check_size(2**n, cap)
+    _check_size((2**n,), cap)
 
     def join(mask: int, i: int) -> int:
         return mask | 1 << i
@@ -466,7 +471,7 @@ def build_uniform(r: int, m: int, *, cap: int | None = None) -> FiniteLattice:
         raise ValueError("r must be at least 1")
     if m < r:
         raise ValueError("m must be at least r")
-    _check_size(sum(comb(m, k) for k in range(r)) + 1, cap)
+    _check_size(chain((1,), (comb(m, k) for k in range(r))), cap)
     full = (1 << m) - 1
 
     def join(mask: int, i: int) -> int:
@@ -519,10 +524,11 @@ def build_projective(r: int, q: int, *, cap: int | None = None) -> FiniteLattice
     `gf.rref` per subspace; within a rank, elements are ordered by basis."""
     if r < 1:
         raise ValueError("r must be at least 1")
+    if q < 2:  # the rest of primality waits for the cap: trial division on a huge q is slow
+        raise ValueError(f"q = {q} must be prime")
+    _check_size((gf.gaussian_binomial(r, k, q) for k in range(r + 1)), cap)
     if not gf.is_prime(q):
         raise ValueError(f"q = {q} must be prime")
-    total = sum(gf.gaussian_binomial(r, k, q) for k in range(r + 1))
-    _check_size(total, cap)
     points, close = _projective_space(r, q)
 
     def name(basis: gf.Rref, i: int) -> gf.Rref:
@@ -545,10 +551,11 @@ def build_affine(r: int, q: int, *, cap: int | None = None) -> FiniteLattice:
     ordered by that (basis, rep) tuple."""
     if r < 1:
         raise ValueError("r must be at least 1")
+    if q < 2:
+        raise ValueError(f"q = {q} must be prime")
+    _check_size(chain((1,), (q ** (r - k) * gf.gaussian_binomial(r, k, q) for k in range(r + 1))), cap)
     if not gf.is_prime(q):
         raise ValueError(f"q = {q} must be prime")
-    total = 1 + sum(q ** (r - k) * gf.gaussian_binomial(r, k, q) for k in range(r + 1))
-    _check_size(total, cap)
     points, close = _projective_space(r + 1, q)
 
     def name(flat: tuple[gf.Rref, gf.Vec] | None, i: int) -> tuple[gf.Rref, gf.Vec]:
@@ -572,7 +579,7 @@ def build_product(L1: FiniteLattice, L2: FiniteLattice, *, cap: int | None = Non
     x1 * L2.n + x2 (lexicographic), rank is the sum of component ranks, and
     the atoms are exactly the pairs (a, bottom) and (bottom, b)."""
     n1, n2 = L1.n, L2.n
-    _check_size(n1 * n2, cap)
+    _check_size((n1 * n2,), cap)
     rank = [L1.rank[x1] + L2.rank[x2] for x1 in range(n1) for x2 in range(n2)]
     covers_up = [
         [y1 * n2 + x2 for y1 in L1.covers_up[x1]]

@@ -12,10 +12,11 @@ bottom as unit of the diamond product (`diamond`: J(0) is empty, so
 the duality of `resolvent` and `vacuum_moments_radial`, which reads the
 moments off the resolvent's series (Cramer's rule, in its docstring).
 
-Each atom's creation pairs (a ⋄ x, x), from `diamond`, and lowering pairs,
-from the covers that gain it, are built once: atom-raises-rank reads the
-first, and transpose-consistency compares the two and so fails exactly
-where atom-raises-rank does (`annihilation_operator`).  assembly-agreement
+Atom by atom, the creation pairs (a ⋄ x, x), from `diamond`, and the
+lowering pairs, from the covers that gain a, are built and checked, and
+only the creation pairs kept: atom-raises-rank reads the first, and
+transpose-consistency compares the two and so fails exactly where
+atom-raises-rank does (`annihilation_operator`).  assembly-agreement
 compares `_assemble` of the creation pairs, the H every later check reads,
 with `hamiltonian`, the cover rule from which the other verbs read H.
 So H needs no bipartite check: as `_assemble` of the creation pairs, its
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diamond import _assemble, _creation_pairs, _lowering_pairs, hamiltonian
+from .diamond import _assemble, _cover_arrays, _creation_pairs, _lowering_pairs, hamiltonian
 from .lattice import FiniteLattice
 from .radial import jacobi_from_compression, jacobi_from_formula, radial_invariance
 from .spectral import eigendecompose, vacuum_moments_full, vacuum_moments_radial
@@ -106,20 +107,19 @@ def run_invariant_suite(L: FiniteLattice) -> list[SuiteResult]:
     if L.first_meetless_pair is not None:
         return results
 
-    # Both lists hold at most one pair per x, in x order (`_lowering_pairs`),
+    # Both pair arrays hold at most one pair per x, in x order (`_lowering_pairs`),
     # so equal arrays are equal operators and the first bad pair is the first x.
-    creation = [_creation_pairs(L, a) for a in L.atoms]
-    lowering = _lowering_pairs(L)
+    lower, upper = _cover_arrays(L)[:2]
     rank = np.asarray(L.rank)
-    bad = next(
-        (f"atom {a}, element {lower[i[0]]}" for a, (upper, lower) in zip(L.atoms, creation)
-         if (i := np.flatnonzero(rank[upper] != rank[lower] + 1)).size),
-        "",
-    )
-    results.append(SuiteResult("diamond:atom-raises-rank", not bad, bad))
-
-    bad = next((f"atom {a}" for a, C, A in zip(L.atoms, creation, lowering) if not np.array_equal(C, A)), "")
-    results.append(SuiteResult("operators:transpose-consistency", not bad, bad))
+    creation, raises, transposes = [], "", ""
+    for i, a in enumerate(L.atoms):
+        creation.append(C := _creation_pairs(L, a))
+        if not raises and (j := np.flatnonzero(rank[C[0]] != rank[C[1]] + 1)).size:
+            raises = f"atom {a}, element {C[1, j[0]]}"
+        if not np.array_equal(C, _lowering_pairs(L, i, lower, upper)):
+            transposes = transposes or f"atom {a}"
+    results.append(SuiteResult("diamond:atom-raises-rank", not raises, raises))
+    results.append(SuiteResult("operators:transpose-consistency", not transposes, transposes))
 
     H = _assemble(L, creation)
     results.append(SuiteResult("hamiltonian:assembly-agreement", H == hamiltonian(L)))

@@ -13,7 +13,10 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
+import numpy as np
+
 from latspec import FiniteLattice, NotALatticeError, OperatorMatrix, RationalPolynomial, parse_lattice
+from latspec.diamond import _cover_arrays, _lowering_pairs
 from latspec.gf import in_rowspace, rref
 
 
@@ -126,6 +129,22 @@ def annihilation_by_defining_sum(L, a: int) -> OperatorMatrix:
     pairs = [(x, y, 1) for y in range(L.n) if L.leq(a, y) for x in range(L.n)
              if L.leq(x, y) and L.join(a, x) == y and L.meet(a, x) == 0]
     return OperatorMatrix.from_entries(L.n, pairs)
+
+
+def annihilation_by_leq(L, a: int) -> OperatorMatrix:
+    """The annihilation operator by its cover form, read through `leq`:
+    column y holds a 1 at each lower cover x of y with a <= y and a ≰ x.
+    One `leq` per element and a pass over `L.covers()`, with neither the
+    cover arrays nor the atom bit that `_lowering_pairs` selects on."""
+    above = [L.leq(a, x) for x in range(L.n)]
+    lower, upper = np.array([(x, y) for x, y in L.covers() if above[y] and not above[x]], np.int64).reshape(-1, 2).T
+    return OperatorMatrix(L.n, lower, upper, np.ones(upper.size, dtype=np.int64))
+
+
+def lowering_pairs_by_atom(L) -> list[np.ndarray]:
+    """`_lowering_pairs` of every atom, in `L.atoms` order."""
+    lower, upper = _cover_arrays(L)[:2]
+    return [_lowering_pairs(L, i, lower, upper) for i in range(len(L.atoms))]
 
 
 # ---------------------------------------------------------------------------

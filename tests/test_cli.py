@@ -377,6 +377,13 @@ class TestUsageErrors:
         assert code == 1
         assert "exceeding" in err
 
+    def test_size_cap_refuses_a_count_too_long_to_print(self, capsys):
+        # projective(300, 2) has about 2^22500 elements: more digits than
+        # int-to-str conversion allows, so the message names 2^64 instead
+        code, _, err = run(capsys, "build", "--family", "projective", "--r", "300", "--q", "2")
+        assert code == 1
+        assert "more than 18446744073709551616 elements, exceeding the cap" in err
+
     def test_size_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("LATTICE_SIZE_CAP", "5")
         code, _, err = run(capsys, "build", "--family", "boolean", "--n", "4")

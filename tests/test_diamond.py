@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from helpers import (
     annihilation_by_defining_sum,
+    annihilation_by_leq,
     dense_power_entry,
+    lowering_pairs_by_atom,
     random_bounded_graded_poset,
     random_flats_document,
     random_lattices,
@@ -33,7 +35,7 @@ from latspec import (
     parse_lattice,
     vacuum_moments_full,
 )
-from latspec.diamond import _assemble, _creation_pairs, _lowering_pairs
+from latspec.diamond import _assemble, _creation_pairs
 
 HALF = Fraction(1, 2)
 
@@ -214,7 +216,7 @@ class TestHamiltonian:
 
     def test_assembly_methods_agree(self, small_lattices):
         for L in small_lattices:
-            assert hamiltonian(L) == _assemble(L, _lowering_pairs(L))
+            assert hamiltonian(L) == _assemble(L, lowering_pairs_by_atom(L))
 
     def test_symmetric(self, small_lattices):
         for L in small_lattices:
@@ -332,11 +334,12 @@ def test_hamiltonian_sums_atom_parts(data):
 
 def test_assemblies_equal_public_operator_sums(small_lattices):
     """hamiltonian(L) is (1/2) sum_a (C_a + C_a^t) over `creation_operator`
-    and _assemble(L, _lowering_pairs(L)) the same sum over the transposed
+    and `_assemble` of the lowering pairs the same sum over the transposed
     `annihilation_operator`, including on the lattices where an atom raises
-    rank by two and the two differ.  Each annihilation operator holds at most
-    one entry per lower element x, which `run_invariant_suite`'s comparison
-    of the pair arrays relies on."""
+    rank by two and the two differ.  Each annihilation operator equals its
+    cover form read through `leq`, and holds at most one entry per lower
+    element x, which `run_invariant_suite`'s comparison of the pair arrays
+    relies on."""
 
     def half_sum(L, parts):
         total = OperatorMatrix.from_entries(L.n, [])
@@ -356,8 +359,9 @@ def test_assemblies_equal_public_operator_sums(small_lattices):
         rank = np.asarray(L.rank)
         creation = [creation_operator(L, a) for a in L.atoms]
         lowering = [annihilation_operator(L, a).transpose() for a in L.atoms]
+        assert lowering == [annihilation_by_leq(L, a).transpose() for a in L.atoms]
         assert hamiltonian(L) == half_sum(L, creation)
-        assert _assemble(L, _lowering_pairs(L)) == half_sum(L, lowering)
+        assert _assemble(L, lowering_pairs_by_atom(L)) == half_sum(L, lowering)
         assert all(np.unique(P.cols).size == P.nnz() for P in lowering)
         rank_two += any((rank[C.rows] == rank[C.cols] + 2).any() for C in creation)
     assert len(lattices) == len(small_lattices) + 360 and rank_two == 23

@@ -519,6 +519,42 @@ class TestSizeCap:
                 build_boolean(2)
             assert build_boolean(2, cap=10).n == 4
 
+    @pytest.mark.parametrize(
+        "build, args, count",
+        [
+            (build_projective, (300, 2), "more than 18446744073709551616"),
+            (build_affine, (300, 2), "more than 18446744073709551616"),
+            (build_uniform, (20000, 40000), "more than 18446744073709551616"),
+            (build_projective, (2, 10**18 + 3), "1000000000000000006"),
+        ],
+    )
+    def test_huge_requests_are_refused_before_any_work(self, monkeypatch, build, args, count):
+        # the count once overflowed str() (projective(300, 2)), summed 20,000
+        # binomials (uniform(20000, 40000)) or waited on trial division
+        # (q = 10^18 + 3) before the cap was read; now a few layer sizes are
+        # summed, and neither primality nor the builder is reached
+        sizes = []
+
+        def counted(f):
+            return lambda *a: sizes.append(a) or f(*a)
+
+        def unreachable(*_):
+            raise AssertionError("reached past the size guard")
+
+        monkeypatch.setattr(latspec.lattice, "comb", counted(latspec.lattice.comb))
+        monkeypatch.setattr(latspec.lattice.gf, "gaussian_binomial", counted(latspec.lattice.gf.gaussian_binomial))
+        monkeypatch.setattr(latspec.lattice.gf, "is_prime", unreachable)
+        monkeypatch.setattr(latspec.lattice, "_build_flats", unreachable)
+        with pytest.raises(SizeBoundError, match=f"^lattice would have {count} elements, exceeding the cap of 1000$"):
+            build(*args, cap=1000)
+        assert len(sizes) <= 6
+
+    def test_q_below_two_is_refused_before_the_size(self):
+        for build in (build_projective, build_affine):
+            for q in (1, 0, -3):
+                with pytest.raises(ValueError, match=f"q = {q} must be prime"):
+                    build(2, q)
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from helpers import random_bounded_graded_poset, random_flats_document
+from helpers import lowering_pairs_by_atom, random_bounded_graded_poset, random_flats_document
 from latspec import (
     FiniteLattice,
     JacobiData,
@@ -23,7 +23,6 @@ from latspec import (
     radial_invariance,
     q_int,
 )
-from latspec.diamond import _lowering_pairs
 
 
 def affine_beta_sq(r: int, q: int, k: int) -> Fraction:
@@ -89,7 +88,7 @@ class TestCoverWeights:
         assert len(lattices) == 1152
         for L in lattices:
             W = [0] * L.top_rank
-            for _, lower in _lowering_pairs(L):
+            for _, lower in lowering_pairs_by_atom(L):
                 for x in lower.tolist():
                     W[L.rank[x]] += 1
             assert cover_weight_sums(L) == tuple(W), list(L.covers())

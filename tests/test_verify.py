@@ -189,15 +189,16 @@ def test_suite_reuses_the_report_of_a_parsed_document(m3, monkeypatch):
     assert calls == [L]
 
 
-def _count_lowering_passes(monkeypatch) -> list:
-    """Patch `_lowering_pairs` in every module that holds it; return the calls."""
+def _count_lowering_selections(monkeypatch) -> list:
+    """Patch `_lowering_pairs` in every module that holds it; return the
+    (lattice, atom index) of each call."""
     calls = []
     modules = [importlib.import_module(f"latspec.{name}") for name in ("diamond", "radial", "verify")]
     lowering = modules[0]._lowering_pairs
 
-    def counted(L):
-        calls.append(L)
-        return lowering(L)
+    def counted(L, i, lower, upper):
+        calls.append((L, i))
+        return lowering(L, i, lower, upper)
 
     for module in modules:
         if hasattr(module, "_lowering_pairs"):
@@ -206,18 +207,18 @@ def _count_lowering_passes(monkeypatch) -> list:
 
 
 def test_formula_makes_no_lowering_pass(monkeypatch):
-    calls = _count_lowering_passes(monkeypatch)
+    calls = _count_lowering_selections(monkeypatch)
     for L in (build_boolean(5), build_projective(3, 3), build_affine(2, 3)):
         jacobi_from_formula(L)
     assert calls == []
 
 
-def test_suite_makes_one_lowering_pass(monkeypatch):
-    calls = _count_lowering_passes(monkeypatch)
+def test_suite_selects_each_atoms_lowering_pairs_once(monkeypatch):
+    calls = _count_lowering_selections(monkeypatch)
     for L in (build_boolean(5), build_projective(3, 3), build_product(build_uniform(2, 3), build_boolean(1))):
         calls.clear()
         assert len(run_invariant_suite(L)) == len(SUITE_NAMES)
-        assert calls == [L]
+        assert calls == [(L, i) for i in range(len(L.atoms))]
 
 
 class TestDocumentRoundTrip:
