@@ -238,8 +238,6 @@ class FiniteLattice:
         if self.covers_up.count(()) != 1:
             raise NotALatticeError(f"expected a unique top element, found {self.covers_up.count(())}")
         self.top = self.covers_up.index(())
-        if self.rank[self.top] != self.top_rank:
-            raise NotGradedError("the unique maximal element does not have the maximal rank")
 
         layers: list[list[int]] = [[] for _ in range(self.top_rank + 1)]
         for i, rk in enumerate(self.rank):
@@ -481,21 +479,38 @@ def build_uniform(r: int, m: int, *, cap: int | None = None) -> FiniteLattice:
     return _build_flats(f"uniform({r},{m})", 0, full, join, join, _subset_label)
 
 
-def _projective_space(r: int, q: int) -> tuple[list[gf.Vec], Callable[[int, int], int]]:
-    """The points of PG(r - 1, q), the vectors of F_q^r with leading
-    coordinate 1 in lexicographic order, and `close(F, i)`, the mask of the
-    span of a subspace's point mask F and point i.  Every vector of U + ⟨p⟩
-    is u + c·p (Oxley, Matroid Theory, §6.1), so F ∨ p is p together with
-    the lines through p and each point of F, read from a table of line
-    masks: lines[i][u] is the mask of the line through points i and u,
-    one shared object per line."""
-    points = [v for v in product(range(q), repeat=r) if next((x for x in v if x), 0) == 1]
-    # every nonzero vector, to the point it spans
-    index = {tuple(c * x % q for x in v): i for i, v in enumerate(points) for c in range(1, q)}
+def _projective_space(r: int, q: int, cap: int | None, affine: bool) -> tuple[list[gf.Vec], Callable[[int, int], int]]:
+    """The front end of both q-families: check r ≥ 1, q ≥ 2, the cap on the
+    layer sizes (summed lazily), the bound on q and q's primality, in that
+    order, then return the points of PG(d - 1, q), d = r (+ 1 when affine),
+    the vectors of F_q^d with leading coordinate 1 in lexicographic order
+    (pivot d - 1 first), each indexed once, and `close(F, i)`, the mask of
+    the span of a subspace's point mask F and point i.  Every vector of
+    U + ⟨p⟩ is u + c·p (Oxley, Matroid Theory, §6.1), so F ∨ p is p with the
+    lines through p and each point of F, read from a table of line masks:
+    lines[i][u] is the mask of the line through points i and u, one shared
+    object per line.  `combinations` first meets a line at its two lowest ids
+    u < p.  Exactly one point of a line has its later pivot j2, and it has the
+    lowest id; so u is zero at p's pivot j1 < j2, and the other points c·u + p,
+    c = 1..q - 1, have a leading 1 at j1: they are normalized."""
+    if r < 1:
+        raise ValueError("r must be at least 1")
+    if q < 2:
+        raise ValueError(f"q = {q} must be prime")
+    # the k-flats: (r choose k)_q subspaces, times q^(r - k) cosets above the adjoined bottom when affine
+    sizes = (q ** ((r - k) * affine) * gf.gaussian_binomial(r, k, q) for k in range(r + 1))
+    _check_size(chain((1,) * affine, sizes), cap)
+    if q >= gf.PRIME_TEST_BOUND:  # only r = 1 passes the cap with such a q
+        raise SizeBoundError(f"q = {q} is past {gf.PRIME_TEST_BOUND}, below which primality is decided exactly")
+    if not gf.is_prime(q):
+        raise ValueError(f"q = {q} must be prime")
+    d = r + affine
+    points = [(0,) * j + (1,) + tail for j in reversed(range(d)) for tail in product(range(q), repeat=d - 1 - j)]
+    index = {v: i for i, v in enumerate(points)}
     lines = [[0] * len(points) for _ in points]
     for u, p in combinations(range(len(points)), 2):
         if not lines[u][p]:
-            line = [u, p] + [index[tuple((a + c * b) % q for a, b in zip(points[u], points[p]))]
+            line = [u, p] + [index[tuple((c * a + b) % q for a, b in zip(points[u], points[p]))]
                              for c in range(1, q)]
             mask = sum(1 << a for a in line)
             for a, b in product(line, repeat=2):
@@ -521,18 +536,11 @@ def build_projective(r: int, q: int, *, cap: int | None = None) -> FiniteLattice
     size (r choose k)_q.  Generated as a lattice of flats: a subspace is the
     mask of its points in PG(r - 1, q), closed through the line table of
     `_projective_space`, and is named by its reduced echelon basis, one
-    `gf.rref` per subspace; within a rank, elements are ordered by basis."""
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    if q < 2:  # the rest of primality waits for the cap: trial division on a huge q is slow
-        raise ValueError(f"q = {q} must be prime")
-    _check_size((gf.gaussian_binomial(r, k, q) for k in range(r + 1)), cap)
-    if not gf.is_prime(q):
-        raise ValueError(f"q = {q} must be prime")
-    points, close = _projective_space(r, q)
+    `gf.extend` per subspace; within a rank, elements are ordered by basis."""
+    points, close = _projective_space(r, q, cap, affine=False)
 
     def name(basis: gf.Rref, i: int) -> gf.Rref:
-        return gf.rref(basis + (points[i],), q)
+        return gf.extend(basis, points[i], q)
 
     return _build_flats(f"projective({r},{q})", (), (1 << len(points)) - 1, close, name, _rref_label)
 
@@ -547,23 +555,16 @@ def build_affine(r: int, q: int, *, cap: int | None = None) -> FiniteLattice:
     infinity included, closed through the line table of
     `_projective_space`.  It is named by (echelon basis of U,
     representative reduced modulo U), with None for the bottom, one
-    `gf.rref` and `gf.reduce_vector` per flat; within a rank, elements are
-    ordered by that (basis, rep) tuple."""
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    if q < 2:
-        raise ValueError(f"q = {q} must be prime")
-    _check_size(chain((1,), (q ** (r - k) * gf.gaussian_binomial(r, k, q) for k in range(r + 1))), cap)
-    if not gf.is_prime(q):
-        raise ValueError(f"q = {q} must be prime")
-    points, close = _projective_space(r + 1, q)
+    `gf.extend` and `gf.reduce_vector` per flat; within a rank, elements
+    are ordered by that (basis, rep) tuple."""
+    points, close = _projective_space(r, q, cap, affine=True)
 
     def name(flat: tuple[gf.Rref, gf.Vec] | None, i: int) -> tuple[gf.Rref, gf.Vec]:
         point = points[i][1:]
         if flat is None:
             return (), point
         basis, rep = flat
-        basis = gf.rref(basis + (tuple((a - b) % q for a, b in zip(point, rep)),), q)
+        basis = gf.extend(basis, tuple((a - b) % q for a, b in zip(point, rep)), q)
         return basis, gf.reduce_vector(rep, basis, q)
 
     chart = ((1 << q**r) - 1) << (len(points) - q**r)

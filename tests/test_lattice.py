@@ -1,7 +1,9 @@
 import itertools
 import json
+import math
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,66 @@ class TestProjective:
     def test_composite_q_rejected(self):
         with pytest.raises(ValueError):
             build_projective(2, 4)
+
+    def test_rank_one_over_a_huge_prime_builds_at_once(self):
+        # the points are generated, not found by a scan over q^r vectors, and
+        # primality is Miller-Rabin, so r = 1 costs O(1) for every q
+        start = time.perf_counter()
+        L = build_projective(1, 10**18 + 3)
+        assert time.perf_counter() - start < 1
+        assert L.n == 2 and L.labels == ("[]", "[1]")
+
+
+class TestPrimeFields:
+    def test_is_prime_equals_trial_division(self):
+        def trial(q):
+            return q >= 2 and all(q % d for d in range(2, math.isqrt(q) + 1))
+
+        assert [q for q in range(-10, 50_000) if gf.is_prime(q)] == [q for q in range(-10, 50_000) if trial(q)]
+
+    @pytest.mark.parametrize("q, prime", [
+        (3215031751, False),  # a strong pseudoprime to the bases 2, 3, 5 and 7
+        (3825123056546413051, False),  # ... to every prime base up to 31
+        (318665857834031151167461, False),  # ... up to 37
+        (10**18 + 3, True),
+        (2**61 - 1, True),
+    ])
+    def test_is_prime_on_strong_pseudoprimes_and_large_primes(self, q, prime):
+        assert gf.is_prime(q) is prime
+
+    def test_q_past_the_exact_primality_bound_is_refused_before_any_work(self, monkeypatch):
+        def unreachable(*_):
+            raise AssertionError("reached past the bound on q")
+
+        monkeypatch.setattr(latspec.lattice.gf, "is_prime", unreachable)
+        for q in (gf.PRIME_TEST_BOUND, 10**40 + 1):
+            with pytest.raises(SizeBoundError, match=f"^q = {q} is past {gf.PRIME_TEST_BOUND}, below which"):
+                build_projective(1, q)
+
+    @staticmethod
+    def _row_space(rows, q, r):
+        """Every combination of the rows, enumerated."""
+        return {tuple(sum(c * row[j] for c, row in zip(cs, rows)) % q for j in range(r))
+                for cs in itertools.product(range(q), repeat=len(rows))}
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_rref_and_extend_against_enumerated_row_spaces(self, q, r):
+        # a reduced echelon basis is the unique basis of its row space whose
+        # rows have a leading 1, in rising pivot columns, each the only
+        # nonzero entry of its column; entries outside range(q) are read mod q
+        rng = random.Random(q * 10 + r)
+        for _ in range(40):
+            rows = [tuple(rng.randint(-q, 2 * q) for _ in range(r)) for _ in range(rng.randint(0, 4))]
+            space = self._row_space(rows, q, r)
+            basis = gf.rref(rows, q)
+            pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+            assert pivots == sorted(set(pivots))
+            assert all(row[p] == (i == k) for i, row in enumerate(basis) for k, p in enumerate(pivots))
+            assert q ** len(basis) == len(space) and self._row_space(basis, q, r) == space
+            v = tuple(rng.randrange(q) for _ in range(r))
+            assert gf.extend(basis, v, q) == gf.rref(rows + [v], q)
+            assert (gf.extend(basis, v, q) == basis) == (v in space)
 
 
 class TestAffine:
@@ -279,6 +341,23 @@ class TestParse:
     def test_boolean_ids_rejected(self, elements, covers, message):
         with pytest.raises(ParseError, match=message):
             parse_lattice(f'{{"elements": {elements}, "covers": {covers}}}')
+
+    @pytest.mark.parametrize(
+        "document, error, message",
+        [
+            ("[]", ParseError, "document must be a JSON object"),
+            ({"covers": []}, ParseError, 'document must contain an "elements" list'),
+            ({"elements": [{"id": 0}], "covers": {}}, ParseError, '"covers" must be a list of [lo, hi] pairs'),
+            ({"elements": [{"id": 0}, {"id": 1}], "covers": [[0, 2]]}, ParseError,
+             "cover [0, 2] references an unknown element id"),
+            ({"elements": [{"id": 0}, {"id": 1}], "covers": [[0, 1], [1, 1]]}, NotAPosetError,
+             "cover [1, 1] is a self-loop"),
+        ],
+    )
+    def test_shape_rejections(self, document, error, message):
+        with pytest.raises(error) as excinfo:
+            parse_lattice(document)
+        assert type(excinfo.value) is error and str(excinfo.value) == message
 
 
 class TestValidate:
