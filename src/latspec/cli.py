@@ -15,7 +15,6 @@ import json
 import os
 import sys
 
-from .diamond import ZERO, diamond_table, hamiltonian
 from .lattice import (
     FiniteLattice,
     LatticeError,
@@ -27,18 +26,9 @@ from .lattice import (
     read_lattice_file,
     size_cap,
 )
-from .product import SHUFFLE_MAX_POWER, convolve_measures, product_law_checks
-from .radial import jacobi_from_compression, jacobi_from_formula, radial_invariance
-from .spectral import (
-    MomentSequence,
-    SpectralMeasure,
-    eigendecompose,
-    reduced_resolvent,
-    resolvent,
-    vacuum_moments_full,
-    vacuum_moments_radial,
-)
-from .verify import run_invariant_suite
+
+# Each verb imports what it calls when it runs, so that `build` and
+# `validate`, which read only the lattice layer, load no numpy.
 
 # Built-in families: name -> (builder, CLI flags taking its parameters in
 # order).  The same table serves `--family NAME --flag ...` and the compact
@@ -57,15 +47,15 @@ def _flt(x: float, digits: int) -> str:
 
 
 def _emit(args: argparse.Namespace, table_lines: list[str], machine: dict) -> None:
+    if args.out:  # written first, so that a failing --out prints no result
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(machine, fh, indent=2)
+            fh.write("\n")
     if args.fmt == "machine":
         print(json.dumps(machine, indent=2))
     else:
         for line in table_lines:
             print(line)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(machine, fh, indent=2)
-            fh.write("\n")
 
 
 def _build_family(family: str, values: list[int], cap: int | None) -> FiniteLattice:
@@ -157,6 +147,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_diamond_table(args: argparse.Namespace) -> int:
+    from .operators import ZERO, diamond_table
+
     L = _make_lattice(args)
     table = diamond_table(L)
     width = max(max(len(lab) for lab in L.labels), 1) + 1
@@ -176,6 +168,8 @@ def _cmd_diamond_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_hamiltonian(args: argparse.Namespace) -> int:
+    from .operators import hamiltonian
+
     L = _make_lattice(args)
     H = hamiltonian(L)
     doc = H.to_document()
@@ -186,6 +180,9 @@ def _cmd_hamiltonian(args: argparse.Namespace) -> int:
 
 
 def _cmd_jacobi(args: argparse.Namespace) -> int:
+    from .operators import hamiltonian
+    from .radial import jacobi_from_compression, radial_invariance
+
     L = _make_lattice(args)
     H = hamiltonian(L)
     J = jacobi_from_compression(L, H)
@@ -213,6 +210,9 @@ def _cmd_jacobi(args: argparse.Namespace) -> int:
 
 
 def _cmd_resolvent(args: argparse.Namespace) -> int:
+    from .radial import jacobi_from_formula
+    from .spectral import reduced_resolvent, resolvent
+
     J = jacobi_from_formula(_make_lattice(args))
     G = resolvent(J)
     reduced = reduced_resolvent(J)
@@ -234,9 +234,13 @@ def _cmd_resolvent(args: argparse.Namespace) -> int:
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
+    from .operators import hamiltonian
+    from .radial import jacobi_from_formula
+    from .spectral import vacuum_moments_full, vacuum_moments_radial
+
     L = _make_lattice(args)
     K = args.max_k
-    cols: dict[str, MomentSequence] = {}
+    cols = {}
     if args.via in ("full", "both"):
         cols["full"] = vacuum_moments_full(L, hamiltonian(L), K)
     if args.via in ("radial", "both"):
@@ -251,7 +255,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_measure(args: argparse.Namespace, measure: SpectralMeasure) -> int:
+def _emit_measure(args: argparse.Namespace, measure) -> int:
     lines = [f"{'eigenvalue':>20s} {'weight':>20s}"]
     for eig, weight in measure.atoms:
         lines.append(f"{_flt(eig, args.precision):>20s} {_flt(weight, args.precision):>20s}")
@@ -260,10 +264,15 @@ def _emit_measure(args: argparse.Namespace, measure: SpectralMeasure) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
+    from .radial import jacobi_from_formula
+    from .spectral import eigendecompose
+
     return _emit_measure(args, eigendecompose(jacobi_from_formula(_make_lattice(args))))
 
 
 def _cmd_product_check(args: argparse.Namespace) -> int:
+    from .product import SHUFFLE_MAX_POWER, product_law_checks
+
     L1 = _lattice_from_spec(args.left, args.size_cap)
     L2 = _lattice_from_spec(args.right, args.size_cap)
     K = args.max_k
@@ -279,6 +288,9 @@ def _cmd_product_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_convolve(args: argparse.Namespace) -> int:
+    from .product import convolve_measures
+    from .spectral import SpectralMeasure
+
     measures = []
     for path in (args.left, args.right):
         with open(path, "r", encoding="utf-8") as fh:
@@ -291,6 +303,8 @@ def _cmd_convolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_invariant_suite
+
     L = _make_lattice(args)
     results = run_invariant_suite(L)
     lines = []

@@ -612,7 +612,7 @@ def parse_lattice(document: str | bytes | dict, *, cap: int | None = None) -> Fi
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ParseError("document must be a JSON object")
@@ -645,8 +645,14 @@ def parse_lattice(document: str | bytes | dict, *, cap: int | None = None) -> Fi
 
 
 def read_lattice_file(path: str, *, cap: int | None = None) -> FiniteLattice:
+    """Parse the UTF-8 lattice document at `path`; a BOM is refused, as in
+    any `str` given to `parse_lattice`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_lattice(fh.read(), cap=cap)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc}") from exc
+    return parse_lattice(text, cap=cap)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
-import numpy as np
-
+from ._numpy import np
 from .lattice import FiniteLattice, SizeBoundError
 
 

@@ -14,10 +14,9 @@ import logging
 from fractions import Fraction
 from math import comb, lcm
 
-import numpy as np
-
-from .diamond import OperatorMatrix, fit, hamiltonian
+from ._numpy import np
 from .lattice import FiniteLattice, build_product
+from .operators import OperatorMatrix, fit, hamiltonian
 from .spectral import MomentSequence, SpectralMeasure, vacuum_moments_full
 
 log = logging.getLogger(__name__)

@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .diamond import OperatorMatrix, _cover_arrays, check_dim, fit, hamiltonian
+from ._numpy import np
 from .lattice import FiniteLattice
+from .operators import OperatorMatrix, _cover_arrays, check_dim, fit, hamiltonian
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,10 @@ from itertools import takewhile
 from math import comb, isfinite
 from typing import Iterable, Mapping
 
-import numpy as np
-
-from .diamond import OperatorMatrix, check_dim
+from ._numpy import np
 from .gf import gaussian_binomial, q_int
 from .lattice import FiniteLattice
+from .operators import OperatorMatrix, check_dim
 from .radial import JacobiData
 
 

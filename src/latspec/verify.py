@@ -51,10 +51,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .diamond import _assemble, _cover_arrays, _creation_pairs, _lowering_pairs, hamiltonian
+from ._numpy import np
 from .lattice import FiniteLattice
+from .operators import _assemble, _cover_arrays, _creation_pairs, _lowering_pairs, hamiltonian
 from .radial import jacobi_from_compression, jacobi_from_formula, radial_invariance
 from .spectral import eigendecompose, vacuum_moments_full, vacuum_moments_radial
 

@@ -16,8 +16,8 @@ from itertools import combinations
 import numpy as np
 
 from latspec import FiniteLattice, NotALatticeError, OperatorMatrix, RationalPolynomial, parse_lattice
-from latspec.diamond import _cover_arrays, _lowering_pairs
 from latspec.gf import in_rowspace, rref
+from latspec.operators import _cover_arrays, _lowering_pairs
 
 
 # ---------------------------------------------------------------------------

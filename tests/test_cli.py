@@ -4,6 +4,7 @@ import pytest
 
 import latspec.cli
 import latspec.lattice
+import latspec.operators
 import latspec.radial
 from latspec import build_boolean, hamiltonian
 from latspec.cli import FAMILIES, _lattice_from_spec, _make_lattice, build_parser, main
@@ -213,7 +214,7 @@ class TestHamiltonianOnlyWhereNeeded:
     ])
     def test_hamiltonian_calls(self, capsys, monkeypatch, argv, calls):
         seen = []
-        for module in (latspec.cli, latspec.radial):
+        for module in (latspec.operators, latspec.radial):
             monkeypatch.setattr(module, "hamiltonian", lambda L: seen.append(L) or hamiltonian(L))
         code, _, _ = run(capsys, *argv, "--family", "boolean", "--n", "4")
         assert code == 0 and len(seen) == calls
@@ -338,6 +339,26 @@ class TestBadSourceErrors:
 
     def test_directory_given_to_validate(self, capsys, tmp_path):
         self.test_one_error_line_and_exit_1(capsys, ["validate", str(tmp_path)], "Is a directory")
+
+    def test_failing_out_prints_no_result(self, capsys, tmp_path):
+        argv = ["build", "--family", "boolean", "--n", "2", "--out", str(tmp_path / "missing" / "x.json")]
+        self.test_one_error_line_and_exit_1(capsys, argv, "No such file or directory")
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\x80\x00\xff", "invalid JSON: 'utf-8' codec can't decode byte 0x80"),
+        ('{"elements": [{"id": 0, "label": "\xe9"}]}'.encode("latin-1"), "invalid JSON: 'utf-8' codec can't decode byte 0xe9"),
+        ('\ufeff{"elements": [{"id": 0}]}'.encode("utf-8"), "invalid JSON: Unexpected UTF-8 BOM"),
+    ], ids=["binary", "latin-1", "bom"])
+    @pytest.mark.parametrize("argv, prefix", [
+        (["validate", "{}"], "invalid lattice document: "),
+        (["jacobi", "--input", "{}"], "error: "),
+        (["product-check", "--left", "{}", "--right", "boolean:1"], "error: "),
+    ], ids=["validate", "input", "product-check"])
+    def test_document_that_is_not_utf8(self, capsys, tmp_path, content, message, argv, prefix):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, *(arg.format(path) for arg in argv))
+        assert (code, out) == (1, "") and err.startswith(prefix + message) and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,4 +1,3 @@
-import importlib
 import random
 from fractions import Fraction
 
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latspec.operators
 from helpers import (
     annihilation_by_defining_sum,
     annihilation_by_leq,
@@ -35,7 +35,7 @@ from latspec import (
     parse_lattice,
     vacuum_moments_full,
 )
-from latspec.diamond import _assemble, _creation_pairs
+from latspec.operators import _assemble, _creation_pairs
 
 HALF = Fraction(1, 2)
 
@@ -403,10 +403,9 @@ def test_cover_rule_equals_the_definition_on_families(build, params):
 
 def test_hamiltonian_reads_no_product(monkeypatch):
     calls = []
-    module = importlib.import_module("latspec.diamond")  # `latspec.diamond` is the function
     for name in ("diamond", "_creation_pairs"):
-        original = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, f=original, name=name: calls.append(name) or f(*args))
+        original = getattr(latspec.operators, name)
+        monkeypatch.setattr(latspec.operators, name, lambda *args, f=original, name=name: calls.append(name) or f(*args))
     # in the hexagon 1 ∨ 2 is the top, two ranks above 2: the skipping branch runs
     hexagon = parse_lattice({"elements": [{"id": i} for i in range(6)],
                              "covers": [[0, 1], [0, 2], [1, 3], [2, 4], [3, 5], [4, 5]]})

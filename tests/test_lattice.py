@@ -39,6 +39,7 @@ from latspec import (
     parse_lattice,
     q_int,
     radial_invariance,
+    read_lattice_file,
     vacuum_moments_full,
     validate,
 )
@@ -323,6 +324,23 @@ class TestParse:
     def test_malformed_json(self):
         with pytest.raises(ParseError):
             parse_lattice("{not json")
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\x80", "can't decode byte 0x80"),
+        ('{"elements": [{"id": 0, "label": "\xe9"}]}'.encode("latin-1"), "can't decode byte 0xe9"),
+    ], ids=["binary", "latin-1"])
+    def test_bytes_that_are_not_utf8(self, tmp_path, content, message):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        for parse in (parse_lattice, read_lattice_file):
+            with pytest.raises(ParseError, match=f"^invalid JSON: 'utf-8' codec {message}"):
+                parse(content if parse is parse_lattice else str(path))
+
+    def test_file_with_a_utf8_bom_is_refused(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('\ufeff{"elements": [{"id": 0}]}', encoding="utf-8")
+        with pytest.raises(ParseError, match="Unexpected UTF-8 BOM"):
+            read_lattice_file(str(path))
 
     def test_sparse_ids_rejected(self):
         doc = {"elements": [{"id": 0}, {"id": 2}], "covers": [[0, 2]]}

@@ -193,7 +193,7 @@ def _count_lowering_selections(monkeypatch) -> list:
     """Patch `_lowering_pairs` in every module that holds it; return the
     (lattice, atom index) of each call."""
     calls = []
-    modules = [importlib.import_module(f"latspec.{name}") for name in ("diamond", "radial", "verify")]
+    modules = [importlib.import_module(f"latspec.{name}") for name in ("operators", "radial", "verify")]
     lowering = modules[0]._lowering_pairs
 
     def counted(L, i, lower, upper):
