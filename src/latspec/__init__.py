@@ -8,10 +8,10 @@ determinant recurrences, vacuum resolvents and moments, spectral
 measures, and the product/convolution laws, with every rational quantity
 exact.
 
-Each public name is imported from its module on first use, so building,
-parsing and validating a lattice load no numpy.  The first name that needs
-numpy starts it with OpenBLAS limited to one thread; set
-OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS, or import
+Each public name is imported from its module on first use, so the lattice
+layer (building, parsing, validating, the product) loads no numpy.  The
+first name that needs numpy starts it with OpenBLAS limited to one thread;
+set OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS, or import
 numpy first, to keep the BLAS default (see `latspec._numpy`).
 """
 
@@ -21,10 +21,9 @@ from importlib import import_module as _import_module
 _PUBLIC = {
     "gf": "gaussian_binomial q_int",
     "lattice": """CheckResult FiniteLattice LatticeError NotALatticeError NotAPosetError NotGradedError ParseError
-        SizeBoundError ValidationReport build_affine build_boolean build_product build_projective build_uniform
-        parse_lattice read_lattice_file validate""",
-    "operators": """ZERO OperatorMatrix annihilation_operator creation_operator diamond diamond_table hamiltonian
-        nonassociativity_witness""",
+        SizeBoundError ValidationReport ZERO build_affine build_boolean build_product build_projective build_uniform
+        diamond diamond_table nonassociativity_witness parse_lattice read_lattice_file validate""",
+    "operators": "OperatorMatrix annihilation_operator creation_operator hamiltonian",
     "product": "convolve_measures convolve_moments kronecker_sum kronecker_sum_check product_law_checks shuffle_entry",
     "radial": """InvarianceReport JacobiData RankLayers cover_weight_sums jacobi_from_compression jacobi_from_formula
         radial_invariance""",

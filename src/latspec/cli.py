@@ -16,6 +16,7 @@ import os
 import sys
 
 from .lattice import (
+    ZERO,
     FiniteLattice,
     LatticeError,
     build_affine,
@@ -23,12 +24,13 @@ from .lattice import (
     build_product,
     build_projective,
     build_uniform,
+    diamond_table,
     read_lattice_file,
     size_cap,
 )
 
-# Each verb imports what it calls when it runs, so that `build` and
-# `validate`, which read only the lattice layer, load no numpy.
+# Each verb imports what it calls when it runs, so that `build`, `validate`
+# and `diamond-table`, which read only the lattice layer, load no numpy.
 
 # Built-in families: name -> (builder, CLI flags taking its parameters in
 # order).  The same table serves `--family NAME --flag ...` and the compact
@@ -147,23 +149,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_diamond_table(args: argparse.Namespace) -> int:
-    from .operators import ZERO, diamond_table
-
     L = _make_lattice(args)
     table = diamond_table(L)
     width = max(max(len(lab) for lab in L.labels), 1) + 1
     header = " " * width + "|" + "".join(lab.rjust(width) for lab in L.labels)
     lines = [header, "-" * len(header)]
     for x, row in enumerate(table):
-        cells = "".join(
-            ("0" if v is ZERO else L.labels[v]).rjust(width) for v in row
-        )
+        cells = "".join(("0" if v is ZERO else L.labels[v]).rjust(width) for v in row)
         lines.append(L.labels[x].rjust(width) + "|" + cells)
-    machine = {
-        "labels": list(L.labels),
-        "table": [["0" if v is ZERO else v for v in row] for row in table],
-    }
-    _emit(args, lines, machine)
+    _emit(args, lines, {"labels": list(L.labels), "table": [["0" if v is ZERO else v for v in row] for row in table]})
     return 0
 
 
@@ -401,13 +395,21 @@ def main(argv: list[str] | None = None) -> int:
     handler, _ = _VERBS[args.subcommand]
     try:
         return handler(args)
+    except BrokenPipeError:
+        raise  # not a lattice error: `entry` exits quietly
     except (LatticeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout closed early, as by `| head`: the SIGPIPE note in Python's `signal` docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit cannot fail
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

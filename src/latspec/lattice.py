@@ -1,4 +1,5 @@
-"""Finite graded lattices: construction, built-in families, parsing, validation.
+"""Finite graded lattices: construction, built-in families, parsing,
+validation, and the disjointness product on the lattice basis.
 
 Elements are dense integer ids with id 0 the bottom.  Every built-in
 family except the product is generated as the lattice of flats of a
@@ -28,7 +29,10 @@ are the atoms, so a mask costs a bit per atom, not a bit per element.
 The masks order an element set exactly only when it is a lattice, so
 `leq`, `meet` and `join` are defined only on lattices.  Built-in families
 and products are lattices by construction; `from_covers` and `validate`
-certify every other input.
+certify every other input.  The product reads only `meet` and `join`: x ⋄ y
+is x ∨ y when x ∧ y is the bottom and the algebra zero `ZERO` otherwise,
+the zero *vector* of the free span of the elements, distinct from the
+bottom, which is the unit.
 
 Lattice-ness is certified exactly from co-cover pairs, two elements that
 cover, or are covered by, a common element, and semimodularity from the
@@ -80,7 +84,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, chain, combinations, islice, product
 from math import comb
-from operator import itemgetter, mul, sub
+from operator import itemgetter, mul, ne, sub
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from . import gf
@@ -720,3 +724,94 @@ def validate(L: FiniteLattice) -> ValidationReport:
         semi_ce = next(((x, y) for x, y in pairs if L.rank[L.join(x, y)] != L.rank[x] + 1), None)
     semi = CheckResult("semimodular", semi_ce is None, semi_ce)
     return ValidationReport((lattice, semi, CheckResult("atomic", atomic_ce is None, atomic_ce)))
+
+
+# ---------------------------------------------------------------------------
+# The disjointness product
+# ---------------------------------------------------------------------------
+
+
+class _AlgebraZero:
+    """Singleton sentinel for the vector-space zero. Never a lattice element."""
+
+    __slots__ = ()
+
+    def __new__(cls):
+        return ZERO
+
+    def __repr__(self) -> str:
+        return "0"
+
+    def __bool__(self) -> bool:
+        return False
+
+
+ZERO = object.__new__(_AlgebraZero)  # the one instance, which `_AlgebraZero()` returns
+
+# Largest lattice whose full product table `diamond_table` prints.
+TABLE_LIMIT = 64
+
+
+def diamond(L: FiniteLattice, x: int, y: int) -> int | _AlgebraZero:
+    """x ∨ y when x ∧ y is the bottom, else the algebra zero.
+
+    Commutative on every lattice, since `meet` and `join` look up the AND
+    of two masks and AND is symmetric.  Unital on every lattice: the
+    bottom's join-irreducible mask J(0) is empty, which only the bottom
+    has, so 0 ∧ x = 0; its meet-irreducible mask M(0) contains M(x), so
+    0 ∨ x looks up M(x), which names x.  The bilinear extension to the
+    span of the basis is associative on every modular lattice: (x ⋄ y) ⋄ z
+    and x ⋄ (y ⋄ z) are both nonzero exactly when r(x ∨ y ∨ z) = r(x) +
+    r(y) + r(z), by rank additivity, and then both equal x ∨ y ∨ z.
+    Boolean, projective, and rank <= 2 uniform lattices are modular, so
+    they admit no associativity violation.
+
+    On a geometric lattice the converse holds too.  If the lattice is not
+    modular, relative complements give x, y with x ∧ y the bottom and
+    r(x ∨ y) < r(x) + r(y).  Write x as the join of r(x) atoms a_1..a_k.
+    The left-nested product ((a_1 ⋄ a_2) ⋄ ... ⋄ a_k) ⋄ y is x ∨ y, while
+    a_1 ⋄ (a_2 ⋄ (... ⋄ (a_k ⋄ y))) would need each atom to raise the rank
+    by one and so vanishes; some triple therefore breaks associativity.
+    Affine lattices (two parallel lines meet at the adjoined bottom) and
+    uniform(r, m) with 3 <= r < m are such cases.  For lattices that are
+    not atomistic, such as some custom documents, the converse is open.
+    """
+    if not (0 <= x < L.n and 0 <= y < L.n):
+        raise ValueError(f"({x}, {y}) names no element of {L.family_tag}")
+    return _diamond(L, x, y)
+
+
+def _diamond(L: FiniteLattice, x: int, y: int) -> int | _AlgebraZero:
+    """`diamond` without the id check, for callers whose ids are in range."""
+    return L.join(x, y) if L.meet(x, y) == 0 else ZERO
+
+
+def _product_table(L: FiniteLattice) -> list[list[int | _AlgebraZero]]:
+    """Row x holds x ⋄ y at column y: all n² products, with no size guard."""
+    return [[_diamond(L, x, y) for y in range(L.n)] for x in range(L.n)]
+
+
+def nonassociativity_witness(L: FiniteLattice) -> tuple[int, int, int] | None:
+    """Exhaustive search for a triple with (x ⋄ y) ⋄ z != x ⋄ (y ⋄ z).
+
+    Returns the lexicographically first witness, or None when the product
+    is associative on the basis (hence, by bilinearity, on the whole span).
+    Each of the n² products is evaluated once, into `_product_table`, so the
+    search holds n² list slots (8 bytes each: 8 MB at n = 1,000); for each
+    (x, y) the two groupings are compared as rows over z.
+    """
+    table, zeros = _product_table(L), [ZERO] * L.n
+    for x, row in enumerate(table):
+        for y, xy in enumerate(row):
+            lhs = zeros if xy is ZERO else table[xy]  # ZERO absorbs
+            rhs = [ZERO if yz is ZERO else row[yz] for yz in table[y]]
+            if lhs != rhs:
+                return x, y, list(map(ne, lhs, rhs)).index(True)
+    return None
+
+
+def diamond_table(L: FiniteLattice) -> list[list[int | _AlgebraZero]]:
+    """Full product table (list of rows); entries are element ids or ZERO."""
+    if L.n > TABLE_LIMIT:
+        raise SizeBoundError(f"product tables are limited to {TABLE_LIMIT} elements")
+    return _product_table(L)

@@ -1,12 +1,10 @@
-"""The disjointness product on a lattice basis and its atom operators.
+"""Exact sparse operators on the span of a lattice's elements: the atom
+creation and annihilation operators and their Hamiltonian.
 
-For lattice elements x, y the product is x ∨ y when x ∧ y is the bottom
-and the algebra zero otherwise.  The zero is the zero *vector* of the
-free span of lattice elements; it is distinct from the lattice bottom,
-which acts as the multiplicative unit.  Left multiplication by an atom
-raises rank by exactly one (semimodularity), which makes the atom
-operators a creation/annihilation system and the summed Hamiltonian
-rank-bipartite.
+Creation by the atom a is left multiplication by a under the product
+`lattice.diamond`.  It raises rank by exactly one (semimodularity), which
+makes the atom operators a creation/annihilation system and the summed
+Hamiltonian rank-bipartite.
 
 All matrices are exact: `OperatorMatrix` stores integer numerators over
 one shared denominator, and `fractions.Fraction` appears only at its API.
@@ -20,96 +18,8 @@ from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
 from ._numpy import np
-from .lattice import FiniteLattice, SizeBoundError
+from .lattice import ZERO, FiniteLattice, _diamond
 
-
-class _AlgebraZero:
-    """Singleton sentinel for the vector-space zero. Never a lattice element."""
-
-    _instance = None
-    __slots__ = ()
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "0"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-ZERO = _AlgebraZero()
-
-DiamondResult = int | _AlgebraZero
-
-# Largest lattice whose full product table `diamond_table` prints.
-TABLE_LIMIT = 64
-
-
-def diamond(L: FiniteLattice, x: int, y: int) -> DiamondResult:
-    """x ∨ y when x ∧ y is the bottom, else the algebra zero.
-
-    Commutative on every lattice, since `meet` and `join` look up the AND
-    of two masks and AND is symmetric.  Unital on every lattice: the
-    bottom's join-irreducible mask J(0) is empty, which only the bottom
-    has, so 0 ∧ x = 0; its meet-irreducible mask M(0) contains M(x), so
-    0 ∨ x looks up M(x), which names x.  The bilinear extension to the
-    span of the basis is associative on every modular lattice: (x ⋄ y) ⋄ z
-    and x ⋄ (y ⋄ z) are both nonzero exactly when r(x ∨ y ∨ z) = r(x) +
-    r(y) + r(z), by rank additivity, and then both equal x ∨ y ∨ z.
-    Boolean, projective, and rank <= 2 uniform lattices are modular, so
-    they admit no associativity violation.
-
-    On a geometric lattice the converse holds too.  If the lattice is not
-    modular, relative complements give x, y with x ∧ y the bottom and
-    r(x ∨ y) < r(x) + r(y).  Write x as the join of r(x) atoms a_1..a_k.
-    The left-nested product ((a_1 ⋄ a_2) ⋄ ... ⋄ a_k) ⋄ y is x ∨ y, while
-    a_1 ⋄ (a_2 ⋄ (... ⋄ (a_k ⋄ y))) would need each atom to raise the rank
-    by one and so vanishes; some triple therefore breaks associativity.
-    Affine lattices (two parallel lines meet at the adjoined bottom) and
-    uniform(r, m) with 3 <= r < m are such cases.  For lattices that are
-    not atomistic, such as some custom documents, the converse is open.
-    """
-    if not (0 <= x < L.n and 0 <= y < L.n):
-        raise ValueError(f"({x}, {y}) names no element of {L.family_tag}")
-    return _diamond(L, x, y)
-
-
-def _diamond(L: FiniteLattice, x: int, y: int) -> DiamondResult:
-    """`diamond` without the id check, for callers whose ids are in range."""
-    return L.join(x, y) if L.meet(x, y) == 0 else ZERO
-
-
-def nonassociativity_witness(L: FiniteLattice) -> tuple[int, int, int] | None:
-    """Exhaustive search for a triple with (x ⋄ y) ⋄ z != x ⋄ (y ⋄ z).
-
-    Returns the lexicographically first witness, or None when the product
-    is associative on the basis (hence, by bilinearity, on the whole span).
-    """
-    for x in range(L.n):
-        for y in range(L.n):
-            xy = _diamond(L, x, y)
-            for z in range(L.n):  # ZERO absorbs
-                lhs = ZERO if xy is ZERO else _diamond(L, xy, z)
-                rhs = ZERO if (yz := _diamond(L, y, z)) is ZERO else _diamond(L, x, yz)
-                if lhs is not rhs and lhs != rhs:
-                    return (x, y, z)
-    return None
-
-
-def diamond_table(L: FiniteLattice) -> list[list]:
-    """Full product table (list of rows); entries are element ids or ZERO."""
-    if L.n > TABLE_LIMIT:
-        raise SizeBoundError(f"product tables are limited to {TABLE_LIMIT} elements")
-    return [[_diamond(L, x, y) for y in range(L.n)] for x in range(L.n)]
-
-
-# ---------------------------------------------------------------------------
-# Sparse exact matrices
-# ---------------------------------------------------------------------------
 
 # Integer arrays stay int64 while every product and partial sum provably
 # fits; past that bound they hold Python ints (numpy object arrays).
@@ -123,6 +33,15 @@ def _max_abs(a: np.ndarray) -> int:
 def fit(a: np.ndarray, factor: int = 1) -> np.ndarray:
     """`a` as int64 when max(|a|, 1) * max(factor, 1) < 2^63, else as Python ints."""
     return a.astype(object if max(_max_abs(a), 1) * max(factor, 1) >= _INT64_LIMIT else np.int64, copy=False)
+
+
+def _integers(a, what: str) -> np.ndarray:
+    """`a` as an array; ValueError unless its dtype, or each element of an object array, is an integer."""
+    a = np.asarray(a)
+    ints = a.dtype.kind in "iu" or a.dtype == object and all(isinstance(v, (int, np.integer)) for v in a.flat)
+    if a.size and not ints:
+        raise ValueError(f"{what} must be integers")
+    return a
 
 
 class OperatorMatrix:
@@ -141,14 +60,17 @@ class OperatorMatrix:
     __slots__ = ("dim", "denom", "rows", "cols", "nums", "_row_bound")
 
     def __init__(self, dim: int, rows, cols, nums, denom: int = 1):
-        """N / denom from unsorted (row, col, numerator) arrays: duplicates
-        are summed, zeros dropped and the common gcd divided out."""
-        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        """N / denom from unsorted integer (row, col, numerator) arrays and
+        denom >= 1, else ValueError (rationals go through `from_entries`):
+        duplicates are summed, zeros dropped and the common gcd divided out."""
+        if denom < 1:
+            raise ValueError(f"denominator {denom} is not positive")
+        rows, cols = (_integers(a, "indices").astype(np.int64, copy=False) for a in (rows, cols))
         outside = np.flatnonzero((rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim))
         if outside.size:
             raise ValueError(f"entry ({rows[outside[0]]}, {cols[outside[0]]}) out of range for dim {dim}")
         key, where = np.unique(cols * dim + rows, return_inverse=True)
-        nums = fit(np.asarray(nums), where.size)
+        nums = fit(_integers(nums, "numerators"), where.size)
         summed = np.zeros(key.size, dtype=nums.dtype)
         np.add.at(summed, where, nums)
         key, nums = key[summed != 0], summed[summed != 0]

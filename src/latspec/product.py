@@ -149,19 +149,14 @@ def convolve_moments(m1: MomentSequence, m2: MomentSequence, K: int) -> MomentSe
     law of a sum of commuting independent parts."""
     if m1.order < K or m2.order < K:
         raise ValueError(f"need moments up to order {K} on both inputs")
-    values = tuple(
-        sum((comb(k, j) * m1[j] * m2[k - j] for j in range(k + 1)), Fraction(0))
-        for k in range(K + 1)
-    )
-    return MomentSequence(values)
+    return MomentSequence(tuple(sum((comb(k, j) * m1[j] * m2[k - j] for j in range(k + 1)), Fraction(0))
+                                for k in range(K + 1)))
 
 
 def convolve_measures(mu1: SpectralMeasure, mu2: SpectralMeasure) -> SpectralMeasure:
     """Convolution of finitely supported measures: atoms at all pairwise
     sums, weights multiplied; atoms closer than MERGE_TOL are merged."""
-    raw = sorted(
-        (l1 + l2, w1 * w2) for l1, w1 in mu1.atoms for l2, w2 in mu2.atoms
-    )
+    raw = sorted((l1 + l2, w1 * w2) for l1, w1 in mu1.atoms for l2, w2 in mu2.atoms)
     merged: list[list[float]] = []
     for l, w in raw:
         if merged and l - merged[-1][0] <= MERGE_TOL:

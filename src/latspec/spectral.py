@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import takewhile
+from itertools import takewhile, zip_longest
 from math import comb, isfinite
 from typing import Iterable, Mapping
 
@@ -62,13 +62,7 @@ class RationalPolynomial:
         return out
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPolynomial(out)
+        return RationalPolynomial(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
 
     def __neg__(self) -> "RationalPolynomial":
         return RationalPolynomial(tuple(-c for c in self.coeffs))
@@ -275,10 +269,7 @@ def eigendecompose(J: JacobiData) -> SpectralMeasure:
     for k, b in enumerate(J.beta):
         T[k, k + 1] = T[k + 1, k] = b
     eigenvalues, eigenvectors = np.linalg.eigh(T)
-    atoms = tuple(
-        (float(eigenvalues[j]), float(eigenvectors[0, j] ** 2)) for j in range(r + 1)
-    )
-    return SpectralMeasure(atoms)
+    return SpectralMeasure(tuple((float(eigenvalues[j]), float(eigenvectors[0, j] ** 2)) for j in range(r + 1)))
 
 
 def boolean_closed_form(n: int) -> SpectralMeasure:
@@ -311,8 +302,5 @@ def affine_jacobi(r: int, q: int) -> JacobiData:
     level k >= 1 pairs (k-1)-flats with k-flats, each such cover carrying
     weight q^{k-1}(q - 1), the number of points gained."""
     m = [q ** (r - k) * gaussian_binomial(r, k, q) for k in range(r + 1)]
-    sizes = [1] + m
-    W = [q**r]
-    for k in range(1, r + 1):
-        W.append(m[k - 1] * q_int(r - k + 1, q) * q ** (k - 1) * (q - 1))
-    return JacobiData.from_weights(sizes, W)
+    W = [q**r, *(m[k - 1] * q_int(r - k + 1, q) * q ** (k - 1) * (q - 1) for k in range(1, r + 1))]
+    return JacobiData.from_weights([1, *m], W)

@@ -130,13 +130,8 @@ def run_invariant_suite(L: FiniteLattice) -> list[SuiteResult]:
     J_formula = jacobi_from_formula(L)
     J_comp = jacobi_from_compression(L, H)
     jacobi_ok = J_formula.W == J_comp.W  # both are `from_weights`, so equal W gives equal beta_sq
-    results.append(
-        SuiteResult(
-            "jacobi:formula-equals-compression",
-            jacobi_ok,
-            "" if jacobi_ok else f"{J_formula.beta_sq} vs {J_comp.beta_sq}",
-        )
-    )
+    detail = "" if jacobi_ok else f"{J_formula.beta_sq} vs {J_comp.beta_sq}"
+    results.append(SuiteResult("jacobi:formula-equals-compression", jacobi_ok, detail))
 
     radial = vacuum_moments_radial(J_comp, MOMENT_ORDER)
     level = radial_invariance(L, H).failing_level

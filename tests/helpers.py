@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from latspec import FiniteLattice, NotALatticeError, OperatorMatrix, RationalPolynomial, parse_lattice
+from latspec import ZERO, FiniteLattice, NotALatticeError, OperatorMatrix, RationalPolynomial, diamond, parse_lattice
 from latspec.gf import in_rowspace, rref
 from latspec.operators import _cover_arrays, _lowering_pairs
 
@@ -99,6 +99,26 @@ def det_by_matchings(beta_sq: tuple[Fraction, ...], size: int) -> RationalPolyno
             coeffs = [Fraction(0)] * (2 * count) + [weight * (-1) ** count]
             total = total + RationalPolynomial(coeffs)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Witness-search oracle (no product table)
+# ---------------------------------------------------------------------------
+
+
+def nonassociativity_witness_by_search(L) -> tuple[int, int, int] | None:
+    """The first (x, y, z) in lexicographic order with (x ⋄ y) ⋄ z !=
+    x ⋄ (y ⋄ z), or None: each grouping evaluated with `diamond` where it
+    is needed, up to 3n³ calls and no product table."""
+    for x in range(L.n):
+        for y in range(L.n):
+            xy = diamond(L, x, y)
+            for z in range(L.n):  # ZERO absorbs
+                lhs = ZERO if xy is ZERO else diamond(L, xy, z)
+                rhs = ZERO if (yz := diamond(L, y, z)) is ZERO else diamond(L, x, yz)
+                if lhs is not rhs and lhs != rhs:
+                    return (x, y, z)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -343,6 +347,16 @@ class TestBadSourceErrors:
     def test_failing_out_prints_no_result(self, capsys, tmp_path):
         argv = ["build", "--family", "boolean", "--n", "2", "--out", str(tmp_path / "missing" / "x.json")]
         self.test_one_error_line_and_exit_1(capsys, argv, "No such file or directory")
+
+    def test_closed_stdout_is_no_lattice_error(self):
+        # about 200 KB of entries, past any pipe buffer, so a write fails after the close
+        argv = [sys.executable, "-m", "latspec.cli", "hamiltonian", "--family", "boolean", "--n", "10"]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+            assert child.stdout.readline() == b"dim: 1024\n"
+            child.stdout.close()
+            err = child.stderr.read()
+        assert (child.returncode, err) == (1, b"")
 
     @pytest.mark.parametrize("content, message", [
         (b"\x80\x00\xff", "invalid JSON: 'utf-8' codec can't decode byte 0x80"),

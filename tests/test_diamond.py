@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latspec.lattice
 import latspec.operators
 from helpers import (
     annihilation_by_defining_sum,
     annihilation_by_leq,
     dense_power_entry,
     lowering_pairs_by_atom,
+    nonassociativity_witness_by_search,
     random_bounded_graded_poset,
     random_flats_document,
     random_lattices,
@@ -21,6 +23,7 @@ from latspec import (
     FiniteLattice,
     NotALatticeError,
     OperatorMatrix,
+    SizeBoundError,
     annihilation_operator,
     build_affine,
     build_boolean,
@@ -114,6 +117,21 @@ class TestWitness:
         lhs = dia(diamond(L, x, y), z)
         rhs = dia(x, diamond(L, y, z))
         assert lhs != rhs or (lhs is ZERO) != (rhs is ZERO)
+
+    def test_equals_the_search_oracle(self, small_lattices):
+        criterion_11 = [build_uniform(2, 3), build_projective(3, 2), *map(build_boolean, range(6)), build_affine(2, 2),
+                        build_affine(3, 2), build_uniform(3, 4), build_uniform(4, 5)]
+        sample = random.Random(24).sample(random_lattices(), 400)
+        witnesses = [(nonassociativity_witness(L), nonassociativity_witness_by_search(L))
+                     for L in (*small_lattices, *criterion_11, *sample)]
+        assert all(found == oracle for found, oracle in witnesses)
+        assert sum(oracle is not None for _, oracle in witnesses) >= 20  # both verdicts are compared
+
+    def test_searches_past_the_table_limit(self):
+        L = build_boolean(7)  # 128 elements: `diamond_table` refuses it, the search does not
+        with pytest.raises(SizeBoundError):
+            diamond_table(L)
+        assert nonassociativity_witness(L) is None
 
 
 class TestCreation:
@@ -403,9 +421,10 @@ def test_cover_rule_equals_the_definition_on_families(build, params):
 
 def test_hamiltonian_reads_no_product(monkeypatch):
     calls = []
-    for name in ("diamond", "_creation_pairs"):
-        original = getattr(latspec.operators, name)
-        monkeypatch.setattr(latspec.operators, name, lambda *args, f=original, name=name: calls.append(name) or f(*args))
+    patched = ((latspec.lattice, "diamond"), (latspec.operators, "_diamond"), (latspec.operators, "_creation_pairs"))
+    for module, name in patched:
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, f=original, name=name: calls.append(name) or f(*args))
     # in the hexagon 1 ∨ 2 is the top, two ranks above 2: the skipping branch runs
     hexagon = parse_lattice({"elements": [{"id": i} for i in range(6)],
                              "covers": [[0, 1], [0, 2], [1, 3], [2, 4], [3, 5], [4, 5]]})

@@ -79,6 +79,30 @@ class TestStoredForm:
         assert M.scale(0) == OperatorMatrix.from_entries(2, [])
 
 
+class TestConstructorRejectsInexactInput:
+    """The constructor stores integers exactly or refuses them: rationals go
+    through `from_entries`, and denom >= 1 keeps the stored form canonical."""
+
+    @pytest.mark.parametrize("rows, cols, nums, denom", [
+        ([0], [1], [Fraction(1, 2)], 1),
+        ([0], [1], [0.5], 1),
+        ([0], [1], [Fraction(3, 2)], 1),
+        ([0], [1], [1.9], 1),
+        ([0.7], [1], [1], 1),
+        ([0], [1], [1], -2),
+        ([0], [1], [1], 0),
+    ], ids=["half-fraction", "half-float", "three-halves", "float-1.9", "float-row", "negative-denom", "zero-denom"])
+    def test_rejected(self, rows, cols, nums, denom):
+        with pytest.raises(ValueError):
+            OperatorMatrix(2, rows, cols, nums, denom)
+
+    def test_integer_inputs_are_kept(self):
+        want = OperatorMatrix.from_entries(2, [(0, 1, Fraction(3, 2)), (1, 0, Fraction(2**70, 2))])
+        wide = np.array([3, 2**70], dtype=object)
+        assert OperatorMatrix(2, np.array([0, 1], np.int32), [1, np.int64(0)], wide, 2) == want
+        assert OperatorMatrix(2, [], [], []) == OperatorMatrix.from_entries(2, [])
+
+
 class TestOverflowBoundary:
     def test_guard_trips_at_k_11_on_projective_5_2(self):
         L = build_projective(5, 2)

@@ -1,7 +1,7 @@
 """The names that the benchmark and the scripts import from latspec exist;
-importing latspec, building and validating load no numpy; and the first
-latspec name that needs numpy starts it with one BLAS thread unless the
-caller chose otherwise.
+importing latspec, building, validating and the product load no numpy; and
+the first latspec name that needs numpy starts it with one BLAS thread
+unless the caller chose otherwise.
 
 `perfbench/` and `scripts/` run outside tier-1, so a deleted public name
 they read would otherwise fail only there."""
@@ -60,7 +60,7 @@ def test_all_holds_no_module_and_no_private_name():
 def test_diamond_is_the_function_after_every_module_is_imported():
     for module in pkgutil.iter_modules(latspec.__path__):
         importlib.import_module(f"latspec.{module.name}")
-    assert callable(latspec.diamond) and latspec.diamond is latspec.operators.diamond
+    assert callable(latspec.diamond) and latspec.diamond is latspec.lattice.diamond
 
 
 def test_star_import_binds_exactly_all():
@@ -95,7 +95,10 @@ def _run_in_fresh_interpreter(code: str, **env: str) -> dict:
     "import latspec\nlatspec.build_projective(3, 2)\nlatspec.validate(latspec.build_boolean(3))",
     "from latspec.cli import main\nmain(['build', '--family', 'projective', '--r', '3', '--q', '2'])",
     "from latspec.cli import main\nmain(['validate', {document!r}])",
-], ids=["import", "api", "cli-build", "cli-validate"])
+    "import latspec\nL = latspec.build_affine(2, 2)\nlatspec.diamond(L, 1, 2), latspec.ZERO\n"
+    "latspec.diamond_table(L)\nlatspec.nonassociativity_witness(L)",
+    "from latspec.cli import main\nmain(['diamond-table', '--family', 'uniform', '--r', '2', '--m', '3'])",
+], ids=["import", "api", "cli-build", "cli-validate", "api-product", "cli-diamond-table"])
 def test_the_lattice_layer_loads_no_numpy(code, tmp_path):
     document = tmp_path / "boolean3.json"
     document.write_text(json.dumps(latspec.build_boolean(3).to_document()), encoding="utf-8")
