@@ -182,15 +182,9 @@ def _cmd_jacobi(args: argparse.Namespace) -> int:
     J = jacobi_from_compression(L, H)
     inv = radial_invariance(L, H)
     lines = [f"{'k':>3s} {'n_k':>8s} {'W_k':>10s} {'beta_sq':>14s} {'beta':>18s}"]
-    for k in range(J.r + 1):
-        if k < J.r:
-            lines.append(
-                f"{k:>3d} {J.layers[k]:>8d} {J.W[k]:>10d} "
-                f"{str(J.beta_sq[k]):>14s} {_flt(J.beta[k], args.precision):>18s}"
-            )
-        else:
-            lines.append(f"{k:>3d} {J.layers[k]:>8d}")
-    lines.append(f"radially invariant: {inv.invariant}")
+    lines += [f"{k:>3d} {J.layers[k]:>8d} {J.W[k]:>10d} {str(J.beta_sq[k]):>14s} {_flt(J.beta[k], args.precision):>18s}"
+              for k in range(J.r)]
+    lines += [f"{J.r:>3d} {J.layers[J.r]:>8d}", f"radially invariant: {inv.invariant}"]
     machine = {
         "r": J.r,
         "layers": list(J.layers.sizes),
@@ -239,10 +233,8 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         cols["full"] = vacuum_moments_full(L, hamiltonian(L), K)
     if args.via in ("radial", "both"):
         cols["radial"] = vacuum_moments_radial(jacobi_from_formula(L), K)
-    header = f"{'k':>3s}" + "".join(f" {name:>16s}" for name in cols)
-    lines = [header]
-    for k in range(K + 1):
-        lines.append(f"{k:>3d}" + "".join(f" {str(seq[k]):>16s}" for seq in cols.values()))
+    lines = [f"{'k':>3s}" + "".join(f" {name:>16s}" for name in cols)]
+    lines += [f"{k:>3d}" + "".join(f" {str(seq[k]):>16s}" for seq in cols.values()) for k in range(K + 1)]
     machine = {name: [str(v) for v in seq.values] for name, seq in cols.items()}
     machine["max_k"] = K
     _emit(args, lines, machine)
@@ -301,11 +293,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     L = _make_lattice(args)
     results = run_invariant_suite(L)
-    lines = []
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        extra = f"  ({r.detail})" if r.detail else ""
-        lines.append(f"{r.name:<40s} {status}{extra}")
+    lines = [f"{r.name:<40s} {'PASS' if r.passed else 'FAIL'}" + (f"  ({r.detail})" if r.detail else "") for r in results]
     ok = all(r.passed for r in results)
     lines.append(f"verdict: {'all checks passed' if ok else 'FAILURES detected'}")
     machine = {

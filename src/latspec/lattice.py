@@ -82,7 +82,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate, chain, combinations, islice, product
+from itertools import accumulate, chain, combinations, product
 from math import comb
 from operator import itemgetter, mul, ne, sub
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
@@ -143,22 +143,23 @@ def _check_size(sizes: Iterable[int], cap: int | None) -> None:
         raise SizeBoundError(f"lattice would have {n} elements, exceeding the cap of {limit}")
 
 
-def _irreducible_masks(layers: Sequence[Sequence[int]], below: Sequence[Sequence[int]]) -> list[int]:
-    """Per element, the mask of the irreducibles at or under it, where
-    below[y] lists the elements y covers in the chosen direction and an
-    element is irreducible when it covers exactly one.  `layers` must list
-    every element after the ones below it; bits are numbered in that order."""
-    masks = [0] * len(below)
+def _irreducible_masks(layers: Sequence[Sequence[int]], above: Sequence[Sequence[int]]) -> list[int]:
+    """Per element, the mask of the irreducibles at or under it, above[x]
+    listing the elements covering x in the chosen direction and an element
+    being irreducible when it covers exactly one.  `layers` lists each
+    element after those it covers, whose masks, pushed up `above`, complete
+    it and count its lower covers; bits are numbered in that order."""
+    masks, covered = [0] * len(above), [0] * len(above)
     bit = 1
     for layer in layers:
-        for y in layer:
-            m = 0
-            for x in below[y]:
-                m |= masks[x]
-            if len(below[y]) == 1:
-                m |= bit
+        for x in layer:
+            if covered[x] == 1:
+                masks[x] |= bit
                 bit <<= 1
-            masks[y] = m
+            m = masks[x]
+            for y in above[x]:
+                masks[y] |= m
+                covered[y] += 1
     return masks
 
 
@@ -171,7 +172,7 @@ class FiniteLattice:
     rank : tuple of ranks, rank[0] == 0 for the bottom
     top_rank : rank of the unique top element
     covers_up : covers_up[x] lists the elements covering x, ascending
-    covers_down : inverse of covers_up
+    covers_down : inverse of covers_up, computed on first read
     atoms : ids of the rank-1 elements, ascending
     layers : layers[k] lists the ids of rank k
     family_tag : provenance label, e.g. "boolean(3)" or "custom"
@@ -188,9 +189,9 @@ class FiniteLattice:
     `leq`, `meet`, `join` and `atoms_below` expect ids in range(n) and do
     not check them: a negative id indexes from the end.
 
-    `labels`, `first_meetless_pair`, `validation` and the masks and indexes
-    that `join` and `meet` read are computed on first read.  The object is
-    immutable after construction and safe to share across threads: all
+    `labels`, `covers_down`, `first_meetless_pair`, `validation` and the
+    masks and indexes that `join` and `meet` read are computed on first
+    read.  The object is immutable after construction and thread-safe: all
     query methods are pure, and a racing first read computes the same value.
     """
 
@@ -206,7 +207,8 @@ class FiniteLattice:
             raise NotALatticeError("empty element list: no bottom element")
         self.n = n
         self.rank = rank = tuple(rank)
-        self.covers_up = tuple(map(tuple, map(sorted, covers_up)))
+        # an ascending tuple, as `_build_flats` hands over, is kept rather than copied
+        self.covers_up = tuple(u if u == (t := tuple(sorted(u))) else t for u in covers_up)
         self.family_tag = family_tag
         if labels is None or callable(labels):  # rendered on first read; a partial keeps L picklable
             self._labels = labels or partial(map, "e{}".format, range(n))
@@ -225,19 +227,17 @@ class FiniteLattice:
             x, y, z = next((x, y, z) for x, u in enumerate(self.covers_up)
                            for y, z in zip(u, u[1:] + (None,)) if y == z or not 0 <= y < n)
             raise LatticeError(f"cover [{x}, {y}] {'is repeated' if y == z else 'references an unknown element id'}")
-        covers_down: list[list[int]] = [[] for _ in range(n)]
+        covered = bytearray(n)
         for x, ups in enumerate(self.covers_up):
             step = rank[x] + 1
             for y in ups:
                 if rank[y] != step:  # the rank-ordered layers and mask fill below rely on this
                     raise NotGradedError(f"cover [{x}, {y}] spans ranks {rank[x]} -> {rank[y]}")
-                covers_down[y].append(x)
-        self.covers_down = tuple(map(tuple, covers_down))  # appended in ascending x, so sorted
+                covered[y] = 1
 
         if self.rank.count(0) != 1 or self.rank[0] != 0:
             raise NotALatticeError("the bottom must be the unique rank-0 element and have id 0")
-        if [] in islice(covers_down, 1, None):
-            i = covers_down.index([], 1)
+        if (i := covered.find(0, 1)) > 0:
             raise NotALatticeError(f"element {i} has rank {self.rank[i]} but covers nothing")
         if self.covers_up.count(()) != 1:
             raise NotALatticeError(f"expected a unique top element, found {self.covers_up.count(())}")
@@ -252,12 +252,21 @@ class FiniteLattice:
         # J(x) masks, filled in rank order (ids need not be rank-sorted:
         # product lattices are ordered lexicographically).  The atoms are the
         # first join-irreducibles, so they hold the low bits.
-        self._down = _irreducible_masks(self.layers, self.covers_down)
+        self._down = _irreducible_masks(self.layers, self.covers_up)
 
     labels = cached_property(lambda self: tuple(self._labels()))
-    _up = cached_property(lambda self: _irreducible_masks(self.layers[::-1], self.covers_up))
+    _up = cached_property(lambda self: _irreducible_masks(self.layers[::-1], self.covers_down))
     _down_index = cached_property(lambda self: {m: i for i, m in enumerate(self._down)})
     _up_index = cached_property(lambda self: {m: i for i, m in enumerate(self._up)})
+
+    @cached_property
+    def covers_down(self) -> tuple[tuple[int, ...], ...]:
+        """The inverse of `covers_up`, computed on first read."""
+        down: list[list[int]] = [[] for _ in range(self.n)]
+        for x, ups in enumerate(self.covers_up):
+            for y in ups:
+                down[y].append(x)
+        return tuple(map(tuple, down))  # appended in ascending x, so sorted
 
     # -- order queries ----------------------------------------------------
 
@@ -379,8 +388,7 @@ class FiniteLattice:
             labels = [labels[old] for old in perm]
         new_covers = [list(map(new_id.__getitem__, succ[old])) for old in perm]
         L = cls([rank[old] for old in perm], new_covers, family_tag, labels)
-        pair = L.first_meetless_pair
-        if pair is not None:
+        if (pair := L.first_meetless_pair) is not None:
             raise NotALatticeError(f"elements {perm[pair[0]]} and {perm[pair[1]]} have no unique meet")
         return L
 
@@ -436,7 +444,7 @@ def _build_flats(tag: str, bottom: Hashable, atoms: int, close: Callable[[int, i
             ups.append(up)
         layer, k = dict(sorted(found.items(), key=lambda flat: flat[1])), k + 1
         ids = {G: j for j, G in enumerate(layer, len(rank))}
-        covers_up.extend([ids[G] for G in up] for up in ups)
+        covers_up.extend(tuple(sorted(map(ids.__getitem__, up))) for up in ups)
         rank += [k] * len(layer)
         names += layer.values()
     return FiniteLattice(rank, covers_up, tag, partial(map, label, names))
@@ -586,12 +594,8 @@ def build_product(L1: FiniteLattice, L2: FiniteLattice, *, cap: int | None = Non
     n1, n2 = L1.n, L2.n
     _check_size((n1 * n2,), cap)
     rank = [L1.rank[x1] + L2.rank[x2] for x1 in range(n1) for x2 in range(n2)]
-    covers_up = [
-        [y1 * n2 + x2 for y1 in L1.covers_up[x1]]
-        + [x1 * n2 + y2 for y2 in L2.covers_up[x2]]
-        for x1 in range(n1)
-        for x2 in range(n2)
-    ]
+    covers_up = [(*(x1 * n2 + y2 for y2 in L2.covers_up[x2]), *(y1 * n2 + x2 for y1 in L1.covers_up[x1]))
+                 for x1 in range(n1) for x2 in range(n2)]  # ascending tuples, which the constructor keeps
     return FiniteLattice(rank, covers_up, f"product({L1.family_tag},{L2.family_tag})", partial(_product_labels, L1, L2))
 
 

@@ -61,23 +61,31 @@ class OperatorMatrix:
 
     def __init__(self, dim: int, rows, cols, nums, denom: int = 1):
         """N / denom from unsorted integer (row, col, numerator) arrays and
-        denom >= 1, else ValueError (rationals go through `from_entries`):
-        duplicates are summed, zeros dropped and the common gcd divided out."""
+        denom >= 1, else ValueError (rationals go through `from_entries`): one
+        argsort of the keys col·dim + row, `np.add.reduceat` over each run of
+        equal keys, zeros dropped and the common gcd divided out."""
         if denom < 1:
             raise ValueError(f"denominator {denom} is not positive")
         rows, cols = (_integers(a, "indices").astype(np.int64, copy=False) for a in (rows, cols))
         outside = np.flatnonzero((rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim))
         if outside.size:
             raise ValueError(f"entry ({rows[outside[0]]}, {cols[outside[0]]}) out of range for dim {dim}")
-        key, where = np.unique(cols * dim + rows, return_inverse=True)
-        nums = fit(_integers(nums, "numerators"), where.size)
-        summed = np.zeros(key.size, dtype=nums.dtype)
-        np.add.at(summed, where, nums)
-        key, nums = key[summed != 0], summed[summed != 0]
+        key = cols * dim + rows  # each temporary below is dropped as soon as it is read: they set the peak
+        order = np.argsort(key)
+        key = key[order]
+        nums = fit(_integers(nums, "numerators"), key.size)[order]
+        del order
+        starts = np.flatnonzero(np.r_[key.size > 0, key[1:] != key[:-1]])
+        nums = np.add.reduceat(nums, starts)
+        key = key[starts]
+        del starts
+        if not nums.all():
+            key, nums = key[nums != 0], nums[nums != 0]
         g = math.gcd(denom, int(np.gcd.reduce(nums)))
-        self.dim, self.denom, self.nums = dim, denom // g, fit(nums // g)
-        self.cols, self.rows = np.divmod(key, dim)
-        magnitudes = np.abs(fit(self.nums, key.size))
+        nums = fit(nums // g)
+        self.dim, self.denom, self.nums, (self.cols, self.rows) = dim, denom // g, nums, np.divmod(key, dim)
+        del key
+        magnitudes = np.abs(fit(nums, nums.size))
         row_sums = np.zeros(dim, dtype=magnitudes.dtype)
         np.add.at(row_sums, self.rows, magnitudes)
         self._row_bound = int(row_sums.max(initial=0))
@@ -110,12 +118,12 @@ class OperatorMatrix:
         return self.nums.size
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """N v for an integer array v, so that M v = matvec(v) / denom.
+        """N v for an integer array v (else ValueError), so that M v = matvec(v) / denom.
 
         Stays int64 while max|v| * (largest row sum of |N|) < 2^63, which
         bounds every product and partial sum; past that it computes and
         returns Python ints, so a walk that crosses the bound stays exact."""
-        products = self.nums * fit(v, self._row_bound)[self.cols]
+        products = self.nums * fit(_integers(v, "vector entries"), self._row_bound)[self.cols]
         out = np.zeros(self.dim, dtype=products.dtype)
         np.add.at(out, self.rows, products)
         return out

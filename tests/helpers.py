@@ -8,6 +8,7 @@ continuant recurrence, and the rank law instead of the product.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import cache
@@ -17,7 +18,7 @@ import numpy as np
 
 from latspec import ZERO, FiniteLattice, NotALatticeError, OperatorMatrix, RationalPolynomial, diamond, parse_lattice
 from latspec.gf import in_rowspace, rref
-from latspec.operators import _cover_arrays, _lowering_pairs
+from latspec.operators import _cover_arrays, _lowering_pairs, fit
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +100,31 @@ def det_by_matchings(beta_sq: tuple[Fraction, ...], size: int) -> RationalPolyno
             coeffs = [Fraction(0)] * (2 * count) + [weight * (-1) ** count]
             total = total + RationalPolynomial(coeffs)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Summation oracle for the OperatorMatrix constructor (no sort by the caller)
+# ---------------------------------------------------------------------------
+
+
+def operator_arrays_by_unique(dim: int, rows, cols, nums, denom: int = 1) -> tuple:
+    """(rows, cols, nums, denom, row bound) as `OperatorMatrix(dim, rows,
+    cols, nums, denom)` stores them, for valid integer input, with equal
+    keys col·dim + row summed through `np.unique(return_inverse=True)` and
+    `np.add.at` rather than one sort and `np.add.reduceat`."""
+    rows, cols = (np.asarray(a).astype(np.int64) for a in (rows, cols))
+    key, where = np.unique(cols * dim + rows, return_inverse=True)
+    nums = fit(np.asarray(nums), where.size)
+    summed = np.zeros(key.size, dtype=nums.dtype)
+    np.add.at(summed, where, nums)
+    key, nums = key[summed != 0], summed[summed != 0]
+    g = math.gcd(denom, int(np.gcd.reduce(nums)))
+    nums = fit(nums // g)
+    cols, rows = np.divmod(key, dim)
+    magnitudes = np.abs(fit(nums, nums.size))
+    row_sums = np.zeros(dim, dtype=magnitudes.dtype)
+    np.add.at(row_sums, rows, magnitudes)
+    return rows, cols, nums, denom // g, int(row_sums.max(initial=0))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_matmul, random_flats_document
+from helpers import dense_matmul, operator_arrays_by_unique, random_flats_document
 from latspec import (
     OperatorMatrix,
     build_affine,
@@ -101,6 +101,63 @@ class TestConstructorRejectsInexactInput:
         wide = np.array([3, 2**70], dtype=object)
         assert OperatorMatrix(2, np.array([0, 1], np.int32), [1, np.int64(0)], wide, 2) == want
         assert OperatorMatrix(2, [], [], []) == OperatorMatrix.from_entries(2, [])
+
+    @pytest.mark.parametrize("vec", [
+        np.array([0.0, 0.5]),
+        np.array([1.0, 2.0]),
+        np.array([0, Fraction(1, 2)], dtype=object),
+    ], ids=["half-float", "integral-float", "fraction-object"])
+    def test_matvec_rejects_a_vector_that_is_not_integer(self, vec):
+        # a float vector was cast to int64, so [0.0, 0.5] was applied as [0, 0]
+        with pytest.raises(ValueError, match="^vector entries must be integers$"):
+            OperatorMatrix(2, [0], [1], [1]).matvec(vec)
+
+
+class TestConstructorAgainstUniqueOracle:
+    """One argsort and `np.add.reduceat` store exactly the arrays, dtypes
+    and row bound that `np.unique` and `np.add.at` stored."""
+
+    @staticmethod
+    def assert_oracle(*args):
+        M = OperatorMatrix(*args)
+        rows, cols, nums, denom, row_bound = operator_arrays_by_unique(*args)
+        for got, want in ((M.rows, rows), (M.cols, cols), (M.nums, nums)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert (M.denom, M._row_bound) == (denom, row_bound)
+
+    @pytest.mark.parametrize("args", [
+        (3, [0, 0, 1, 2], [1, 1, 2, 0], [2, -2, 5, 4], 2),  # a pair that cancels, and a common factor
+        (2, [0, 0, 1, 1], [1, 1, 0, 0], [1, -1, 3, -3], 1),  # every sum cancels
+        (2, [0, 1, 0], [1, 0, 1], np.array([-(2**70), 3, -(2**70)], dtype=object), 4),
+        (2, [0, 0], [1, 1], np.array([2**62, 2**62]), 1),  # an int64 sum past int64
+        (3, np.array([2, 0, 2], np.int32), np.array([1, 1, 1], np.int32), [7, 7, -7], 7),
+        (1, [0, 0, 0], [0, 0, 0], [1, 2, 3], 6),
+        (4, [], [], [], 3),
+    ], ids=["cancelling-pair", "all-cancel", "wide-negative", "sum-past-int64", "int32", "dim-1", "empty"])
+    def test_cases(self, args):
+        self.assert_oracle(*args)
+
+    def test_seeded_random_inputs(self):
+        rng = random.Random(2025)
+        for _ in range(400):
+            dim, m = rng.choice([1, 2, 3, 5, 8]), rng.choice([0, 1, 2, 5, 12, 30])
+            index = rng.choice([np.int32, np.int64])
+            rows, cols = (np.array([rng.randrange(dim) for _ in range(m)], index) for _ in "rc")
+            sizes = rng.choice([[1, 2, 3], [1, 2**62, 2**62 - 3], [1, 2**70, 3 * 2**69]])  # small, near 2^62, wide
+            values = [rng.choice([-1, 0, 1]) * rng.choice(sizes) for _ in range(m)]
+            nums = np.array(values, object if max(sizes) >= 2**63 else np.int64)
+            self.assert_oracle(dim, rows, cols, nums, rng.choice([1, 2, 3, 4, 6, 12]))
+
+    def test_hamiltonian_is_unchanged(self, monkeypatch):
+        handed = []
+        init = OperatorMatrix.__init__
+        monkeypatch.setattr(OperatorMatrix, "__init__", lambda M, *args: handed.append(args) or init(M, *args))
+        product = build_product(build_uniform(2, 3), build_boolean(2))
+        for L in (build_boolean(10), build_projective(4, 2), build_affine(3, 2), build_uniform(3, 5), product):
+            handed.clear()
+            hamiltonian(L)
+            (args,) = handed
+            self.assert_oracle(*args)
 
 
 class TestOverflowBoundary:

@@ -496,6 +496,17 @@ class TestSemimodularFromGainedAtoms:
         with pytest.raises(LatticeError, match=message):
             FiniteLattice([0, 1], covers_up)
 
+    @pytest.mark.parametrize("rank, covers_up, error, message", [
+        ([0, 1, 2, 2, 3], [[3, 1], [4, 2], [4], [4], []], NotGradedError, r"^cover \[0, 3\] spans ranks 0 -> 2$"),
+        ([0, 0, 1], [[2], [2], []], NotALatticeError, r"^the bottom must be the unique rank-0 element and have id 0$"),
+        ([1, 0], [[], [0]], NotALatticeError, r"^the bottom must be the unique rank-0 element and have id 0$"),
+        ([0, 1, 1, 1, 2], [[1], [4], [4], [4], []], NotALatticeError, r"^element 2 has rank 1 but covers nothing$"),
+        ([0, 1, 1], [[1, 2], [], []], NotALatticeError, r"^expected a unique top element, found 2$"),
+    ], ids=["rank-jump", "two-bottoms", "bottom-not-id-0", "covers-nothing", "two-tops"])
+    def test_constructor_names_the_first_counterexample(self, rank, covers_up, error, message):
+        with pytest.raises(error, match=message):
+            FiniteLattice(rank, covers_up)
+
     def test_from_covers_still_merges_repeated_covers(self):
         assert FiniteLattice.from_covers(2, [(0, 1), (0, 1)]) == FiniteLattice([0, 1], [[1], []])
 
@@ -693,8 +704,13 @@ class TestBuiltOnFirstRead:
         radial_invariance(L, H)
         vacuum_moments_full(L, H, 6)
         eigendecompose(jacobi_from_formula(L))
-        assert not {"labels", "_up", "_up_index", "_down_index"} & set(vars(L))
-        assert L.join(1, 2) == 9 and {"_up", "_up_index"} <= set(vars(L))  # {1} ∨ {2}, the first of rank 2
+        assert not {"labels", "_up", "_up_index", "_down_index", "covers_down"} & set(vars(L))
+        assert L.join(1, 2) == 9 and {"_up", "_up_index", "covers_down"} <= set(vars(L))  # {1} ∨ {2}, the first of rank 2
+
+    def test_covers_down_is_the_inverse_of_covers_up(self, small_lattices):
+        for L in [*small_lattices, *random_lattices()[:200]]:
+            inverse = tuple(tuple(x for x in range(L.n) if y in L.covers_up[x]) for y in range(L.n))
+            assert L.covers_down == inverse, L.family_tag
 
     @staticmethod
     def _eager_labels(L, family, r, q):
