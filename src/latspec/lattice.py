@@ -752,8 +752,8 @@ class _AlgebraZero:
 
 ZERO = object.__new__(_AlgebraZero)  # the one instance, which `_AlgebraZero()` returns
 
-# Largest lattice whose full product table `diamond_table` prints.
-TABLE_LIMIT = 64
+# Largest lattices whose product table `diamond_table` prints and `nonassociativity_witness` fills (4.2M slots).
+TABLE_LIMIT, WITNESS_LIMIT = 64, 2048
 
 
 def diamond(L: FiniteLattice, x: int, y: int) -> int | _AlgebraZero:
@@ -800,10 +800,12 @@ def nonassociativity_witness(L: FiniteLattice) -> tuple[int, int, int] | None:
 
     Returns the lexicographically first witness, or None when the product
     is associative on the basis (hence, by bilinearity, on the whole span).
-    Each of the n² products is evaluated once, into `_product_table`, so the
-    search holds n² list slots (8 bytes each: 8 MB at n = 1,000); for each
-    (x, y) the two groupings are compared as rows over z.
+    Each of the n² products is evaluated once, into `_product_table`, which
+    holds n² list slots (8 MB at n = 1,000; past `WITNESS_LIMIT` elements,
+    SizeBoundError first); each (x, y) compares the groupings as rows over z.
     """
+    if L.n > WITNESS_LIMIT:
+        raise SizeBoundError(f"the witness search is limited to {WITNESS_LIMIT} elements")
     table, zeros = _product_table(L), [ZERO] * L.n
     for x, row in enumerate(table):
         for y, xy in enumerate(row):

@@ -26,13 +26,10 @@ from .lattice import ZERO, FiniteLattice, _diamond
 _INT64_LIMIT = 2**63
 
 
-def _max_abs(a: np.ndarray) -> int:
-    return max(int(a.max()), -int(a.min())) if a.size else 0
-
-
 def fit(a: np.ndarray, factor: int = 1) -> np.ndarray:
     """`a` as int64 when max(|a|, 1) * max(factor, 1) < 2^63, else as Python ints."""
-    return a.astype(object if max(_max_abs(a), 1) * max(factor, 1) >= _INT64_LIMIT else np.int64, copy=False)
+    bound = max(int(a.max()), -int(a.min()), 1) if a.size else 1
+    return a.astype(object if bound * max(factor, 1) >= _INT64_LIMIT else np.int64, copy=False)
 
 
 def _integers(a, what: str) -> np.ndarray:
@@ -62,32 +59,36 @@ class OperatorMatrix:
     def __init__(self, dim: int, rows, cols, nums, denom: int = 1):
         """N / denom from unsorted integer (row, col, numerator) arrays and
         denom >= 1, else ValueError (rationals go through `from_entries`): one
-        argsort of the keys col·dim + row, `np.add.reduceat` over each run of
-        equal keys, zeros dropped and the common gcd divided out."""
+        argsort of the int64 keys col·dim + row, `np.add.reduceat` over runs
+        of equal keys if there are any, zeros dropped and a gcd above 1 divided
+        out.  Each temporary is dropped before the next, so without repeated
+        keys or zero sums at most three entry-sized arrays are held beside
+        the (possibly narrow) input."""
         if denom < 1:
             raise ValueError(f"denominator {denom} is not positive")
-        rows, cols = (_integers(a, "indices").astype(np.int64, copy=False) for a in (rows, cols))
-        outside = np.flatnonzero((rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim))
-        if outside.size:
-            raise ValueError(f"entry ({rows[outside[0]]}, {cols[outside[0]]}) out of range for dim {dim}")
-        key = cols * dim + rows  # each temporary below is dropped as soon as it is read: they set the peak
+        rows, cols, nums = _integers(rows, "indices"), _integers(cols, "indices"), _integers(nums, "numerators")
+        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= dim):
+            i = np.flatnonzero((rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim))[0]
+            raise ValueError(f"entry ({rows[i]}, {cols[i]}) out of range for dim {dim}")
+        key = cols.astype(np.int64) * dim + rows.astype(np.int64, copy=False)  # NumPy wraps narrow products
         order = np.argsort(key)
         key = key[order]
-        nums = fit(_integers(nums, "numerators"), key.size)[order]
+        nums = nums[order]
         del order
-        starts = np.flatnonzero(np.r_[key.size > 0, key[1:] != key[:-1]])
-        nums = np.add.reduceat(nums, starts)
-        key = key[starts]
-        del starts
+        nums = fit(nums, key.size)
+        if not (distinct := key[1:] != key[:-1]).all():
+            starts = np.flatnonzero(np.r_[True, distinct])
+            nums = np.add.reduceat(nums, starts)
+            key = key[starts]
+            del starts
         if not nums.all():
             key, nums = key[nums != 0], nums[nums != 0]
         g = math.gcd(denom, int(np.gcd.reduce(nums)))
-        nums = fit(nums // g)
-        self.dim, self.denom, self.nums, (self.cols, self.rows) = dim, denom // g, nums, np.divmod(key, dim)
-        del key
-        magnitudes = np.abs(fit(nums, nums.size))
+        self.dim, self.denom, self.nums = dim, denom // g, fit(nums // g if g > 1 else nums)
+        self.cols, self.rows = key // dim, np.remainder(key, dim, out=key)
+        magnitudes = fit(self.nums, self.nums.size)
         row_sums = np.zeros(dim, dtype=magnitudes.dtype)
-        np.add.at(row_sums, self.rows, magnitudes)
+        np.add.at(row_sums, self.rows, magnitudes if magnitudes.min(initial=0) >= 0 else np.abs(magnitudes))
         self._row_bound = int(row_sums.max(initial=0))
 
     @classmethod
@@ -235,9 +236,9 @@ def annihilation_operator(L: FiniteLattice, a: int) -> OperatorMatrix:
 
 def _assemble(L: FiniteLattice, pairs: Iterable[np.ndarray]) -> OperatorMatrix:
     """(1/2) * sum over atoms of (P_a + P_a^t), P_a holding a 1 at each pair
-    of a.  Equal pairs are counted by their key y·n + x before mirroring, so
-    the constructor sees each entry once."""
-    keys = np.concatenate([np.empty(0, np.int64), *(y * L.n + x for y, x in pairs)])
+    of a.  Equal pairs are counted by their key y·n + x, formed in int64,
+    before mirroring, so the constructor sees each entry once."""
+    keys = np.concatenate([np.empty(0, np.int64), *(y.astype(np.int64) * L.n + x for y, x in pairs)])
     keys, counts = np.unique(keys, return_counts=True)
     upper, lower = np.divmod(keys, L.n)
     return OperatorMatrix(L.n, np.r_[upper, lower], np.r_[lower, upper], np.r_[counts, counts], 2)
@@ -247,10 +248,10 @@ def _cover_arrays(L: FiniteLattice) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     """(lower, upper, gained, a): the covers x ⋖ y in `L.covers()` order as
     arrays of x and y, the a(y) - a(x) atoms each gains, and a(.), the count
     of atoms below each element.  As J(x) ⊆ J(y), a cover gains exactly the
-    atoms of J(y) ∖ J(x)."""
-    a = np.fromiter(map(L.count_atoms_below, range(L.n)), np.int64, L.n)
-    lower = np.repeat(np.arange(L.n), [len(ups) for ups in L.covers_up])
-    upper = np.fromiter(chain.from_iterable(L.covers_up), np.int64, lower.size)
+    atoms of J(y) ∖ J(x).  All are int32 when n < 2^31, else int64."""
+    a = np.fromiter(map(L.count_atoms_below, range(L.n)), np.int32 if L.n < 2**31 else np.int64, L.n)
+    lower = np.repeat(np.arange(L.n, dtype=a.dtype), np.fromiter(map(len, L.covers_up), np.intp, L.n))
+    upper = np.fromiter(chain.from_iterable(L.covers_up), a.dtype, lower.size)
     return lower, upper, a[upper] - a[lower], a
 
 
@@ -281,9 +282,8 @@ def hamiltonian(L: FiniteLattice) -> OperatorMatrix:
         while free:
             skips += (L.join(x, L.atoms[(free & -free).bit_length() - 1]), x)
             free &= free - 1
-    upper_skip, lower_skip = np.array(skips, np.int64).reshape(-1, 2).T
-    ones = np.ones(upper_skip.size, np.int64)
+    upper_skip, lower_skip = np.array(skips, a.dtype).reshape(-1, 2).T
     rows, cols = np.r_[upper, lower, upper_skip, lower_skip], np.r_[lower, upper, lower_skip, upper_skip]
-    nums = np.r_[gained, gained, ones, ones]
-    del lower, upper, gained, a, unreached  # freed before the constructor sorts the entries
+    nums = np.r_[gained, gained, np.ones(2 * upper_skip.size, a.dtype)]
+    del lower, upper, gained, a, unreached  # freed before the constructor sorts the entries, which stay narrow
     return OperatorMatrix(L.n, rows, cols, nums, 2)

@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from ._numpy import np
 from .lattice import FiniteLattice
-from .operators import OperatorMatrix, _cover_arrays, check_dim, fit, hamiltonian
+from .operators import OperatorMatrix, check_dim, fit, hamiltonian
 
 
 @dataclass(frozen=True)
@@ -96,12 +97,18 @@ class InvarianceReport:
 
 def cover_weight_sums(L: FiniteLattice) -> tuple[int, ...]:
     """W_k = sum over covers x ⋖ y with rank(x) = k of (a(y) - a(x)), a(.)
-    counting atoms below, read from the covers alone: W_k counts the
-    lowering pairs (y, x) with rank(x) = k, each cover once, at the rank of x."""
-    lower, _, gained, _ = _cover_arrays(L)
-    W = np.zeros(L.top_rank, np.int64)
-    np.add.at(W, np.asarray(L.rank)[lower], gained)
-    return tuple(W.tolist())
+    counting atoms below: the lowering pairs (y, x) with rank(x) = k.  Split
+    by endpoint, W_k = sum over r(y) = k+1 of a(y) down(y) - sum over r(x) = k
+    of a(x) up(x), up and down counting upper and lower covers: per-element
+    counts summed in Python ints, with no cover-sized array."""
+    down = [0] * L.n
+    for y in chain.from_iterable(L.covers_up):
+        down[y] += 1
+    W = [0] * (L.top_rank + 1)  # W[top_rank] collects the bottom's a(0) down(0) = 0 and is dropped
+    for k, a, d, u in zip(L.rank, map(L.count_atoms_below, range(L.n)), down, map(len, L.covers_up)):
+        W[k] -= a * u
+        W[k - 1] += a * d
+    return tuple(W[:-1])
 
 
 def jacobi_from_formula(L: FiniteLattice) -> JacobiData:
@@ -122,7 +129,7 @@ def jacobi_from_compression(L: FiniteLattice, H: OperatorMatrix | None = None) -
     if H is None:
         H = hamiltonian(L)
     check_dim(L, H)
-    rank = np.asarray(L.rank)
+    rank = np.asarray(L.rank, np.min_scalar_type(L.top_rank))  # narrow, so the two rank gathers stay small
     nums = fit(H.nums, H.nnz())
     block = np.zeros((L.top_rank + 1, L.top_rank + 1), dtype=nums.dtype)
     np.add.at(block, (rank[H.rows], rank[H.cols]), nums)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -100,6 +101,16 @@ def det_by_matchings(beta_sq: tuple[Fraction, ...], size: int) -> RationalPolyno
             coeffs = [Fraction(0)] * (2 * count) + [weight * (-1) ** count]
             total = total + RationalPolynomial(coeffs)
     return total
+
+
+def traced_peak(f, *args) -> tuple:
+    """(f(*args), the peak bytes `tracemalloc` saw during the call).  NumPy
+    reports its array buffers to `tracemalloc`, so the peak counts them."""
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from latspec import (
     parse_lattice,
     vacuum_moments_full,
 )
-from latspec.operators import _assemble, _creation_pairs
+from latspec.operators import _assemble, _cover_arrays, _creation_pairs, _lowering_pairs
 
 HALF = Fraction(1, 2)
 
@@ -95,6 +95,17 @@ class TestWitness:
     def test_none_on_boolean(self):
         for n in range(4):
             assert nonassociativity_witness(build_boolean(n)) is None
+
+    def test_refused_past_the_limit_before_the_table_is_filled(self, monkeypatch):
+        # patched low: the real limit exists to stop sizes a test must not run
+        filled = []
+        table = latspec.lattice._product_table
+        monkeypatch.setattr(latspec.lattice, "WITNESS_LIMIT", 7)
+        monkeypatch.setattr(latspec.lattice, "_product_table", lambda L: filled.append(L.n) or table(L))
+        with pytest.raises(SizeBoundError, match="^the witness search is limited to 7 elements$"):
+            nonassociativity_witness(build_boolean(3))
+        assert filled == []
+        assert nonassociativity_witness(build_uniform(2, 5)) is None and filled == [7]
 
     def test_none_on_modular_families(self, m3, fano):
         # pairwise meets/joins in modular lattices force both groupings to
@@ -383,6 +394,17 @@ def test_assemblies_equal_public_operator_sums(small_lattices):
         assert all(np.unique(P.cols).size == P.nnz() for P in lowering)
         rank_two += any((rank[C.rows] == rank[C.cols] + 2).any() for C in creation)
     assert len(lattices) == len(small_lattices) + 360 and rank_two == 23
+
+
+def test_assemble_forms_int32_pair_keys_in_int64():
+    """NumPy 2 keeps int32 times a Python int in int32 and wraps it silently
+    (NEP 50); on boolean(16) the key y·n + x passes 2^31 once y > 32,767."""
+    L = build_boolean(16)
+    pairs = _lowering_pairs(L, 0, *_cover_arrays(L)[:2])
+    assert pairs.dtype == np.int32 and int(pairs[0].max()) * L.n >= 2**31
+    H = _assemble(L, [pairs])
+    assert H == _assemble(L, [pairs.astype(np.int64)])
+    assert H.nnz() == 2 * pairs.shape[1] and H.entry(int(pairs[0, -1]), int(pairs[1, -1])) == HALF
 
 
 def _by_definition(L):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_matmul, operator_arrays_by_unique, random_flats_document
+from helpers import dense_matmul, operator_arrays_by_unique, random_flats_document, traced_peak
 from latspec import (
     OperatorMatrix,
     build_affine,
@@ -148,6 +148,17 @@ class TestConstructorAgainstUniqueOracle:
             nums = np.array(values, object if max(sizes) >= 2**63 else np.int64)
             self.assert_oracle(dim, rows, cols, nums, rng.choice([1, 2, 3, 4, 6, 12]))
 
+    def test_int32_indices_whose_keys_pass_2_to_the_31(self):
+        # NumPy 2 keeps int32 times a Python int in int32 and wraps it silently (NEP 50)
+        dim, rng = 70_000, np.random.default_rng(26)
+        rows, cols = rng.integers(0, dim, (2, 400))
+        rows, cols = np.r_[rows, rows[:40], dim - 1], np.r_[cols, cols[:40], dim - 1]  # repeats, and the last key
+        nums = rng.integers(-3, 4, rows.size)
+        assert int(cols.max()) * dim + int(rows.max()) >= 2**31
+        narrow = OperatorMatrix(dim, rows.astype(np.int32), cols.astype(np.int32), nums.astype(np.int32), 2)
+        assert narrow == OperatorMatrix(dim, rows, cols, nums, 2)
+        self.assert_oracle(dim, rows.astype(np.int32), cols.astype(np.int32), nums.astype(np.int32), 2)
+
     def test_hamiltonian_is_unchanged(self, monkeypatch):
         handed = []
         init = OperatorMatrix.__init__
@@ -158,6 +169,15 @@ class TestConstructorAgainstUniqueOracle:
             hamiltonian(L)
             (args,) = handed
             self.assert_oracle(*args)
+
+
+class TestConstructionMemory:
+    def test_hamiltonian_peaks_within_twice_its_arrays(self):
+        """The cover arrays reach the constructor as int32, and it holds at
+        most three entry-sized temporaries beside them."""
+        L = build_boolean(12)
+        H, peak = traced_peak(hamiltonian, L)
+        assert peak <= 2 * (H.rows.nbytes + H.cols.nbytes + H.nums.nbytes)
 
 
 class TestOverflowBoundary:

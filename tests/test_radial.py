@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from helpers import lowering_pairs_by_atom, random_bounded_graded_poset, random_flats_document
+from helpers import lowering_pairs_by_atom, random_bounded_graded_poset, random_flats_document, traced_peak
 from latspec import (
     FiniteLattice,
     JacobiData,
@@ -92,6 +92,13 @@ class TestCoverWeights:
                 for x in lower.tolist():
                     W[L.rank[x]] += 1
             assert cover_weight_sums(L) == tuple(W), list(L.covers())
+
+    def test_hold_less_than_one_int64_array_of_the_covers(self):
+        """W_k is summed from per-element counts, so the formula side holds
+        no cover-sized array."""
+        L = build_boolean(12)
+        _, peak = traced_peak(jacobi_from_formula, L)
+        assert peak < 8 * sum(map(len, L.covers_up))
 
 
 class TestJacobiFormula:
