@@ -23,8 +23,9 @@ upper cover; write J(x) for the join-irreducibles below x and M(x) for the
 meet-irreducibles above it.  Then x <= y iff J(x) ⊆ J(y), J(x ∧ y) =
 J(x) ∩ J(y) and M(x ∨ y) = M(x) ∩ M(y).  `FiniteLattice` stores J(x) and
 M(x) as bitmasks, so `leq` is a subset test and `meet` and `join` are one
-AND and one lookup each.  On an atomistic lattice the join-irreducibles
-are the atoms, so a mask costs a bit per atom, not a bit per element.
+AND and one lookup each; both are filled from the upper covers alone.  On
+an atomistic lattice the join-irreducibles are the atoms, so a mask costs
+a bit per atom, not a bit per element.
 
 The masks order an element set exactly only when it is a lattice, so
 `leq`, `meet` and `join` are defined only on lattices.  Built-in families
@@ -82,9 +83,9 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate, chain, combinations, product
+from itertools import accumulate, chain, combinations, groupby, product
 from math import comb
-from operator import itemgetter, mul, ne, sub
+from operator import mul, ne, sub
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from . import gf
@@ -143,26 +144,6 @@ def _check_size(sizes: Iterable[int], cap: int | None) -> None:
         raise SizeBoundError(f"lattice would have {n} elements, exceeding the cap of {limit}")
 
 
-def _irreducible_masks(layers: Sequence[Sequence[int]], above: Sequence[Sequence[int]]) -> list[int]:
-    """Per element, the mask of the irreducibles at or under it, above[x]
-    listing the elements covering x in the chosen direction and an element
-    being irreducible when it covers exactly one.  `layers` lists each
-    element after those it covers, whose masks, pushed up `above`, complete
-    it and count its lower covers; bits are numbered in that order."""
-    masks, covered = [0] * len(above), [0] * len(above)
-    bit = 1
-    for layer in layers:
-        for x in layer:
-            if covered[x] == 1:
-                masks[x] |= bit
-                bit <<= 1
-            m = masks[x]
-            for y in above[x]:
-                masks[y] |= m
-                covered[y] += 1
-    return masks
-
-
 class FiniteLattice:
     """Immutable finite graded lattice.
 
@@ -182,17 +163,20 @@ class FiniteLattice:
     docstring), which order the elements exactly only on a lattice: they
     are defined only when `first_meetless_pair` is None.  Built-in families
     and products are lattices by construction; `from_covers` and `validate`
-    certify every other input.  The constructor raises unless the covers
-    of each element are distinct ids in range(n), id 0 is the only rank-0
-    element, exactly one element, of top rank, has no upper cover, and
-    every cover steps up one rank, so `validate` need not check these.
+    certify every other input.  The constructor raises, naming the first
+    failure, unless id 0 is the only rank-0 element, the covers of each
+    element are distinct ids in range(n), each one rank up (read in layer
+    order, which is id order on every parsed or built lattice but a
+    product, in the pass that fills J(x)), every other element covers
+    something, and exactly one element, of top rank, has no upper cover,
+    checked in that order; so `validate` need not check these.
     `leq`, `meet`, `join` and `atoms_below` expect ids in range(n) and do
     not check them: a negative id indexes from the end.
 
-    `labels`, `covers_down`, `first_meetless_pair`, `validation` and the
-    masks and indexes that `join` and `meet` read are computed on first
-    read.  The object is immutable after construction and thread-safe: all
-    query methods are pure, and a racing first read computes the same value.
+    `labels`, `covers_down`, `first_meetless_pair`, `validation`, M(x) and
+    the indexes that `join` and `meet` read are computed on first read.
+    The object is immutable after construction and thread-safe: all query
+    methods are pure, and a racing first read computes the same value.
     """
 
     def __init__(
@@ -208,7 +192,7 @@ class FiniteLattice:
         self.n = n
         self.rank = rank = tuple(rank)
         # an ascending tuple, as `_build_flats` hands over, is kept rather than copied
-        self.covers_up = tuple(u if u == (t := tuple(sorted(u))) else t for u in covers_up)
+        self.covers_up = covers = tuple(u if u == (t := tuple(sorted(u))) else t for u in covers_up)
         self.family_tag = family_tag
         if labels is None or callable(labels):  # rendered on first read; a partial keeps L picklable
             self._labels = labels or partial(map, "e{}".format, range(n))
@@ -216,52 +200,57 @@ class FiniteLattice:
             self.labels = labels  # an instance value shadows the cached property
         else:
             raise LatticeError(f"{len(labels)} labels given for {n} elements")
-        if len(self.covers_up) != n:
+        if len(covers) != n:
             raise LatticeError("rank and covers_up must have equal length")
-        self.top_rank = max(self.rank)
-
-        # distinct ids in range(n), checked in C; only a failure is walked, to name the cover
-        if (min(map(itemgetter(0), filter(None, self.covers_up)), default=0) < 0
-                or max(map(itemgetter(-1), filter(None, self.covers_up)), default=0) >= n
-                or sum(map(len, map(set, self.covers_up))) != sum(map(len, self.covers_up))):
-            x, y, z = next((x, y, z) for x, u in enumerate(self.covers_up)
-                           for y, z in zip(u, u[1:] + (None,)) if y == z or not 0 <= y < n)
-            raise LatticeError(f"cover [{x}, {y}] {'is repeated' if y == z else 'references an unknown element id'}")
-        covered = bytearray(n)
-        for x, ups in enumerate(self.covers_up):
-            step = rank[x] + 1
-            for y in ups:
-                if rank[y] != step:  # the rank-ordered layers and mask fill below rely on this
-                    raise NotGradedError(f"cover [{x}, {y}] spans ranks {rank[x]} -> {rank[y]}")
-                covered[y] = 1
-
-        if self.rank.count(0) != 1 or self.rank[0] != 0:
+        self.top_rank = max(rank)
+        if rank.count(0) != 1 or rank[0] != 0:
             raise NotALatticeError("the bottom must be the unique rank-0 element and have id 0")
-        if (i := covered.find(0, 1)) > 0:
-            raise NotALatticeError(f"element {i} has rank {self.rank[i]} but covers nothing")
-        if self.covers_up.count(()) != 1:
-            raise NotALatticeError(f"expected a unique top element, found {self.covers_up.count(())}")
-        self.top = self.covers_up.index(())
-
-        layers: list[list[int]] = [[] for _ in range(self.top_rank + 1)]
-        for i, rk in enumerate(self.rank):
-            layers[rk].append(i)
-        self.layers = tuple(tuple(lay) for lay in layers)
-        self.atoms = self.layers[1] if self.top_rank >= 1 else ()
-
-        # J(x) masks, filled in rank order (ids need not be rank-sorted:
-        # product lattices are ordered lexicographically).  The atoms are the
-        # first join-irreducibles, so they hold the low bits.
-        self._down = _irreducible_masks(self.layers, self.covers_up)
+        # One pass in layer order (ids ascending within a rank) checks each cover, counts lower covers
+        # and pushes J(x), completed by x's lower covers a layer down, up x's covers; atoms get the low bits.
+        layers = tuple(tuple(layer) for _, layer in groupby(sorted(range(n), key=rank.__getitem__), rank.__getitem__))
+        down, count, bit = [0] * n, [0] * n, 1
+        for x in chain.from_iterable(layers):
+            if count[x] == 1:
+                down[x] |= bit
+                bit <<= 1
+            m, step, last = down[x], rank[x] + 1, -1
+            for y in covers[x]:
+                if not last < y < n:  # sorted, so a repeat is equal to the cover before it
+                    raise LatticeError(f"cover [{x}, {y}] {'is repeated' if y == last >= 0 else 'references an unknown element id'}")
+                if rank[y] != step:
+                    raise NotGradedError(f"cover [{x}, {y}] spans ranks {rank[x]} -> {rank[y]}")
+                down[y] |= m
+                count[y] += 1
+                last = y
+        if count[0] or count.count(0) > 1:  # nothing is below the bottom, and every other element covers something
+            raise NotALatticeError(f"element {(i := count.index(0, 1))} has rank {rank[i]} but covers nothing")
+        if covers.count(()) != 1:
+            raise NotALatticeError(f"expected a unique top element, found {covers.count(())}")
+        self.top = covers.index(())
+        self._down, self.layers = down, layers
+        self.atoms = layers[1] if self.top_rank >= 1 else ()
 
     labels = cached_property(lambda self: tuple(self._labels()))
-    _up = cached_property(lambda self: _irreducible_masks(self.layers[::-1], self.covers_down))
     _down_index = cached_property(lambda self: {m: i for i, m in enumerate(self._down)})
     _up_index = cached_property(lambda self: {m: i for i, m in enumerate(self._up)})
 
     @cached_property
+    def _up(self) -> list[int]:
+        """M(x), pulled from the upper covers top layer first; bits go to one-cover elements in that order."""
+        up, bit, covers = [0] * self.n, 1, self.covers_up
+        for x in chain.from_iterable(reversed(self.layers)):
+            m = 0
+            for y in covers[x]:
+                m |= up[y]
+            if len(covers[x]) == 1:
+                m |= bit
+                bit <<= 1
+            up[x] = m
+        return up
+
+    @cached_property
     def covers_down(self) -> tuple[tuple[int, ...], ...]:
-        """The inverse of `covers_up`, computed on first read."""
+        """The inverse of `covers_up`, computed when `first_meetless_pair` or `validate` first reads it."""
         down: list[list[int]] = [[] for _ in range(self.n)]
         for x, ups in enumerate(self.covers_up):
             for y in ups:
@@ -292,6 +281,10 @@ class FiniteLattice:
 
     def count_atoms_below(self, x: int) -> int:
         return self.atoms_below(x).bit_count()
+
+    def _atom_counts(self) -> Iterator[int]:
+        """a(x) = `count_atoms_below(x)` for every x in id order, read in bulk."""
+        return map(int.bit_count, map(((1 << len(self.atoms)) - 1).__and__, self._down))
 
     def covers(self) -> Iterator[tuple[int, int]]:
         """All cover pairs (x, y) with x covered by y."""
@@ -351,14 +344,14 @@ class FiniteLattice:
         _check_size((n,), cap)
         succ: list[list[int]] = [[] for _ in range(n)]
         indeg = [0] * n
-        seen = set()
+        seen: dict[tuple[int, int], None] = {}  # insertion-ordered: a failure names the first offending cover
         for lo, hi in covers:
             if not (0 <= lo < n and 0 <= hi < n):
                 raise ParseError(f"cover [{lo}, {hi}] references an unknown element id")
             if lo == hi:
                 raise NotAPosetError(f"cover [{lo}, {hi}] is a self-loop")
             if (pair := (lo, hi)) not in seen:
-                seen.add(pair)
+                seen[pair] = None
                 succ[lo].append(hi)
                 indeg[hi] += 1
 
@@ -379,8 +372,8 @@ class FiniteLattice:
         if any(indeg):  # a node never released
             raise NotAPosetError("cover relation contains a cycle")
 
-        if any(rank[hi] != rank[lo] + 1 for lo, ups in enumerate(succ) for hi in ups):
-            lo, hi = next((lo, hi) for lo, hi in seen if rank[hi] != rank[lo] + 1)  # reported in `seen` order
+        if (pair := next(((lo, hi) for lo, hi in seen if rank[hi] != rank[lo] + 1), None)) is not None:
+            lo, hi = pair
             raise NotGradedError(f"cover [{lo}, {hi}] spans ranks {rank[lo]} -> {rank[hi]}; the poset is not graded")
         perm = sorted(range(n), key=rank.__getitem__)  # stable: ties keep the input order
         new_id = sorted(range(n), key=perm.__getitem__)  # the inverse of perm

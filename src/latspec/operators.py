@@ -249,7 +249,7 @@ def _cover_arrays(L: FiniteLattice) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     arrays of x and y, the a(y) - a(x) atoms each gains, and a(.), the count
     of atoms below each element.  As J(x) ⊆ J(y), a cover gains exactly the
     atoms of J(y) ∖ J(x).  All are int32 when n < 2^31, else int64."""
-    a = np.fromiter(map(L.count_atoms_below, range(L.n)), np.int32 if L.n < 2**31 else np.int64, L.n)
+    a = np.fromiter(L._atom_counts(), np.int32 if L.n < 2**31 else np.int64, L.n)
     lower = np.repeat(np.arange(L.n, dtype=a.dtype), np.fromiter(map(len, L.covers_up), np.intp, L.n))
     upper = np.fromiter(chain.from_iterable(L.covers_up), a.dtype, lower.size)
     return lower, upper, a[upper] - a[lower], a

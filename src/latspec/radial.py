@@ -105,7 +105,7 @@ def cover_weight_sums(L: FiniteLattice) -> tuple[int, ...]:
     for y in chain.from_iterable(L.covers_up):
         down[y] += 1
     W = [0] * (L.top_rank + 1)  # W[top_rank] collects the bottom's a(0) down(0) = 0 and is dropped
-    for k, a, d, u in zip(L.rank, map(L.count_atoms_below, range(L.n)), down, map(len, L.covers_up)):
+    for k, a, d, u in zip(L.rank, L._atom_counts(), down, map(len, L.covers_up)):
         W[k] -= a * u
         W[k - 1] += a * d
     return tuple(W[:-1])

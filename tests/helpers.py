@@ -205,6 +205,39 @@ def lowering_pairs_by_atom(L) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# Irreducible masks by pushing along the covers (oracle for the mask fill)
+# ---------------------------------------------------------------------------
+
+
+def irreducible_masks_by_push(L) -> tuple[list[int], list[int]]:
+    """(J, M): per element, the masks of the join-irreducibles at or below
+    it and of the meet-irreducibles at or above it.  Each mask is pushed to
+    the elements above (below) it along the covers, layer by layer from the
+    bottom (top), the layers read off the ranks; an element is irreducible
+    when exactly one mask is pushed to it, and gets the next bit when it is
+    visited.  Within a layer, elements are visited in id order."""
+    layers = [[x for x in range(L.n) if L.rank[x] == k] for k in range(L.top_rank + 1)]
+    below: list[list[int]] = [[] for _ in range(L.n)]
+    for x, ups in enumerate(L.covers_up):
+        for y in ups:
+            below[y].append(x)
+
+    def fill(layers, above):
+        masks, pushed, bit = [0] * L.n, [0] * L.n, 1
+        for layer in layers:
+            for x in layer:
+                if pushed[x] == 1:
+                    masks[x] |= bit
+                    bit <<= 1
+                for y in above[x]:
+                    masks[y] |= masks[x]
+                    pushed[y] += 1
+        return masks
+
+    return fill(layers, L.covers_up), fill(layers[::-1], below)
+
+
+# ---------------------------------------------------------------------------
 # Lattice oracle from the transitive closure (independent of FiniteLattice)
 # ---------------------------------------------------------------------------
 

@@ -13,6 +13,7 @@ import latspec.lattice
 from helpers import (
     closure_lattice,
     closure_semimodular,
+    irreducible_masks_by_push,
     random_bounded_graded_poset,
     random_flats_document,
     random_lattices,
@@ -507,6 +508,20 @@ class TestSemimodularFromGainedAtoms:
         with pytest.raises(error, match=message):
             FiniteLattice(rank, covers_up)
 
+    @pytest.mark.parametrize("rank, covers_up, error, message", [
+        # element 2, of rank 1, is read before element 1, of rank 2, though its id is higher
+        ([0, 2, 1, 3], [[2], [3, 3], [1, 9], []], LatticeError, r"^cover \[2, 9\] references an unknown element id$"),
+        ([0, 0, 1], [[2], [5], []], NotALatticeError, r"^the bottom must be the unique rank-0 element and have id 0$"),
+    ], ids=["covers-in-layer-order", "bottom-before-covers"])
+    def test_constructor_names_the_first_of_two_defects(self, rank, covers_up, error, message):
+        with pytest.raises(error, match=message):
+            FiniteLattice(rank, covers_up)
+
+    def test_constructor_rejects_an_element_below_the_bottom(self):
+        # the cover [1, 0] steps up one rank into the bottom, and element 1 itself covers nothing
+        with pytest.raises(NotALatticeError, match=r"^element 1 has rank -1 but covers nothing$"):
+            FiniteLattice([0, -1, 1], [[2], [0], []])
+
     def test_from_covers_still_merges_repeated_covers(self):
         assert FiniteLattice.from_covers(2, [(0, 1), (0, 1)]) == FiniteLattice([0, 1], [[1], []])
 
@@ -551,6 +566,32 @@ def test_masks_have_one_bit_per_irreducible(small_lattices, m3, b1):
         assert max(L._up).bit_length() == meet_irreducible, L.family_tag
 
 
+class TestMasksAgainstThePushOracle:
+    """J(x) is pushed up the covers as the constructor checks them and M(x)
+    pulled from the upper covers on first read; both equal the masks pushed
+    along the covers and their lower-cover inverse, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def lattices(self, small_lattices, m3, b2, fano, ag22):
+        q_families = [build(r, q) for build, top in ((build_projective, 4), (build_affine, 3))
+                      for r in range(1, top + 1) for q in (2, 3)]
+        products = [build_product(ag22, fano), build_product(fano, m3), build_product(b2, build_affine(1, 3))]
+        return [*small_lattices, *random_lattices(), *products, *q_families]
+
+    def test_masks_equal_the_oracle_bit_for_bit(self, lattices):
+        for L in lattices:
+            assert (L._down, L._up) == irreducible_masks_by_push(L), L.family_tag
+
+    def test_meet_and_join_agree_with_the_oracle_on_all_pairs(self, lattices):
+        small = [L for L in lattices if L.n <= 128]
+        assert max(L.n for L in small) > 64 and len(small) > 1000
+        for L in small:
+            down, up = irreducible_masks_by_push(L)
+            meet_of, join_of = {m: i for i, m in enumerate(down)}, {m: i for i, m in enumerate(up)}
+            for x, y in itertools.product(range(L.n), repeat=2):
+                assert L.meet(x, y) == meet_of[down[x] & down[y]] and L.join(x, y) == join_of[up[x] & up[y]]
+
+
 N5_COVERS = [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]  # 0 < 1 < 2 < 4 and 0 < 3 < 4
 HEXAGON_COVERS = [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5)]
 
@@ -580,6 +621,16 @@ class TestOrderQueriesAgainstClosure:
         assert closure_lattice(5, N5_COVERS) is not None
         with pytest.raises(NotGradedError):
             FiniteLattice.from_covers(5, N5_COVERS)
+
+    @pytest.mark.parametrize("covers", [
+        [(0, 1), (1, 2), (2, 5), (0, 3), (3, 5), (0, 4), (4, 5)],
+        [(0, 1), (1, 2), (2, 5), (0, 4), (4, 5), (0, 3), (3, 5)],
+    ], ids=["3-5-first", "4-5-first"])
+    def test_from_covers_names_the_first_non_graded_cover_of_the_input(self, covers):
+        # 0 < 1 < 2 < 5, 0 < 3 < 5 and 0 < 4 < 5: both short chains skip rank 2
+        lo, hi = next((lo, hi) for lo, hi in covers if hi == 5 and lo != 2)
+        with pytest.raises(NotGradedError, match=rf"^cover \[{lo}, {hi}\] spans ranks 1 -> 3; the poset is not graded$"):
+            FiniteLattice.from_covers(6, covers)
 
     def test_order_queries_agree_with_the_closure(self, cases):
         for n, covers, (rank, meet, join) in cases:
@@ -705,7 +756,7 @@ class TestBuiltOnFirstRead:
         vacuum_moments_full(L, H, 6)
         eigendecompose(jacobi_from_formula(L))
         assert not {"labels", "_up", "_up_index", "_down_index", "covers_down"} & set(vars(L))
-        assert L.join(1, 2) == 9 and {"_up", "_up_index", "covers_down"} <= set(vars(L))  # {1} ∨ {2}, the first of rank 2
+        assert L.join(1, 2) == 9 and {"_up", "_up_index"} <= set(vars(L)) and "covers_down" not in vars(L)  # {1} ∨ {2}
 
     def test_covers_down_is_the_inverse_of_covers_up(self, small_lattices):
         for L in [*small_lattices, *random_lattices()[:200]]:
