@@ -139,28 +139,8 @@ class OperatorMatrix:
         start = (np.arange(self.dim) == col).astype(np.int64)
         return accumulate(range(length), lambda v, _: self.matvec(v), initial=start)
 
-    def power_entry(self, row: int, col: int, power: int) -> Fraction:
-        """<e_row, M^power e_col>, read off the walk from e_col."""
-        self._check_index(row)
-        for v in self.walk(col, power):
-            pass
-        return Fraction(int(v[row]), self.denom**power)
-
     def transpose(self) -> "OperatorMatrix":
         return OperatorMatrix(self.dim, self.cols, self.rows, self.nums, self.denom)
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        denom = math.lcm(self.denom, other.denom)
-        parts = [(M, denom // M.denom) for M in (self, other)]
-        nums = np.concatenate([fit(M.nums, f) * f for M, f in parts])
-        return OperatorMatrix(self.dim, np.r_[self.rows, other.rows], np.r_[self.cols, other.cols], nums, denom)
-
-    def scale(self, c: Fraction) -> "OperatorMatrix":
-        c = Fraction(c)
-        nums = fit(self.nums, abs(c.numerator)) * c.numerator
-        return OperatorMatrix(self.dim, self.rows, self.cols, nums, self.denom * c.denominator)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OperatorMatrix):
@@ -171,12 +151,6 @@ class OperatorMatrix:
 
     def __repr__(self) -> str:
         return f"OperatorMatrix(dim={self.dim}, nnz={self.nnz()})"
-
-    def to_dense(self) -> list[list[Fraction]]:
-        dense = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for row, col, value in self.entries():
-            dense[row][col] = value
-        return dense
 
     def to_document(self) -> dict:
         return {"dim": self.dim, "entries": [[r, c, str(v)] for r, c, v in self.entries()]}

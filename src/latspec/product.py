@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+from collections import deque
 from fractions import Fraction
 from math import comb, lcm
 
@@ -44,10 +45,13 @@ def kronecker_sum(H1: OperatorMatrix, H2: OperatorMatrix) -> OperatorMatrix:
 
 
 def _kronecker_agrees(direct: OperatorMatrix, H1: OperatorMatrix, H2: OperatorMatrix) -> bool:
+    """Whether `direct` is H1's Kronecker sum with H2; if not, log where they first differ."""
     assembled = kronecker_sum(H1, H2)
     if direct == assembled:
         return True
-    row, col, value = next((direct + assembled.scale(-1)).entries())
+    pairs = itertools.zip_longest(direct.entries(), assembled.entries(), fillvalue=(direct.dim, direct.dim, 0))
+    row, col, _ = min(next(p for p in pairs if p[0] != p[1]), key=lambda e: (e[1], e[0]))
+    value = direct.entry(row, col) - assembled.entry(row, col)
     log.warning("Kronecker sum mismatch at %s: direct minus assembled is %s", (row, col), value)
     return False
 
@@ -59,6 +63,14 @@ def kronecker_sum_check(L1: FiniteLattice, L2: FiniteLattice) -> bool:
     return _kronecker_agrees(hamiltonian(build_product(L1, L2)), hamiltonian(L1), hamiltonian(L2))
 
 
+def _shuffle_holds(d: int, d1: int, w1: int, w2: int, wP: int, denoms: tuple[int, int, int]) -> bool:
+    """`shuffle_entry`'s formula on the integer walk entries w = (N^d e_y)_x of
+    the factors and the product, each M = N / denom with denoms = (denom1,
+    denom2, denomP): C(d, d1) w1 w2 denomP^d = wP denom1^d1 denom2^(d - d1)."""
+    denom1, denom2, denomP = denoms
+    return comb(d, d1) * w1 * w2 * denomP**d == wP * denom1**d1 * denom2 ** (d - d1)
+
+
 def shuffle_entry(
     L1: FiniteLattice,
     L2: FiniteLattice,
@@ -68,33 +80,27 @@ def shuffle_entry(
     product_hamiltonian: OperatorMatrix | None = None,
 ) -> Fraction:
     """Minimal-power Hamiltonian entry of a product lattice via the shuffle
-    formula:
+    formula, with d1, d2 the component rank gaps and d = d1 + d2:
 
         <e_x, H^d e_y> = C(d, d1) <e_x1, H1^d1 e_y1> <e_x2, H2^d2 e_y2>
 
-    with d1, d2 the component rank gaps and d = d1 + d2 (the entry at any
-    other power with the same endpoints is forced to zero or involves
-    non-minimal walks, which are outside this formula's scope).  The entry
-    is also computed directly on the product lattice, where (x1, x2) has id
-    x1 * L2.n + x2 (`build_product`), from `product_hamiltonian` when given,
-    and the two values are asserted equal.
-    """
+    (at any other power the entry is forced to zero or involves non-minimal
+    walks, outside this formula's scope).  It is also computed directly on the
+    product lattice, where (x1, x2) has id x1 * L2.n + x2 (`build_product`),
+    from `product_hamiltonian` when given, and the two are asserted equal."""
     (x1, x2), (y1, y2) = x, y
     if not (0 <= x1 < L1.n and 0 <= y1 < L1.n and 0 <= x2 < L2.n and 0 <= y2 < L2.n):
         raise ValueError(f"{x} or {y} names no element of {L1.family_tag} x {L2.family_tag}")
     if not (L1.leq(x1, y1) and L2.leq(x2, y2)):
         raise ValueError(f"{x} is not componentwise below {y}")
-    d1 = L1.rank[y1] - L1.rank[x1]
-    d2 = L2.rank[y2] - L2.rank[x2]
-    value = (
-        comb(d1 + d2, d1)
-        * hamiltonian(L1).power_entry(x1, y1, d1)
-        * hamiltonian(L2).power_entry(x2, y2, d2)
-    )
-    if product_hamiltonian is None:
-        product_hamiltonian = hamiltonian(build_product(L1, L2))
-    direct = product_hamiltonian.power_entry(x1 * L2.n + x2, y1 * L2.n + y2, d1 + d2)
-    if direct != value:
+    d1, d2 = L1.rank[y1] - L1.rank[x1], L2.rank[y2] - L2.rank[x2]
+    H1, H2 = hamiltonian(L1), hamiltonian(L2)
+    HP = hamiltonian(build_product(L1, L2)) if product_hamiltonian is None else product_hamiltonian
+    ends = (H1, x1, y1, d1), (H2, x2, y2, d2), (HP, x1 * L2.n + x2, y1 * L2.n + y2, d1 + d2)
+    w1, w2, wP = (int(deque(H.walk(col, d), maxlen=1)[0][row]) for H, row, col, d in ends)
+    value = Fraction(comb(d1 + d2, d1) * w1 * w2, H1.denom**d1 * H2.denom**d2)
+    if not _shuffle_holds(d1 + d2, d1, w1, w2, wP, (H1.denom, H2.denom, HP.denom)):
+        direct = Fraction(wP, HP.denom ** (d1 + d2))
         raise AssertionError(f"shuffle formula {value} disagrees with direct entry {direct} for {x} -> {y}")
     return value
 
@@ -102,11 +108,9 @@ def shuffle_entry(
 def _shuffle_agrees(
     L1: FiniteLattice, L2: FiniteLattice, H1: OperatorMatrix, H2: OperatorMatrix, HP: OperatorMatrix
 ) -> bool:
-    """`shuffle_entry`'s formula on every pair x <= y of the product with
-    rank gap d <= SHUFFLE_MAX_POWER, read off one integer walk from e_y per
-    column.  With w = (N^d e_y)_x on each side, it is compared in integers
-    as C(d, d1) w1 w2 denomP^d = wP denom1^d1 denom2^d2."""
-    p = SHUFFLE_MAX_POWER
+    """`_shuffle_holds` on every pair x <= y of the product with rank gap
+    d <= SHUFFLE_MAX_POWER, read off one integer walk from e_y per column."""
+    p, denoms = SHUFFLE_MAX_POWER, (H1.denom, H2.denom, HP.denom)
     walks1 = [[v.tolist() for v in H1.walk(y1, p)] for y1 in range(L1.n)]
     walks2 = [[v.tolist() for v in H2.walk(y2, p)] for y2 in range(L2.n)]
     below1, below2 = ([[x for x in range(L.n) if L.leq(x, y)] for y in range(L.n)] for L in (L1, L2))
@@ -118,8 +122,8 @@ def _shuffle_agrees(
                 d = d1 + L2.rank[y2] - L2.rank[x2]
                 if d > p:
                     continue
-                factors = comb(d, d1) * walks1[y1][d1][x1] * walks2[y2][d - d1][x2] * HP.denom**d
-                if walk[d][x1 * L2.n + x2] * H1.denom**d1 * H2.denom ** (d - d1) != factors:
+                w1, w2, wP = walks1[y1][d1][x1], walks2[y2][d - d1][x2], walk[d][x1 * L2.n + x2]
+                if not _shuffle_holds(d, d1, w1, w2, wP, denoms):
                     log.warning("shuffle formula fails for %s -> %s", (x1, x2), (y1, y2))
                     return False
     return True
@@ -147,6 +151,8 @@ def product_law_checks(
 def convolve_moments(m1: MomentSequence, m2: MomentSequence, K: int) -> MomentSequence:
     """Binomial convolution c_k = sum_j C(k, j) m1_j m2_{k-j}, the moment
     law of a sum of commuting independent parts."""
+    if K < 0:
+        raise ValueError("K must be non-negative")
     if m1.order < K or m2.order < K:
         raise ValueError(f"need moments up to order {K} on both inputs")
     return MomentSequence(tuple(sum((comb(k, j) * m1[j] * m2[k - j] for j in range(k + 1)), Fraction(0))

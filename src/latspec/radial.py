@@ -60,7 +60,7 @@ class JacobiData:
     def from_weights(cls, sizes, W) -> "JacobiData":
         """The coefficients beta_k^2 = W_k^2 / (4 n_k n_{k+1}) of layer sizes n and weight sums W."""
         layers = RankLayers(tuple(sizes))
-        beta_sq = (Fraction(W[k] * W[k], 4 * layers[k] * layers[k + 1]) for k in range(layers.r))
+        beta_sq = (Fraction(W[k] * W[k], 4 * layers[k] * layers[k + 1]) for k in range(min(layers.r, len(W))))
         return cls(tuple(beta_sq), tuple(W), layers)
 
     def __post_init__(self):

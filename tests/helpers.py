@@ -23,8 +23,16 @@ from latspec.operators import _cover_arrays, _lowering_pairs, fit
 
 
 # ---------------------------------------------------------------------------
-# Dense exact linear algebra (oracle for matvec / power_entry)
+# Dense exact linear algebra (oracle for matvec / walk)
 # ---------------------------------------------------------------------------
+
+
+def dense_of(dim: int, entries) -> list[list[Fraction]]:
+    """The dim x dim matrix summing (row, col, value) entries, e.g. `M.entries()`."""
+    dense = [[Fraction(0)] * dim for _ in range(dim)]
+    for r, c, v in entries:
+        dense[r][c] += Fraction(v)
+    return dense
 
 
 def dense_matmul(A: list[list[Fraction]], B: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -52,7 +60,7 @@ def dense_power(A: list[list[Fraction]], k: int) -> list[list[Fraction]]:
 
 
 def dense_power_entry(H, row: int, col: int, k: int) -> Fraction:
-    return dense_power(H.to_dense(), k)[row][col]
+    return dense_power(dense_of(H.dim, H.entries()), k)[row][col]
 
 
 # ---------------------------------------------------------------------------

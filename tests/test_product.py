@@ -1,5 +1,7 @@
+import logging
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from helpers import dense_power_entry
 import latspec.product
 from latspec import (
     MomentSequence,
+    OperatorMatrix,
     SizeBoundError,
     boolean_closed_form,
     boolean_jacobi,
@@ -124,6 +127,10 @@ class TestMomentConvolution:
         with pytest.raises(ValueError):
             convolve_moments(_moments(b1, 2), _moments(b1, 8), 4)
 
+    def test_negative_order_rejected(self, b1):
+        with pytest.raises(ValueError, match="^K must be non-negative$"):
+            convolve_moments(_moments(b1, 2), _moments(b1, 2), -1)
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=6), min_size=4, max_size=4),
@@ -198,10 +205,35 @@ class TestProductLawChecks:
 
         def doubled_on_product(L):
             H = real(L)
-            return H.scale(2) if L.family_tag.startswith("product(") else H
+            if not L.family_tag.startswith("product("):
+                return H
+            return OperatorMatrix(H.dim, H.rows, H.cols, 2 * H.nums, H.denom)
 
         monkeypatch.setattr(latspec.product, "hamiltonian", doubled_on_product)
         assert product_law_checks(m3, b1, 8) == (False, False, False)
+
+    @pytest.mark.parametrize("drop", [None, 7, -1], ids=["doubled", "eighth-dropped", "last-dropped"])
+    def test_kronecker_mismatch_warning_names_the_first_differing_entry(self, drop, m3, b1, monkeypatch, caplog):
+        # doubled, the product Hamiltonian first differs at its first entry, by
+        # that entry; with an entry dropped, the direct list runs ahead (or
+        # ends) there, and direct minus assembled is minus that entry
+        real = latspec.product.hamiltonian
+
+        def corrupt_on_product(L):
+            H = real(L)
+            if not L.family_tag.startswith("product("):
+                return H
+            if drop is None:
+                return OperatorMatrix(H.dim, H.rows, H.cols, 2 * H.nums, H.denom)
+            return OperatorMatrix(H.dim, *(np.delete(a, drop) for a in (H.rows, H.cols, H.nums)), H.denom)
+
+        monkeypatch.setattr(latspec.product, "hamiltonian", corrupt_on_product)
+        with caplog.at_level(logging.WARNING, logger="latspec.product"):
+            assert not product_law_checks(m3, b1, 8)[0]
+        row, col, value = list(real(build_product(m3, b1)).entries())[drop or 0]
+        want = f"Kronecker sum mismatch at {(row, col)}: direct minus assembled is {value if drop is None else -value}"
+        kronecker = [(r.name, r.levelno, r.getMessage()) for r in caplog.records if "Kronecker" in r.getMessage()]
+        assert kronecker == [("latspec.product", logging.WARNING, want)]
 
     def test_builds_each_hamiltonian_once(self, fano, b2, monkeypatch):
         real = latspec.product.hamiltonian

@@ -163,6 +163,9 @@ class TestJacobiData:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             JacobiData((Fraction(1),), (1, 1), RankLayers((1, 2, 1)))
+        for W in ([2], [2, 2, 2]):  # W shorter, then longer, than the two layer pairs
+            with pytest.raises(ValueError, match="^expected one coefficient per adjacent layer pair$"):
+                JacobiData.from_weights([1, 2, 1], W)
 
     def test_negative_beta_sq_rejected(self):
         with pytest.raises(ValueError):
