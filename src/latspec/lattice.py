@@ -227,7 +227,7 @@ class FiniteLattice:
         if covers.count(()) != 1:
             raise NotALatticeError(f"expected a unique top element, found {covers.count(())}")
         self.top = covers.index(())
-        self._down, self.layers = down, layers
+        self._down, self._lower_count, self.layers = down, count, layers
         self.atoms = layers[1] if self.top_rank >= 1 else ()
 
     labels = cached_property(lambda self: tuple(self._labels()))
@@ -250,7 +250,7 @@ class FiniteLattice:
 
     @cached_property
     def covers_down(self) -> tuple[tuple[int, ...], ...]:
-        """The inverse of `covers_up`, computed when `first_meetless_pair` or `validate` first reads it."""
+        """The inverse of `covers_up`, computed when `first_meetless_pair` or the shuffle check first reads it."""
         down: list[list[int]] = [[] for _ in range(self.n)]
         for x, ups in enumerate(self.covers_up):
             for y in ups:
@@ -711,10 +711,10 @@ def validate(L: FiniteLattice) -> ValidationReport:
     lattice = CheckResult("lattice-pairs", meetless is None, meetless)
     if meetless is not None:
         return ValidationReport((lattice,), ("not a lattice: the semimodular and atomic checks were not run",))
-    atomic_ce = next(((x,) for x in range(L.n) if L.rank[x] > 1 and len(L.covers_down[x]) == 1), None)
+    atomic_ce = next(((x,) for x in range(L.n) if L.rank[x] > 1 and L._lower_count[x] == 1), None)
     # a(z) when every mask bit is an atom; the per-x counts sum to Σ_z a(z) (1 + #down(z) - #up(z))
     a = list(map(int.bit_count, L._down))
-    counted = sum(a) + sum(map(mul, a, map(sub, map(len, L.covers_down), map(len, L.covers_up))))
+    counted = sum(a) + sum(map(mul, a, map(sub, L._lower_count, map(len, L.covers_up))))
     semi_ce = None
     if atomic_ce is not None or counted != L.n * len(L.atoms):
         pairs = (p for z in range(L.n) for p in combinations(L.covers_up[z], 2))

@@ -57,16 +57,18 @@ class OperatorMatrix:
     __slots__ = ("dim", "denom", "rows", "cols", "nums", "_row_bound")
 
     def __init__(self, dim: int, rows, cols, nums, denom: int = 1):
-        """N / denom from unsorted integer (row, col, numerator) arrays and
-        denom >= 1, else ValueError (rationals go through `from_entries`): one
-        argsort of the int64 keys col·dim + row, `np.add.reduceat` over runs
-        of equal keys if there are any, zeros dropped and a gcd above 1 divided
-        out.  Each temporary is dropped before the next, so without repeated
-        keys or zero sums at most three entry-sized arrays are held beside
-        the (possibly narrow) input."""
+        """N / denom from unsorted integer (row, col, numerator) arrays, 1-D and
+        of one length, and denom >= 1, else ValueError (rationals go through
+        `from_entries`): one argsort of the int64 keys col·dim + row,
+        `np.add.reduceat` over runs of equal keys if any, zeros dropped and a
+        gcd above 1 divided out.  Each temporary is dropped before the next, so
+        without repeated keys or zero sums at most three entry-sized arrays are
+        held beside the (possibly narrow) input."""
         if denom < 1:
             raise ValueError(f"denominator {denom} is not positive")
         rows, cols, nums = _integers(rows, "indices"), _integers(cols, "indices"), _integers(nums, "numerators")
+        if rows.ndim != 1 or not rows.shape == cols.shape == nums.shape:
+            raise ValueError(f"rows, cols and nums must be 1-D of one length: {rows.shape}, {cols.shape}, {nums.shape}")
         if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= dim):
             i = np.flatnonzero((rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim))[0]
             raise ValueError(f"entry ({rows[i]}, {cols[i]}) out of range for dim {dim}")
@@ -119,12 +121,14 @@ class OperatorMatrix:
         return self.nums.size
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """N v for an integer array v (else ValueError), so that M v = matvec(v) / denom.
+        """N v for an integer array v of shape (dim,) (else ValueError), so that M v = matvec(v) / denom.
 
         Stays int64 while max|v| * (largest row sum of |N|) < 2^63, which
         bounds every product and partial sum; past that it computes and
         returns Python ints, so a walk that crosses the bound stays exact."""
-        products = self.nums * fit(_integers(v, "vector entries"), self._row_bound)[self.cols]
+        if (v := _integers(v, "vector entries")).shape != (self.dim,):
+            raise ValueError(f"a vector of shape {v.shape} does not match dim {self.dim}")
+        products = self.nums * fit(v, self._row_bound)[self.cols]
         out = np.zeros(self.dim, dtype=products.dtype)
         np.add.at(out, self.rows, products)
         return out

@@ -96,6 +96,8 @@ def shuffle_entry(
     d1, d2 = L1.rank[y1] - L1.rank[x1], L2.rank[y2] - L2.rank[x2]
     H1, H2 = hamiltonian(L1), hamiltonian(L2)
     HP = hamiltonian(build_product(L1, L2)) if product_hamiltonian is None else product_hamiltonian
+    if HP.dim != L1.n * L2.n:
+        raise ValueError(f"an operator of dimension {HP.dim} does not act on the {L1.n * L2.n} elements of the product")
     ends = (H1, x1, y1, d1), (H2, x2, y2, d2), (HP, x1 * L2.n + x2, y1 * L2.n + y2, d1 + d2)
     w1, w2, wP = (int(deque(H.walk(col, d), maxlen=1)[0][row]) for H, row, col, d in ends)
     value = Fraction(comb(d1 + d2, d1) * w1 * w2, H1.denom**d1 * H2.denom**d2)
@@ -108,22 +110,21 @@ def shuffle_entry(
 def _shuffle_agrees(
     L1: FiniteLattice, L2: FiniteLattice, H1: OperatorMatrix, H2: OperatorMatrix, HP: OperatorMatrix
 ) -> bool:
-    """`_shuffle_holds` on every pair x <= y of the product with rank gap
-    d <= SHUFFLE_MAX_POWER, read off one integer walk from e_y per column."""
+    """`_shuffle_holds` on every pair x <= y of the product with rank gap d <= SHUFFLE_MAX_POWER, y and
+    then x ascending.  Each factor column keeps only the entries compared; one product walk is held at a time."""
     p, denoms = SHUFFLE_MAX_POWER, (H1.denom, H2.denom, HP.denom)
-    walks1 = [[v.tolist() for v in H1.walk(y1, p)] for y1 in range(L1.n)]
-    walks2 = [[v.tolist() for v in H2.walk(y2, p)] for y2 in range(L2.n)]
-    below1, below2 = ([[x for x in range(L.n) if L.leq(x, y)] for y in range(L.n)] for L in (L1, L2))
-    for y1, y2 in itertools.product(range(L1.n), range(L2.n)):
-        walk = [v.tolist() for v in HP.walk(y1 * L2.n + y2, p)]
-        for x1 in below1[y1]:
-            d1 = L1.rank[y1] - L1.rank[x1]
-            for x2 in below2[y2]:
-                d = d1 + L2.rank[y2] - L2.rank[x2]
-                if d > p:
-                    continue
-                w1, w2, wP = walks1[y1][d1][x1], walks2[y2][d - d1][x2], walk[d][x1 * L2.n + x2]
-                if not _shuffle_holds(d, d1, w1, w2, wP, denoms):
+
+    def columns(L: FiniteLattice, H: OperatorMatrix):
+        """Per y, (x, d, (N^d e_y)_x) for x <= y at rank gap d <= p in x order; gap d is gap d - 1's lower covers."""
+        for y in range(L.n):
+            gaps = itertools.accumulate(range(p), lambda s, _: {x for z in s for x in L.covers_down[z]}, initial={y})
+            yield sorted((x, d, int(v[x])) for d, (v, gap) in enumerate(zip(H.walk(y, p), gaps)) for x in gap)
+    below2 = list(columns(L2, H2))
+    for y1, below1 in enumerate(columns(L1, H1)):
+        for y2, below in enumerate(below2):
+            walk = list(HP.walk(y1 * L2.n + y2, p))
+            for (x1, d1, w1), (x2, d2, w2) in itertools.product(below1, below):
+                if d1 + d2 <= p and not _shuffle_holds(d1 + d2, d1, w1, w2, int(walk[d1 + d2][x1 * L2.n + x2]), denoms):
                     log.warning("shuffle formula fails for %s -> %s", (x1, x2), (y1, y2))
                     return False
     return True
@@ -138,14 +139,13 @@ def product_law_checks(
     The product lattice is built once under `cap`, and each of the three
     Hamiltonians once; every law reads them.
     """
+    if K < 0:
+        raise ValueError("K must be non-negative")
     LP = build_product(L1, L2, cap=cap)
     H1, H2, HP = hamiltonian(L1), hamiltonian(L2), hamiltonian(LP)
-    kron_ok = _kronecker_agrees(HP, H1, H2)
-    shuffle_ok = _shuffle_agrees(L1, L2, H1, H2, HP)
-    m1 = vacuum_moments_full(L1, H1, K)
-    m2 = vacuum_moments_full(L2, H2, K)
-    conv_ok = convolve_moments(m1, m2, K).values == vacuum_moments_full(LP, HP, K).values
-    return kron_ok, shuffle_ok, conv_ok
+    kron_ok, shuffle_ok = _kronecker_agrees(HP, H1, H2), _shuffle_agrees(L1, L2, H1, H2, HP)
+    m1, m2, mP = (vacuum_moments_full(L, H, K) for L, H in ((L1, H1), (L2, H2), (LP, HP)))
+    return kron_ok, shuffle_ok, convolve_moments(m1, m2, K).values == mP.values
 
 
 def convolve_moments(m1: MomentSequence, m2: MomentSequence, K: int) -> MomentSequence:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from ._numpy import np
 from .lattice import FiniteLattice
@@ -99,13 +98,10 @@ def cover_weight_sums(L: FiniteLattice) -> tuple[int, ...]:
     """W_k = sum over covers x ⋖ y with rank(x) = k of (a(y) - a(x)), a(.)
     counting atoms below: the lowering pairs (y, x) with rank(x) = k.  Split
     by endpoint, W_k = sum over r(y) = k+1 of a(y) down(y) - sum over r(x) = k
-    of a(x) up(x), up and down counting upper and lower covers: per-element
-    counts summed in Python ints, with no cover-sized array."""
-    down = [0] * L.n
-    for y in chain.from_iterable(L.covers_up):
-        down[y] += 1
+    of a(x) up(x), up and down counting upper and lower covers (the latter
+    kept by the constructor): per-element counts summed in Python ints."""
     W = [0] * (L.top_rank + 1)  # W[top_rank] collects the bottom's a(0) down(0) = 0 and is dropped
-    for k, a, d, u in zip(L.rank, L._atom_counts(), down, map(len, L.covers_up)):
+    for k, a, d, u in zip(L.rank, L._atom_counts(), L._lower_count, map(len, L.covers_up)):
         W[k] -= a * u
         W[k - 1] += a * d
     return tuple(W[:-1])

@@ -107,6 +107,25 @@ class TestConstructorRejectsInexactInput:
             OperatorMatrix(2, [0], [1], [1]).matvec(vec)
 
 
+class TestShapesAreChecked:
+    """The entry arrays must be 1-D and of one length, and a vector must have
+    shape (dim,): a short `cols` was broadcast, a long `nums` lost its tail,
+    and `matvec` read a long vector's prefix."""
+
+    @pytest.mark.parametrize("rows, cols, nums", [
+        ([0, 1], [0], [1, 1]),
+        ([0, 1], [0, 1], [1, 1, 5]),
+    ], ids=["short-cols", "long-nums"])
+    def test_constructor_rejects_unequal_lengths(self, rows, cols, nums):
+        with pytest.raises(ValueError, match="must be 1-D of one length"):
+            OperatorMatrix(3, rows, cols, nums)
+
+    @pytest.mark.parametrize("vec", [np.array([1, 2, 3]), np.array([1])], ids=["long", "short"])
+    def test_matvec_rejects_a_vector_of_another_dim(self, vec):
+        with pytest.raises(ValueError, match=f"^a vector of shape \\({len(vec)},\\) does not match dim 2$"):
+            OperatorMatrix(2, [0, 1], [1, 0], [1, 1]).matvec(vec)
+
+
 class TestConstructorAgainstUniqueOracle:
     """One argsort and `np.add.reduceat` store exactly the arrays, dtypes
     and row bound that `np.unique` and `np.add.at` stored."""

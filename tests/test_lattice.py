@@ -763,6 +763,11 @@ class TestBuiltOnFirstRead:
             inverse = tuple(tuple(x for x in range(L.n) if y in L.covers_up[x]) for y in range(L.n))
             assert L.covers_down == inverse, L.family_tag
 
+    def test_constructor_keeps_the_lower_cover_counts(self, small_lattices):
+        # `cover_weight_sums` and `validate` read them in place of covers_down
+        for L in [*small_lattices, *random_lattices()[:200]]:
+            assert L._lower_count == [sum(y in ups for ups in L.covers_up) for y in range(L.n)], L.family_tag
+
     @staticmethod
     def _eager_labels(L, family, r, q):
         """Each element's name read back from the atoms below it, rendered

@@ -89,6 +89,12 @@ class TestShuffle:
         with pytest.raises(ValueError, match="names no element"):
             shuffle_entry(b1, build_boolean(2), x, y)
 
+    def test_product_hamiltonian_of_another_dimension_rejected(self, m3, b1):
+        # boolean(1) x boolean(1) has 4 elements and m3 x boolean(1) has 10:
+        # the wrong Hamiltonian gave (0, 0) -> (0, 1) the value 1/2
+        with pytest.raises(ValueError, match="dimension 4 does not act on the 10 elements"):
+            shuffle_entry(m3, b1, (0, 0), (0, 1), product_hamiltonian=hamiltonian(build_product(b1, b1)))
+
     @pytest.mark.parametrize("factors", [(1, 1), (2, 1)])
     def test_exhaustive_small_products(self, factors, m3):
         L1 = build_boolean(factors[0])
@@ -235,6 +241,61 @@ class TestProductLawChecks:
         kronecker = [(r.name, r.levelno, r.getMessage()) for r in caplog.records if "Kronecker" in r.getMessage()]
         assert kronecker == [("latspec.product", logging.WARNING, want)]
 
+    @pytest.mark.parametrize("drop", [None, 18, -1], ids=["doubled", "lowering-dropped", "last-dropped"])
+    def test_shuffle_warning_names_the_first_failing_pair(self, drop, m3, b1, monkeypatch, caplog):
+        # entry 18 of H on m3 x b1 lowers (2, 1) to (2, 0), so the first pair
+        # to fail is (0, 0) -> (2, 1), where one of two minimal walks is lost;
+        # the expected pair is the first one, with y and then x ascending,
+        # on which `shuffle_entry` raises against the corrupted Hamiltonian
+        real = latspec.product.hamiltonian
+        H = real(build_product(m3, b1))
+        if drop is None:
+            corrupt = OperatorMatrix(H.dim, H.rows, H.cols, 2 * H.nums, H.denom)
+        else:
+            corrupt = OperatorMatrix(H.dim, *(np.delete(a, drop) for a in (H.rows, H.cols, H.nums)), H.denom)
+
+        def fails(x, y):
+            if not (m3.leq(x[0], y[0]) and b1.leq(x[1], y[1])):
+                return False
+            if m3.rank[y[0]] + b1.rank[y[1]] - m3.rank[x[0]] - b1.rank[x[1]] > latspec.product.SHUFFLE_MAX_POWER:
+                return False
+            try:
+                shuffle_entry(m3, b1, x, y, product_hamiltonian=corrupt)
+            except AssertionError:
+                return True
+            return False
+
+        ids = [(e1, e2) for e1 in range(m3.n) for e2 in range(b1.n)]
+        x, y = next((x, y) for y in ids for x in ids if fails(x, y))
+        monkeypatch.setattr(latspec.product, "hamiltonian", lambda L: corrupt if L.n == H.dim else real(L))
+        with caplog.at_level(logging.WARNING, logger="latspec.product"):
+            assert not product_law_checks(m3, b1, 8)[1]
+        shuffle = [(r.name, r.levelno, r.getMessage()) for r in caplog.records if "shuffle" in r.getMessage()]
+        assert shuffle == [("latspec.product", logging.WARNING, f"shuffle formula fails for {x} -> {y}")]
+        if drop == 18:
+            assert (x, y) == ((0, 0), (2, 1))
+
+    def test_shuffle_compares_every_pair_up_to_the_max_power_in_order(self, fano, b2, monkeypatch):
+        # fano x b2 has rank 5, so pairs at gaps 0 to SHUFFLE_MAX_POWER = 4 are
+        # compared, y and then x ascending, and the bottom-to-top pair is not
+        real = latspec.product._shuffle_holds
+        calls = []
+
+        def recording(d, d1, *rest):
+            calls.append((d, d1))
+            return real(d, d1, *rest)
+
+        monkeypatch.setattr(latspec.product, "_shuffle_holds", recording)
+        assert product_law_checks(fano, b2, 2)[1]
+        ids = [(e1, e2) for e1 in range(fano.n) for e2 in range(b2.n)]
+        want = []
+        for y1, y2 in ids:
+            for x1, x2 in ids:
+                d1, d2 = fano.rank[y1] - fano.rank[x1], b2.rank[y2] - b2.rank[x2]
+                if fano.leq(x1, y1) and b2.leq(x2, y2) and d1 + d2 <= latspec.product.SHUFFLE_MAX_POWER:
+                    want.append((d1 + d2, d1))
+        assert calls == want and max(want) == (4, 3)
+
     def test_builds_each_hamiltonian_once(self, fano, b2, monkeypatch):
         real = latspec.product.hamiltonian
         built = []
@@ -246,6 +307,14 @@ class TestProductLawChecks:
         monkeypatch.setattr(latspec.product, "hamiltonian", counting)
         product_law_checks(fano, b2, 6)
         assert sorted(built) == sorted(["projective(3,2)", "boolean(2)", "product(projective(3,2),boolean(2))"])
+
+    def test_negative_order_rejected_before_any_hamiltonian_is_built(self, b2, monkeypatch):
+        def unexpected(L):
+            raise AssertionError(f"built the Hamiltonian of {L.family_tag}")
+
+        monkeypatch.setattr(latspec.product, "hamiltonian", unexpected)
+        with pytest.raises(ValueError, match="^K must be non-negative$"):
+            product_law_checks(b2, b2, -1)
 
     def test_cap_applies_before_any_hamiltonian_is_built(self, b2, monkeypatch):
         def unexpected(L):
