@@ -1,19 +1,13 @@
 """Finite graded lattices: construction, built-in families, parsing,
 validation, and the disjointness product on the lattice basis.
 
-Elements are dense integer ids with id 0 the bottom.  Every built-in
-family except the product is generated as the lattice of flats of a
-matroid by one builder, `_build_flats`, in which a flat is the mask of the
-points it holds.  Starting from the empty flat, the covers of a flat F are
-the distinct joins F ∨ p with an atom p; once a cover is found its points
-are skipped, so each cover is closed once and named once.  Boolean and
-uniform flats are subsets of the ground set.  Projective and affine flats
-are point sets of a projective space, PG(r - 1, q) and PG(r, q), and F ∨ p
-is closed through a table of line masks.  Ids are rank-major and, within a
-rank, follow each family's canonical name: the subset bitmask for boolean
-and uniform, the reduced echelon basis for projective, and the (echelon
-basis, reduced representative) pair for affine, computed once per flat.
-Products are ordered lexicographically by component ids.
+Elements are dense integer ids with id 0 the bottom, rank-major in every
+built-in family.  Subsets (boolean, uniform) are generated directly by
+`_build_subsets` in bitmask order within a rank, their ids known before
+any cover is found.  Projective and affine flats, point masks in
+PG(r - 1, q) and PG(r, q), are closed by `_build_flats` from the joins
+F ∨ p with atoms p through a table of line masks, and ordered within a rank
+by echelon basis (and reduced representative); products, by component ids.
 
 Every finite lattice is ordered by its irreducibles (Davey & Priestley,
 Introduction to Lattices and Order, 2nd ed., 2002, ch. 2; Birkhoff,
@@ -83,7 +77,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate, chain, combinations, groupby, product
+from itertools import accumulate, chain, combinations, groupby, islice, product
 from math import comb
 from operator import mul, ne, sub
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
@@ -191,7 +185,7 @@ class FiniteLattice:
             raise NotALatticeError("empty element list: no bottom element")
         self.n = n
         self.rank = rank = tuple(rank)
-        # an ascending tuple, as `_build_flats` hands over, is kept rather than copied
+        # an ascending tuple, as every builder hands over, is kept rather than copied
         self.covers_up = covers = tuple(u if u == (t := tuple(sorted(u))) else t for u in covers_up)
         self.family_tag = family_tag
         if labels is None or callable(labels):  # rendered on first read; a partial keeps L picklable
@@ -410,18 +404,13 @@ class FiniteLattice:
 
 def _build_flats(tag: str, bottom: Hashable, atoms: int, close: Callable[[int, int], int],
                  name: Callable[[Hashable, int], Hashable], label: Callable[[Hashable], str]) -> FiniteLattice:
-    """Lattice of flats generated upward from the empty flat, one rank at a
-    time.  A flat is the mask of the points it holds; `atoms` masks the
-    points that are atoms and `bottom` names the empty flat.
-
-    `close(F, i)` is the mask of F ∨ p_i and `name(N, i)` the canonical
-    name of that join, given the name N of F.  In a geometric lattice every
-    cover of F is F ∨ p for an atom p not in F, and every p in G ∖ F gives
-    F ∨ p = G; so once a cover G is found, its points are skipped, and each
-    cover of F is closed once and named once, when first found.  Within a
-    rank, flats are ordered by their names, which fixes the ids: the bottom
-    is 0 and the top is n - 1.  `label` renders the names on first read.
-    """
+    """A q-family's lattice of flats, generated rank by rank from the empty
+    flat `bottom`: a flat is the mask of its points, `atoms` masks the atoms,
+    `close(F, i)` is the mask of F ∨ p_i and `name(N, i)` names it, given
+    the name N of F.  In a geometric lattice every cover of F is F ∨ p for
+    an atom p ∉ F, and every p in G ∖ F gives F ∨ p = G; so once a cover G
+    is found its points are skipped, and each cover is closed and named
+    once.  Names order each rank, fixing the ids; `label` renders them."""
     rank, names, covers_up = [0], [bottom], []
     layer, k = {0: bottom}, 0
     while layer:
@@ -443,45 +432,56 @@ def _build_flats(tag: str, bottom: Hashable, atoms: int, close: Callable[[int, i
     return FiniteLattice(rank, covers_up, tag, partial(map, label, names))
 
 
+def _build_subsets(tag: str, m: int, r: int) -> FiniteLattice:
+    """The subsets of {1..m} of size < r and the full set as top of rank r,
+    in colex order: rank k starts at Σ_{j<k} C(m, j), and its position
+    C(h, k) + j holds T_j ∪ {h}, T_j the j-th subset of rank k - 1, for the
+    C(h, k - 1) below h.  F = T_j ∪ {h} is covered by F ∪ {i}: for i < h at
+    C(h, k + 1) plus the position of T_j ∪ {i}, a cover of T_j listed before
+    F; for i > h at C(i, k + 1) + C(h, k) + j, past those: each tuple ascends."""
+    start = list(accumulate((comb(m, k) for k in range(r)), initial=0))  # start[k]: the first id of rank k
+    names, covers_up = [0], [tuple(range(1, m + 1))] * (r > 1)
+    for k in range(1, r):  # ids: one int object per id of rank k + 1, shared by every cover tuple that holds it
+        binom, ids = [comb(i, k + 1) for i in range(m)], list(range(start[k + 1], start[min(k + 2, r)]))
+        for h in range(k - 1, m):
+            t, below, low, base = start[k - 1], comb(h, k - 1), binom[h] - start[k], comb(h, k)
+            names += map((1 << h).__or__, names[t:t + below])
+            if k + 1 < r:  # one column per i, over all j: T_j's covers shifted for i < h, a slice of ids for i > h
+                shifted = (map(ids.__getitem__, map(low.__add__, col)) for col in zip(*covers_up[t:t + below]))
+                covers_up += zip(*islice(shifted, h - k + 1), *(ids[base + b:base + b + below] for b in binom[h + 1:]))
+    if r:  # the top, the full set, covers all of rank r - 1
+        covers_up += [(start[r],)] * comb(m, r - 1)
+        names.append((1 << m) - 1)
+    covers_up.append(())
+    rank = [*chain.from_iterable([k] * comb(m, k) for k in range(r)), r]  # r = 0: the bottom is the top
+    return FiniteLattice(rank, covers_up, tag, partial(map, _subset_label, names))
+
+
 def _subset_label(mask: int) -> str:
     return "{" + ",".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1) + "}"
 
 
 def build_boolean(n: int, *, cap: int | None = None) -> FiniteLattice:
     """Lattice of all subsets of {1..n}: rank = cardinality, join = union,
-    meet = intersection, atoms = singletons.  Generated as the flats of the
-    free matroid, a subset being its own point mask and name; within a
-    rank, elements are ordered by bitmask (colex)."""
+    meet = intersection, atoms = singletons; generated by `_build_subsets`."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > BOOLEAN_MAX_GROUND:
         raise SizeBoundError(f"boolean ground sets are limited to {BOOLEAN_MAX_GROUND} elements")
     _check_size((2**n,), cap)
-
-    def join(mask: int, i: int) -> int:
-        return mask | 1 << i
-
-    return _build_flats(f"boolean({n})", 0, (1 << n) - 1, join, join, _subset_label)
+    return _build_subsets(f"boolean({n})", n, n)
 
 
 def build_uniform(r: int, m: int, *, cap: int | None = None) -> FiniteLattice:
     """Lattice of flats of the uniform matroid U_{r,m}: all subsets of
     {1..m} of size < r, plus the full set as top.  build_uniform(2, 3) is
-    the diamond with three atoms.  Generated as a lattice of flats, a
-    subset being its own point mask and name; within a rank, elements are
-    ordered by bitmask."""
+    the diamond with three atoms.  Generated by `_build_subsets`."""
     if r < 1:
         raise ValueError("r must be at least 1")
     if m < r:
         raise ValueError("m must be at least r")
     _check_size(chain((1,), (comb(m, k) for k in range(r))), cap)
-    full = (1 << m) - 1
-
-    def join(mask: int, i: int) -> int:
-        joined = mask | 1 << i
-        return joined if joined.bit_count() < r else full
-
-    return _build_flats(f"uniform({r},{m})", 0, full, join, join, _subset_label)
+    return _build_subsets(f"uniform({r},{m})", m, r)
 
 
 def _projective_space(r: int, q: int, cap: int | None, affine: bool) -> tuple[list[gf.Vec], Callable[[int, int], int]]:

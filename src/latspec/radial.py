@@ -144,15 +144,15 @@ def jacobi_from_compression(L: FiniteLattice, H: OperatorMatrix | None = None) -
 def radial_invariance(L: FiniteLattice, H: OperatorMatrix | None = None) -> InvarianceReport:
     """Exact test of whether H maps each layer sum into the span of the
     adjacent layer sums, i.e. whether H s_k is constant on each adjacent
-    layer.  No tolerances: the image N s_k is an integer array, and on a
-    layer of size m a value v differs from the mean exactly when
-    m * v differs from the layer's sum."""
+    layer.  No tolerances: N s_k, summed from N's entries in the columns of
+    rank k alone, is an integer array, and on a layer of size m a value v
+    differs from the mean exactly when m * v differs from the layer's sum."""
     if H is None:
         H = hamiltonian(L)
     check_dim(L, H)
-    rank = np.asarray(L.rank)
+    col_rank, nums = np.asarray(L.rank, np.min_scalar_type(L.top_rank))[H.cols], fit(H.nums, H.nnz())
     for k in range(L.top_rank + 1):
-        image = H.matvec((rank == k).astype(np.int64))
+        np.add.at(image := np.zeros(L.n, nums.dtype), H.rows[level := col_rank == k], nums[level])
         residual = image != 0
         for layer in (np.asarray(L.layers[kk]) for kk in (k - 1, k + 1) if 0 <= kk <= L.top_rank):
             values = fit(image[layer], len(layer))

@@ -19,6 +19,7 @@ import numpy as np
 
 from latspec import ZERO, FiniteLattice, NotALatticeError, OperatorMatrix, RationalPolynomial, diamond, parse_lattice
 from latspec.gf import in_rowspace, rref
+from latspec.lattice import _build_flats, _subset_label
 from latspec.operators import _cover_arrays, _lowering_pairs, fit
 
 
@@ -144,6 +145,26 @@ def operator_arrays_by_unique(dim: int, rows, cols, nums, denom: int = 1) -> tup
     row_sums = np.zeros(dim, dtype=magnitudes.dtype)
     np.add.at(row_sums, rows, magnitudes)
     return rows, cols, nums, denom // g, int(row_sums.max(initial=0))
+
+
+# ---------------------------------------------------------------------------
+# Subset lattices by flat closure (oracle for `_build_subsets`)
+# ---------------------------------------------------------------------------
+
+
+def subsets_by_closure(tag: str, m: int, r: int) -> FiniteLattice:
+    """boolean(m) (r = m) or uniform(r, m), tagged `tag`, generated as a
+    lattice of flats by `_build_flats`, the closure search of the
+    projective and affine builders: the join of a subset with point i is
+    its union with {i}, or the full set once that has r points; each rank
+    is sorted by bitmask after its covers are found."""
+    full = (1 << m) - 1
+
+    def join(mask: int, i: int) -> int:
+        joined = mask | 1 << i
+        return joined if joined.bit_count() < r else full
+
+    return _build_flats(tag, 0, full, join, join, _subset_label)
 
 
 # ---------------------------------------------------------------------------

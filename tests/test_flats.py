@@ -1,11 +1,15 @@
 """The built-in families as lattices of flats.
 
-Two guards on the builders.  A digest table pins every family's ids,
+Three guards on the builders.  A digest table pins every family's ids,
 labels, covers and tag on a ladder of small parameters: the sha256 of
 `json.dumps(L.to_document())`, recorded while the builders still found
 covers by a pairwise search, or, for the larger projective and affine
 entries, while they still reduced an echelon basis for every flat and
-point, so the generated lattices must match it.  An
+point, or, for boolean(12), uniform(3,40) and uniform(2,300), while the
+subset families were still closed by `_build_flats`, so the generated
+lattices must match it.  The subset families, which are generated
+directly, are compared element by element with that closure search,
+`tests/helpers.py`'s `subsets_by_closure`.  An
 independent oracle reads each element's subspace (and coset
 representative) back from its label and checks that y covers x exactly
 when rank(y) = rank(x) + 1 and x's flat lies in y's, testing membership
@@ -19,7 +23,7 @@ import re
 
 import pytest
 
-from helpers import in_rowspace
+from helpers import in_rowspace, subsets_by_closure
 from latspec import build_affine, build_boolean, build_projective, build_uniform
 
 BUILDERS = {
@@ -38,6 +42,7 @@ DOCUMENT_DIGESTS = (
     ("boolean(5)", "06b0506760493b005bba5305e3edff0a3cb0836297514e7076b0b495de8aee58"),
     ("boolean(6)", "ce51a79e339e0a92effb34c690f48a59ba7bbac97c950443def428d7dd5784b3"),
     ("boolean(7)", "fc69c3e9bb971b1bbbd50094c4856da095d5595ecb8f164b4b2a221ce4846ea5"),
+    ("boolean(12)", "975341749e9b1ddba99d5daa484586b3b3a6f1c10d794dcdda12d8ea408d48ac"),
     ("uniform(1,1)", "223f75ca686810e43b01747d53e2b53efce4cdd1399ebc40980ba5e4f5f74459"),
     ("uniform(1,2)", "82553c6acc681cf2f8d3e810d26bf286f3a71dd7018f1605a7953f37355b6e26"),
     ("uniform(2,2)", "5083fc63ebea8151a133072b97b7f82e3af45903ed05de8ae6845aa6f2d247ed"),
@@ -59,6 +64,8 @@ DOCUMENT_DIGESTS = (
     ("uniform(4,6)", "6077b2cd0c8a297c9d49f276fccf4ebce220813e612f572555aecd83876b0ff4"),
     ("uniform(5,6)", "c910022ea4f68fc5b99b6d41d82c72fdd4772e20daf69932818229593e64bb13"),
     ("uniform(6,6)", "ce51a79e339e0a92effb34c690f48a59ba7bbac97c950443def428d7dd5784b3"),
+    ("uniform(3,40)", "1f2b3b6d37a8b749809aa3ff94fa9a4f94ca6bda6a4d08cc45e8c416023d7414"),
+    ("uniform(2,300)", "e3ac7257b13f06a6e0c8348e9d21fe51a120adaefa16bd48fc058122b6d51e29"),
     ("projective(1,2)", "07c4d90b432c96d4293b40795bcbaa9d35ffe3c7d3b7db3ee4cce44bd2c84665"),
     ("projective(2,2)", "833681c6fd66ce25e4a885984b740eb20fdb55e3660fac4b74f4c73d20e3ea5c"),
     ("projective(3,2)", "d37da3f50904225ceb3662145b72aaf1ee33b1a4a2a6c290f46c7bad3b6dd319"),
@@ -91,6 +98,24 @@ def test_document_digest(tag, digest):
     L = BUILDERS[family](*map(int, params.split(",")))
     assert L.family_tag == tag
     assert hashlib.sha256(json.dumps(L.to_document()).encode()).hexdigest() == digest
+
+
+SUBSET_CASES = (
+    *(("boolean", (n,)) for n in range(13)),
+    *(("uniform", (r, m)) for m in range(1, 10) for r in range(1, m + 1)),
+    ("uniform", (2, 300)), ("uniform", (3, 40)), ("uniform", (5, 12)),
+)
+
+
+def test_subsets_match_the_closure_oracle():
+    for family, args in SUBSET_CASES:
+        L = BUILDERS[family](*args)
+        m, r = args * 2 if family == "boolean" else args[::-1]
+        oracle = subsets_by_closure(L.family_tag, m, r)
+        assert L.rank == oracle.rank, L.family_tag
+        assert L.covers_up == oracle.covers_up, L.family_tag
+        assert L.labels == oracle.labels, L.family_tag
+        assert (L.family_tag, L._down) == (oracle.family_tag, oracle._down), L.family_tag
 
 
 def _basis(text: str) -> tuple[tuple[int, ...], ...]:

@@ -295,8 +295,8 @@ class TestLayerChecks:
         with pytest.raises(ArithmeticError, match="not an integer"):
             jacobi_from_compression(b2, OperatorMatrix(b2.n, H.rows, H.cols, H.nums, 3))  # (2/3) H = N / 3
 
-    def test_residual_support_matches_the_dense_oracle(self, m3, b2, fano):
-        lattices = [build_product(m3, b2), build_product(fano, m3), build_uniform(3, 5), build_affine(2, 3)]
+    def test_residual_support_matches_the_dense_oracle(self, m3, b1, b2, fano):
+        lattices = [build_product(m3, b1), build_product(m3, b2), build_product(fano, m3), build_uniform(3, 5), build_affine(2, 3)]
         lattices += [parse_lattice(random_flats_document(random.Random(seed))) for seed in range(12)]
         seen_failure = 0
         for L in lattices:
@@ -318,14 +318,20 @@ class TestLayerChecks:
         assert scaled.W == tuple(c * w for w in J.W)
         assert scaled.beta_sq == tuple(c * c * b for b in J.beta_sq)
 
-    def test_residual_support_past_int64(self, m3):
-        # on the atom layer the image is (c, -c, -c): 3c and -3c wrap in
+    def test_residual_support_past_int64(self, m3, b3):
+        # on m3's atom layer the image is (c, -c, -c): 3c and -3c wrap in
         # int64 to the layer sum -c and to c, so a wrapped test would drop
-        # the first atom from the support
+        # the first atom from the support.  On b3's rank-2 layer each image
+        # entry sums two entries, (2c, -2c, -2c): 2c = 2^63 wraps to -2c,
+        # so a wrapped sum would read the layer as constant
         c = 2**62
-        H = OperatorMatrix.from_entries(m3.n, [(1, 0, c), (2, 0, -c), (3, 0, -c)])
-        report = radial_invariance(m3, H)
-        assert (report.failing_level, report.residual_support) == residual_support_oracle(m3, H) == (0, (1, 2, 3))
+        for L, entries, expected in (
+            (m3, [(1, 0, c), (2, 0, -c), (3, 0, -c)], (0, (1, 2, 3))),
+            (b3, [(y, x, c if y == 4 else -c) for y in (4, 5, 6) for x in (1, 2)], (1, (4, 5, 6))),
+        ):
+            H = OperatorMatrix.from_entries(L.n, entries)
+            report = radial_invariance(L, H)
+            assert (report.failing_level, report.residual_support) == residual_support_oracle(L, H) == expected
 
     def test_residual_support_of_a_corrupted_hamiltonian(self, fano):
         # an entry inside a layer and one skipping a layer both leave the

@@ -704,6 +704,7 @@ class TestSizeCap:
         monkeypatch.setattr(latspec.lattice.gf, "gaussian_binomial", counted(latspec.lattice.gf.gaussian_binomial))
         monkeypatch.setattr(latspec.lattice.gf, "is_prime", unreachable)
         monkeypatch.setattr(latspec.lattice, "_build_flats", unreachable)
+        monkeypatch.setattr(latspec.lattice, "_build_subsets", unreachable)
         with pytest.raises(SizeBoundError, match=f"^lattice would have {count} elements, exceeding the cap of 1000$"):
             build(*args, cap=1000)
         assert len(sizes) <= 6
