@@ -11,12 +11,12 @@ The list covers every verb, every family by flags and by `family:args`
 spec, `--family product`, `--input`, every `--help`, and the error paths.
 Commands run in order in one temporary directory, so the documents that
 early commands write with `--out` are the inputs of later ones; the inputs
-no command writes, malformed files and a few hand-written documents, are
-put there first (FILES).  The checkout's own `src/` is put on PYTHONPATH,
-LATTICE_SIZE_CAP is cleared and the help width is fixed at 80 columns, so
-the output depends only on the code.  The rest of the environment is
-passed on to each command, so runs under different PYTHONHASHSEED values
-show whether any output depends on the hash seed:
+no command writes, malformed files and a few hand-written or generated
+documents, are put there first (FILES).  The checkout's own `src/` is put
+on PYTHONPATH, LATTICE_SIZE_CAP is cleared and the help width is fixed at
+80 columns, so the output depends only on the code.  The rest of the
+environment is passed on to each command, so runs under different
+PYTHONHASHSEED values show whether any output depends on the hash seed:
 
     PYTHONHASHSEED=0 python scripts/cli_digest.py > seed0.txt
     PYTHONHASHSEED=1 python scripts/cli_digest.py > seed1.txt
@@ -80,6 +80,25 @@ FILES = {
     }),
 }
 
+
+def _doubled_fano_document() -> str:
+    """projective(3,2) as the XOR-closed subsets of the vectors 0..7 of F_2^3,
+    with ids permuted by i -> 5i + 3 mod 16 and every cover listed twice,
+    the two copies apart and out of rank order."""
+    spaces = sorted((s for s in range(1, 256, 2)
+                     if all(s >> (a ^ b) & 1 for a in range(8) for b in range(8) if s >> a & s >> b & 1)),
+                    key=int.bit_count)
+    new = [(5 * i + 3) % 16 for i in range(len(spaces))]
+    covers = [[new[i], new[j]] for i, s in enumerate(spaces) for j, t in enumerate(spaces)
+              if s & t == s and t.bit_count() == 2 * s.bit_count()]
+    return json.dumps({
+        "elements": [{"id": new[i], "label": format(s, "08b")} for i, s in enumerate(spaces)],
+        "covers": covers[1::2] + covers[::-1] + covers[::2],
+    })
+
+
+FILES["fano-doubled.json"] = _doubled_fano_document()
+
 COMMANDS = (
     ["--help"],
     *([verb, "--help"] for verb in VERBS),
@@ -89,6 +108,9 @@ COMMANDS = (
     ["build", "--family", "uniform", "--r", "2", "--m", "3", "--out", "m3.json"],
     ["build", "--family", "projective", "--r", "3", "--q", "2", "--format", "machine"],
     ["build", "--family", "affine", "--r", "2", "--q", "2"],
+    # uniform lattices whose top is an atom (r = 1) and whose rank-2 flats are not the top
+    ["build", "--family", "uniform", "--r", "1", "--m", "3", "--format", "machine"],
+    ["build", "--family", "uniform", "--r", "3", "--m", "5", "--format", "machine"],
     # fields where a line has more than three points
     ["build", "--family", "projective", "--r", "3", "--q", "3", "--format", "machine"],
     ["jacobi", "--family", "affine", "--r", "2", "--q", "5", "--format", "machine"],
@@ -100,6 +122,10 @@ COMMANDS = (
     ["build", "--input", "m3.json", "--format", "machine"],
     ["validate", "m3.json"],
     ["validate", "m3.json", "--format", "machine"],
+    # a permuted document that lists every cover twice
+    ["validate", "fano-doubled.json"],
+    ["hamiltonian", "--input", "fano-doubled.json"],
+    ["build", "--input", "fano-doubled.json", "--format", "machine"],
     ["diamond-table", "--family", "uniform", "--r", "2", "--m", "3"],
     ["hamiltonian", "--family", "projective", "--r", "3", "--q", "2", "--format", "machine"],
     ["jacobi", "--family", "uniform", "--r", "2", "--m", "3"],

@@ -157,13 +157,13 @@ class FiniteLattice:
     docstring), which order the elements exactly only on a lattice: they
     are defined only when `first_meetless_pair` is None.  Built-in families
     and products are lattices by construction; `from_covers` and `validate`
-    certify every other input.  The constructor raises, naming the first
-    failure, unless id 0 is the only rank-0 element, the covers of each
-    element are distinct ids in range(n), each one rank up (read in layer
-    order, which is id order on every parsed or built lattice but a
-    product, in the pass that fills J(x)), every other element covers
-    something, and exactly one element, of top rank, has no upper cover,
-    checked in that order; so `validate` need not check these.
+    certify every other input.  The constructor keeps each cover tuple it
+    is handed and raises, naming the first failure, unless id 0 is the
+    only rank-0 element, each element's covers are strictly ascending ids
+    in range(n), each one rank up (read in layer order, in the pass that
+    fills J(x)), every other element covers something, and exactly one
+    element, of top rank, has no upper cover, checked in that order; so
+    `validate` need not check these.
     `leq`, `meet`, `join` and `atoms_below` expect ids in range(n) and do
     not check them: a negative id indexes from the end.
 
@@ -185,8 +185,7 @@ class FiniteLattice:
             raise NotALatticeError("empty element list: no bottom element")
         self.n = n
         self.rank = rank = tuple(rank)
-        # an ascending tuple, as every builder hands over, is kept rather than copied
-        self.covers_up = covers = tuple(u if u == (t := tuple(sorted(u))) else t for u in covers_up)
+        self.covers_up = covers = tuple(map(tuple, covers_up))  # a tuple is kept, not copied
         self.family_tag = family_tag
         if labels is None or callable(labels):  # rendered on first read; a partial keeps L picklable
             self._labels = labels or partial(map, "e{}".format, range(n))
@@ -209,8 +208,9 @@ class FiniteLattice:
                 bit <<= 1
             m, step, last = down[x], rank[x] + 1, -1
             for y in covers[x]:
-                if not last < y < n:  # sorted, so a repeat is equal to the cover before it
-                    raise LatticeError(f"cover [{x}, {y}] {'is repeated' if y == last >= 0 else 'references an unknown element id'}")
+                if not last < y < n:
+                    fault = "references an unknown element id" if not 0 <= y < n else "is repeated" if y == last else "is out of order"
+                    raise LatticeError(f"cover [{x}, {y}] {fault}")
                 if rank[y] != step:
                     raise NotGradedError(f"cover [{x}, {y}] spans ranks {rank[x]} -> {rank[y]}")
                 down[y] |= m
@@ -316,39 +316,32 @@ class FiniteLattice:
     # -- construction from raw cover data ----------------------------------
 
     @classmethod
-    def from_covers(
-        cls,
-        n: int,
-        covers: Iterable[tuple[int, int]],
-        family_tag: str = "custom",
-        labels: Sequence[str] | None = None,
-        cap: int | None = None,
-    ) -> "FiniteLattice":
-        """Build a lattice from an explicit cover list.
+    def from_covers(cls, n: int, covers: Sequence[Sequence[int]], family_tag: str = "custom",
+                    labels: Sequence[str] | None = None, cap: int | None = None) -> "FiniteLattice":
+        """Build a lattice from a sequence of [lo, hi] cover pairs, read twice; a repeat is dropped.
 
         Ranks are inferred as longest-chain length from the unique minimal
         element; ids are remapped to rank-major order (stable in the input
         ids) so that the bottom receives id 0.  Raises NotAPosetError on
-        cycles, NotGradedError when some cover jumps more than one rank,
-        and NotALatticeError when bottom/top are not unique or two lower
-        covers of a common element lack a meet (`first_meetless_pair`).
+        cycles, NotGradedError when a cover jumps ranks (the first in input
+        order), and NotALatticeError when bottom/top are not unique or two
+        lower covers of a common element lack a meet (`first_meetless_pair`).
         """
         if n == 0:
             raise NotALatticeError("empty element list: no bottom element")
         _check_size((n,), cap)
         succ: list[list[int]] = [[] for _ in range(n)]
-        indeg = [0] * n
-        seen: dict[tuple[int, int], None] = {}  # insertion-ordered: a failure names the first offending cover
         for lo, hi in covers:
             if not (0 <= lo < n and 0 <= hi < n):
                 raise ParseError(f"cover [{lo}, {hi}] references an unknown element id")
             if lo == hi:
                 raise NotAPosetError(f"cover [{lo}, {hi}] is a self-loop")
-            if (pair := (lo, hi)) not in seen:
-                seen[pair] = None
-                succ[lo].append(hi)
+            succ[lo].append(hi)
+        indeg = [0] * n
+        for lo, ups in enumerate(succ):
+            succ[lo] = ups = sorted(set(ups))  # ascending ids, so ascending new ids within the rank above
+            for hi in ups:
                 indeg[hi] += 1
-
         if indeg.count(0) != 1:
             raise NotALatticeError(f"expected a unique bottom element, found {indeg.count(0)} minimal elements")
 
@@ -366,14 +359,14 @@ class FiniteLattice:
         if any(indeg):  # a node never released
             raise NotAPosetError("cover relation contains a cycle")
 
-        if (pair := next(((lo, hi) for lo, hi in seen if rank[hi] != rank[lo] + 1), None)) is not None:
+        if (pair := next(((lo, hi) for lo, hi in covers if rank[hi] != rank[lo] + 1), None)) is not None:
             lo, hi = pair
             raise NotGradedError(f"cover [{lo}, {hi}] spans ranks {rank[lo]} -> {rank[hi]}; the poset is not graded")
         perm = sorted(range(n), key=rank.__getitem__)  # stable: ties keep the input order
         new_id = sorted(range(n), key=perm.__getitem__)  # the inverse of perm
         if labels is not None and len(labels) == n:  # a wrong count is the constructor's to reject
             labels = [labels[old] for old in perm]
-        new_covers = [list(map(new_id.__getitem__, succ[old])) for old in perm]
+        new_covers = [tuple(map(new_id.__getitem__, succ[old])) for old in perm]
         L = cls([rank[old] for old in perm], new_covers, family_tag, labels)
         if (pair := L.first_meetless_pair) is not None:
             raise NotALatticeError(f"elements {perm[pair[0]]} and {perm[pair[1]]} have no unique meet")
@@ -440,21 +433,25 @@ def _build_subsets(tag: str, m: int, r: int) -> FiniteLattice:
     C(h, k + 1) plus the position of T_j ∪ {i}, a cover of T_j listed before
     F; for i > h at C(i, k + 1) + C(h, k) + j, past those: each tuple ascends."""
     start = list(accumulate((comb(m, k) for k in range(r)), initial=0))  # start[k]: the first id of rank k
-    names, covers_up = [0], [tuple(range(1, m + 1))] * (r > 1)
-    for k in range(1, r):  # ids: one int object per id of rank k + 1, shared by every cover tuple that holds it
-        binom, ids = [comb(i, k + 1) for i in range(m)], list(range(start[k + 1], start[min(k + 2, r)]))
-        for h in range(k - 1, m):
+    covers_up = [tuple(range(1, m + 1))] * (r > 1)
+    for k in range(1, r - 1):  # ids: one int object per id of rank k + 1, shared by every cover tuple that holds it
+        binom, ids = [comb(i, k + 1) for i in range(m)], list(range(start[k + 1], start[k + 2]))
+        for h in range(k - 1, m):  # one column per i, over all j: T_j's covers shifted for i < h, a slice of ids for i > h
             t, below, low, base = start[k - 1], comb(h, k - 1), binom[h] - start[k], comb(h, k)
-            names += map((1 << h).__or__, names[t:t + below])
-            if k + 1 < r:  # one column per i, over all j: T_j's covers shifted for i < h, a slice of ids for i > h
-                shifted = (map(ids.__getitem__, map(low.__add__, col)) for col in zip(*covers_up[t:t + below]))
-                covers_up += zip(*islice(shifted, h - k + 1), *(ids[base + b:base + b + below] for b in binom[h + 1:]))
+            shifted = (map(ids.__getitem__, map(low.__add__, col)) for col in zip(*covers_up[t:t + below]))
+            covers_up += zip(*islice(shifted, h - k + 1), *(ids[base + b:base + b + below] for b in binom[h + 1:]))
     if r:  # the top, the full set, covers all of rank r - 1
         covers_up += [(start[r],)] * comb(m, r - 1)
-        names.append((1 << m) - 1)
     covers_up.append(())
     rank = [*chain.from_iterable([k] * comb(m, k) for k in range(r)), r]  # r = 0: the bottom is the top
-    return FiniteLattice(rank, covers_up, tag, partial(map, _subset_label, names))
+    L = FiniteLattice(rank, covers_up, tag)
+    L._labels = partial(_subset_labels, L._down, (1 << m) - 1)
+    return L
+
+
+def _subset_labels(down: list[int], full: int) -> Iterator[str]:
+    """Each subset's label from J(x), its mask, as atom {h} holds bit h; the top is the full set, an atom at r = 1."""
+    return map(_subset_label, chain(islice(down, len(down) - 1), (full,)))
 
 
 def _subset_label(mask: int) -> str:
@@ -615,6 +612,11 @@ def parse_lattice(document: str | bytes | dict, *, cap: int | None = None) -> Fi
             document = json.loads(document)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
+    return _lattice_from_tree(document, cap)
+
+
+def _lattice_from_tree(document: object, cap: int | None) -> FiniteLattice:
+    """`parse_lattice` on a decoded JSON value, which is never decoded again."""
     if not isinstance(document, dict):
         raise ParseError("document must be a JSON object")
     elements = document.get("elements")
@@ -636,24 +638,21 @@ def parse_lattice(document: str | bytes | dict, *, cap: int | None = None) -> Fi
             raise ParseError(f"element ids must be dense from 0; offending id {i}")
         labels[i] = str(entry.get("label", f"e{i}"))
 
-    pairs = []
-    for pair in covers:
+    for pair in covers:  # every entry's shape first, then the list itself is handed on
         if not isinstance(pair, (list, tuple)) or len(pair) != 2 or (type(pair[0]), type(pair[1])) != (int, int):
             raise ParseError(f"malformed cover entry {pair!r}; expected [lo, hi]")
-        pairs.append((pair[0], pair[1]))
-
-    return FiniteLattice.from_covers(n, pairs, "custom", labels, cap=cap)
+    return FiniteLattice.from_covers(n, covers, "custom", labels, cap=cap)
 
 
 def read_lattice_file(path: str, *, cap: int | None = None) -> FiniteLattice:
-    """Parse the UTF-8 lattice document at `path`; a BOM is refused, as in
-    any `str` given to `parse_lattice`."""
+    """Parse the UTF-8 lattice document at `path`, dropping the text once its
+    JSON tree is built; a BOM is refused, as in a `str` given to `parse_lattice`."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
+            document = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
-    return parse_lattice(text, cap=cap)
+    return _lattice_from_tree(document, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,21 @@ class TestParse:
         with pytest.raises(NotALatticeError, match=r"^elements 0 and 1 have no unique meet$"):
             parse_lattice(doc)
 
+    @pytest.mark.parametrize("L", [
+        build_projective(3, 2), build_boolean(4), build_product(build_uniform(2, 3), build_boolean(1)),
+    ], ids=["projective(3,2)", "boolean(4)", "uniform(2,3)xboolean(1)"])
+    def test_repeated_and_shuffled_covers_parse_as_the_plain_document(self, L):
+        rng = random.Random(L.n)
+        perm = list(range(L.n))
+        rng.shuffle(perm)
+        elements = [{"id": perm[x], "label": L.labels[x]} for x in range(L.n)]
+        covers = [[perm[x], perm[y]] for x, y in L.covers()]
+        doubled = covers * 2
+        rng.shuffle(doubled)
+        plain, repeated = parse_lattice({"elements": elements, "covers": covers}), parse_lattice(
+            {"elements": elements, "covers": doubled})
+        assert (repeated.rank, repeated.covers_up, repeated.labels) == (plain.rank, plain.covers_up, plain.labels)
+
     def test_malformed_json(self):
         with pytest.raises(ParseError):
             parse_lattice("{not json")
@@ -341,6 +356,12 @@ class TestParse:
         path = tmp_path / "doc.json"
         path.write_text('\ufeff{"elements": [{"id": 0}]}', encoding="utf-8")
         with pytest.raises(ParseError, match="Unexpected UTF-8 BOM"):
+            read_lattice_file(str(path))
+
+    def test_file_holding_a_json_string_is_decoded_once(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(json.dumps(M3_DOCUMENT)), encoding="utf-8")
+        with pytest.raises(ParseError, match="^document must be a JSON object$"):
             read_lattice_file(str(path))
 
     def test_sparse_ids_rejected(self):
@@ -371,6 +392,9 @@ class TestParse:
              "cover [0, 2] references an unknown element id"),
             ({"elements": [{"id": 0}, {"id": 1}], "covers": [[0, 1], [1, 1]]}, NotAPosetError,
              "cover [1, 1] is a self-loop"),
+            # every entry's shape is checked before any id is read
+            ({"elements": [{"id": 0}, {"id": 1}], "covers": [[0, 5], [0, True]]}, ParseError,
+             "malformed cover entry [0, True]; expected [lo, hi]"),
         ],
     )
     def test_shape_rejections(self, document, error, message):
@@ -488,14 +512,22 @@ class TestSemimodularFromGainedAtoms:
         for L in lattices:
             assert validate(L).passed(), L.family_tag
 
-    @pytest.mark.parametrize("covers_up, message", [
-        ([[1, 1], []], r"^cover \[0, 1\] is repeated$"),
-        ([[-1], []], r"^cover \[0, -1\] references an unknown element id$"),
-        ([[5], []], r"^cover \[0, 5\] references an unknown element id$"),
+    @pytest.mark.parametrize("rank, covers_up, message", [
+        ([0, 1], [[1, 1], []], r"^cover \[0, 1\] is repeated$"),
+        ([0, 1], [[-1], []], r"^cover \[0, -1\] references an unknown element id$"),
+        ([0, 1], [[5], []], r"^cover \[0, 5\] references an unknown element id$"),
+        # the constructor keeps the tuples it is handed, so a descending pair is refused, not re-sorted
+        ([0, 1, 1, 2], [[2, 1], [3], [3], []], r"^cover \[0, 1\] is out of order$"),
     ])
-    def test_constructor_rejects_repeated_and_unknown_cover_ids(self, covers_up, message):
+    def test_constructor_rejects_repeated_and_unknown_cover_ids(self, rank, covers_up, message):
         with pytest.raises(LatticeError, match=message):
-            FiniteLattice([0, 1], covers_up)
+            FiniteLattice(rank, covers_up)
+
+    def test_constructor_keeps_the_cover_tuples_it_is_handed(self):
+        given = ((1, 2), (3,), (3,), ())
+        L = FiniteLattice([0, 1, 1, 2], given)
+        assert all(L.covers_up[x] is given[x] for x in range(L.n))
+        assert FiniteLattice([0, 1, 1, 2], [[1, 2], [3], [3], []]).covers_up == given
 
     @pytest.mark.parametrize("rank, covers_up, error, message", [
         ([0, 1, 2, 2, 3], [[3, 1], [4, 2], [4], [4], []], NotGradedError, r"^cover \[0, 3\] spans ranks 0 -> 2$"),
@@ -625,7 +657,8 @@ class TestOrderQueriesAgainstClosure:
     @pytest.mark.parametrize("covers", [
         [(0, 1), (1, 2), (2, 5), (0, 3), (3, 5), (0, 4), (4, 5)],
         [(0, 1), (1, 2), (2, 5), (0, 4), (4, 5), (0, 3), (3, 5)],
-    ], ids=["3-5-first", "4-5-first"])
+        ((0, 1), (1, 2), (2, 5), (0, 4), (4, 5), (0, 4), (0, 3), (3, 5)),
+    ], ids=["3-5-first", "4-5-first", "tuple-of-tuples"])
     def test_from_covers_names_the_first_non_graded_cover_of_the_input(self, covers):
         # 0 < 1 < 2 < 5, 0 < 3 < 5 and 0 < 4 < 5: both short chains skip rank 2
         lo, hi = next((lo, hi) for lo, hi in covers if hi == 5 and lo != 2)
@@ -819,10 +852,13 @@ class TestBuiltOnFirstRead:
         assert parse_lattice({"elements": [{"id": 0}], "covers": []}).labels == ("e0",)
 
     def test_pickling_keeps_the_labels_before_and_after_the_first_read(self, m3):
-        for L in (build_boolean(3), build_affine(2, 2), build_product(m3, build_boolean(1)), parse_lattice(M3_DOCUMENT)):
+        lattices = (build_boolean(3), build_uniform(1, 3), build_uniform(3, 5), build_affine(2, 2),
+                    build_product(m3, build_boolean(1)), parse_lattice(M3_DOCUMENT))
+        for L in lattices:
             unread = pickle.loads(pickle.dumps(L))
             assert unread.labels == L.labels == pickle.loads(pickle.dumps(L)).labels
             assert unread == L
+        assert lattices[1].labels == ("{}", "{1,2,3}")  # the top of uniform(1, m) is an atom, labelled the full set
 
     @pytest.mark.parametrize("labels", [[], ["a"], ["a", "b", "c"]])
     def test_wrong_number_of_labels_is_rejected(self, labels):
