@@ -22,11 +22,10 @@ _PUBLIC = {
     "gf": "gaussian_binomial q_int",
     "lattice": """CheckResult FiniteLattice LatticeError NotALatticeError NotAPosetError NotGradedError ParseError
         SizeBoundError ValidationReport ZERO build_affine build_boolean build_product build_projective build_uniform
-        diamond diamond_table nonassociativity_witness parse_lattice read_lattice_file validate""",
+        cover_weight_sums diamond diamond_table nonassociativity_witness parse_lattice read_lattice_file validate""",
     "operators": "OperatorMatrix annihilation_operator creation_operator hamiltonian",
     "product": "convolve_measures convolve_moments kronecker_sum kronecker_sum_check product_law_checks shuffle_entry",
-    "radial": """InvarianceReport JacobiData RankLayers cover_weight_sums jacobi_from_compression jacobi_from_formula
-        radial_invariance""",
+    "radial": "InvarianceReport JacobiData RankLayers jacobi_from_compression jacobi_from_formula radial_invariance",
     "spectral": """MomentSequence RationalFunction RationalPolynomial SpectralMeasure affine_jacobi boolean_closed_form
         boolean_jacobi determinant_polynomials eigendecompose projective_jacobi reduced_resolvent resolvent
         vacuum_moments_full vacuum_moments_radial""",

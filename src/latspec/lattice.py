@@ -68,7 +68,8 @@ covers on atomistic input; no pair survey over all n² pairs is needed.
   a cover y of x (a <= y, a ≰ x) has x < x ∨ a <= y, so x ∨ a = y, and no
   other cover of x gains it, as two meet in x.  So with a(x) the atoms
   below x, a(x) + Σ_{x⋖y} (a(y) - a(x)) <= |atoms|, with equality iff every
-  atom a ≰ x has x ⋖ x ∨ a; the sum over x is n·|atoms| iff all are equal.
+  atom a ≰ x has x ⋖ x ∨ a.  Summed over x, the cover terms are Σ_k W_k
+  (`cover_weight_sums`): semimodular iff Σ_x a(x) + Σ_k W_k = n·|atoms|.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, chain, combinations, groupby, islice, product
 from math import comb
-from operator import mul, ne, sub
+from operator import ne
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from . import gf
@@ -683,6 +684,19 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
 
+def cover_weight_sums(L: FiniteLattice) -> tuple[int, ...]:
+    """W_k = sum over covers x ⋖ y with rank(x) = k of (a(y) - a(x)), a(.)
+    counting atoms below: the lowering pairs (y, x) with rank(x) = k.  Split
+    by endpoint, W_k = sum over r(y) = k+1 of a(y) down(y) - sum over r(x) = k
+    of a(x) up(x), up and down counting upper and lower covers (the latter
+    kept by the constructor): per-element counts summed in Python ints."""
+    W = [0] * (L.top_rank + 1)  # W[top_rank] collects the bottom's a(0) down(0) = 0 and is dropped
+    for k, a, d, u in zip(L.rank, L._atom_counts(), L._lower_count, map(len, L.covers_up)):
+        W[k] -= a * u
+        W[k - 1] += a * d
+    return tuple(W[:-1])
+
+
 def validate(L: FiniteLattice) -> ValidationReport:
     """Run the structural checks; each is exact at every size, and each
     failure carries a first counterexample.
@@ -700,24 +714,20 @@ def validate(L: FiniteLattice) -> ValidationReport:
     non-lattice the checks that need joins, semimodular and atomic, are not
     run, and a note says so.
 
-    Cost: `first_meetless_pair` (cached), then one pass over the elements
-    and one over the covers, which certifies semimodularity on atomistic
-    input by the atoms each cover gains (module docstring), with no join.
-    Only when that count fails, or the lattice is not atomistic, are the
-    upper covers of each z joined in pairs, to name the first counterexample.
+    Cost: `first_meetless_pair` (cached), one pass over the elements and, on
+    atomistic input, `cover_weight_sums`: Σ_x a(x) + Σ_k W_k = n·|atoms|
+    certifies semimodularity by the atoms each cover gains (module docstring),
+    with no join.  Only when that fails, or the lattice is not atomistic, are
+    the upper covers of each z joined in pairs, to name the first counterexample.
     """
     meetless = L.first_meetless_pair
     lattice = CheckResult("lattice-pairs", meetless is None, meetless)
     if meetless is not None:
         return ValidationReport((lattice,), ("not a lattice: the semimodular and atomic checks were not run",))
     atomic_ce = next(((x,) for x in range(L.n) if L.rank[x] > 1 and L._lower_count[x] == 1), None)
-    # a(z) when every mask bit is an atom; the per-x counts sum to Σ_z a(z) (1 + #down(z) - #up(z))
-    a = list(map(int.bit_count, L._down))
-    counted = sum(a) + sum(map(mul, a, map(sub, L._lower_count, map(len, L.covers_up))))
-    semi_ce = None
-    if atomic_ce is not None or counted != L.n * len(L.atoms):
-        pairs = (p for z in range(L.n) for p in combinations(L.covers_up[z], 2))
-        semi_ce = next(((x, y) for x, y in pairs if L.rank[L.join(x, y)] != L.rank[x] + 1), None)
+    certified = atomic_ce is None and sum(L._atom_counts()) + sum(cover_weight_sums(L)) == L.n * len(L.atoms)
+    pairs = (p for z in range(L.n) for p in combinations(L.covers_up[z], 2))
+    semi_ce = None if certified else next(((x, y) for x, y in pairs if L.rank[L.join(x, y)] != L.rank[x] + 1), None)
     semi = CheckResult("semimodular", semi_ce is None, semi_ce)
     return ValidationReport((lattice, semi, CheckResult("atomic", atomic_ce is None, atomic_ce)))
 
@@ -771,20 +781,26 @@ def diamond(L: FiniteLattice, x: int, y: int) -> int | _AlgebraZero:
     Affine lattices (two parallel lines meet at the adjoined bottom) and
     uniform(r, m) with 3 <= r < m are such cases.  For lattices that are
     not atomistic, such as some custom documents, the converse is open.
+    This is the per-pair rule; the creation pairs of an atom (the definition
+    side of `verify`), `diamond_table` and the witness search read rows.
     """
     if not (0 <= x < L.n and 0 <= y < L.n):
         raise ValueError(f"({x}, {y}) names no element of {L.family_tag}")
-    return _diamond(L, x, y)
-
-
-def _diamond(L: FiniteLattice, x: int, y: int) -> int | _AlgebraZero:
-    """`diamond` without the id check, for callers whose ids are in range."""
     return L.join(x, y) if L.meet(x, y) == 0 else ZERO
 
 
-def _product_table(L: FiniteLattice) -> list[list[int | _AlgebraZero]]:
-    """Row x holds x ⋄ y at column y: all n² products, with no size guard."""
-    return [[_diamond(L, x, y) for y in range(L.n)] for x in range(L.n)]
+def _diamond_row(L: FiniteLattice, x: int) -> list[int | _AlgebraZero]:
+    """Row x of the product table, x ⋄ y for every y in id order, for x in
+    range; J(x), M(x) and both mask indexes are read once.  Only the bottom
+    has an empty J(·), so M(x) ∩ M(y) is looked up only where J(x) ∩ J(y) is
+    empty, and the row is `diamond`'s pair by pair, up to the first meet or
+    join that no element holds, which raises with `diamond`'s text."""
+    dx, ux, meets, joins = L._down[x], L._up[x], L._down_index, L._up_index
+    row = [(ZERO if s in meets else None) if (s := dx & d) else joins.get(ux & u) for d, u in zip(L._down, L._up)]
+    if None in row:
+        y = row.index(None)
+        raise NotALatticeError(f"elements {x} and {y} have no unique {'meet' if dx & L._down[y] else 'join'}")
+    return row
 
 
 def nonassociativity_witness(L: FiniteLattice) -> tuple[int, int, int] | None:
@@ -792,13 +808,13 @@ def nonassociativity_witness(L: FiniteLattice) -> tuple[int, int, int] | None:
 
     Returns the lexicographically first witness, or None when the product
     is associative on the basis (hence, by bilinearity, on the whole span).
-    Each of the n² products is evaluated once, into `_product_table`, which
-    holds n² list slots (8 MB at n = 1,000; past `WITNESS_LIMIT` elements,
+    Each of the n² products is evaluated once, in rows (`_diamond_row`) of
+    n² list slots in all (8 MB at n = 1,000; past `WITNESS_LIMIT` elements,
     SizeBoundError first); each (x, y) compares the groupings as rows over z.
     """
     if L.n > WITNESS_LIMIT:
         raise SizeBoundError(f"the witness search is limited to {WITNESS_LIMIT} elements")
-    table, zeros = _product_table(L), [ZERO] * L.n
+    table, zeros = [_diamond_row(L, x) for x in range(L.n)], [ZERO] * L.n
     for x, row in enumerate(table):
         for y, xy in enumerate(row):
             lhs = zeros if xy is ZERO else table[xy]  # ZERO absorbs
@@ -812,4 +828,4 @@ def diamond_table(L: FiniteLattice) -> list[list[int | _AlgebraZero]]:
     """Full product table (list of rows); entries are element ids or ZERO."""
     if L.n > TABLE_LIMIT:
         raise SizeBoundError(f"product tables are limited to {TABLE_LIMIT} elements")
-    return _product_table(L)
+    return [_diamond_row(L, x) for x in range(L.n)]

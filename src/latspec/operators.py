@@ -18,7 +18,7 @@ from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
 from ._numpy import np
-from .lattice import ZERO, FiniteLattice, _diamond
+from .lattice import ZERO, FiniteLattice, _diamond_row
 
 
 # Integer arrays stay int64 while every product and partial sum provably
@@ -168,12 +168,13 @@ def check_dim(L: FiniteLattice, H: OperatorMatrix) -> None:
 
 def _creation_pairs(L: FiniteLattice, a: int) -> np.ndarray:
     """(a ⋄ x, x) for every x whose product with the atom a is a lattice
-    element, as a 2 x m array in x order: the rows over the columns.  One
-    `_diamond` per element: the definition side, which `creation_operator`,
-    `verify` and the tests read; `hamiltonian` reads the covers instead."""
-    products = np.fromiter((-1 if (y := _diamond(L, a, x)) is ZERO else y for x in range(L.n)), np.int64, L.n)
-    lower = np.flatnonzero(products >= 0)
-    return np.stack([products[lower], lower])
+    element, as a 2 x m array in x order: the rows over the columns.  The
+    atom's row of the product table (`_diamond_row`): the definition side,
+    which `creation_operator`, `verify` and the tests read; `hamiltonian`
+    reads the covers instead."""
+    products = np.array(_diamond_row(L, a), object)
+    lower = np.flatnonzero(products != ZERO)
+    return np.stack([products[lower].astype(np.int64), lower])
 
 
 def _lowering_pairs(L: FiniteLattice, i: int, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:

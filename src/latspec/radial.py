@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._numpy import np
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, cover_weight_sums
 from .operators import OperatorMatrix, check_dim, fit, hamiltonian
 
 
@@ -92,19 +92,6 @@ class InvarianceReport:
     @property
     def invariant(self) -> bool:
         return self.failing_level is None
-
-
-def cover_weight_sums(L: FiniteLattice) -> tuple[int, ...]:
-    """W_k = sum over covers x ⋖ y with rank(x) = k of (a(y) - a(x)), a(.)
-    counting atoms below: the lowering pairs (y, x) with rank(x) = k.  Split
-    by endpoint, W_k = sum over r(y) = k+1 of a(y) down(y) - sum over r(x) = k
-    of a(x) up(x), up and down counting upper and lower covers (the latter
-    kept by the constructor): per-element counts summed in Python ints."""
-    W = [0] * (L.top_rank + 1)  # W[top_rank] collects the bottom's a(0) down(0) = 0 and is dropped
-    for k, a, d, u in zip(L.rank, L._atom_counts(), L._lower_count, map(len, L.covers_up)):
-        W[k] -= a * u
-        W[k - 1] += a * d
-    return tuple(W[:-1])
 
 
 def jacobi_from_formula(L: FiniteLattice) -> JacobiData:

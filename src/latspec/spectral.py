@@ -182,13 +182,17 @@ class SpectralMeasure:
 
     @classmethod
     def from_document(cls, document: Mapping) -> "SpectralMeasure":
-        """Read {"atoms": [[eigenvalue, weight], ...]}; any other shape, and
+        """Read {"atoms": [[eigenvalue, weight], ...]}, each value a JSON number,
+        not true, false or a string, which `float` reads; any other shape, and
         atoms that do not form a centred probability measure, raise ValueError."""
         try:
-            atoms = tuple((float(l), float(w)) for l, w in document["atoms"])
+            atoms = [(l, w) for l, w in document["atoms"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f'expected {{"atoms": [[eigenvalue, weight], ...]}} ({exc!r})') from exc
-        return cls(atoms)
+        values = ((kind, v) for atom in atoms for kind, v in zip(("eigenvalue", "weight"), atom))
+        if bad := next((f"{kind} {v!r}" for kind, v in values if type(v) not in (int, float)), None):
+            raise ValueError(f"{bad} is not a number")
+        return cls(tuple((float(l), float(w)) for l, w in atoms))
 
 
 # ---------------------------------------------------------------------------

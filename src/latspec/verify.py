@@ -12,7 +12,8 @@ bottom as unit of the diamond product (`diamond`: J(0) is empty, so
 the duality of `resolvent` and `vacuum_moments_radial`, which reads the
 moments off the resolvent's series (Cramer's rule, in its docstring).
 
-Atom by atom, the creation pairs (a ⋄ x, x), from `diamond`, and the
+Atom by atom, the creation pairs (a ⋄ x, x), the atom's row of the product
+table (`lattice._diamond_row`, `diamond` read a row at a time), and the
 lowering pairs, from the covers that gain a, are built and checked, and
 only the creation pairs kept: atom-raises-rank reads the first, and
 transpose-consistency compares the two and so fails exactly where

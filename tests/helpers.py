@@ -172,6 +172,27 @@ def subsets_by_closure(tag: str, m: int, r: int) -> FiniteLattice:
 # ---------------------------------------------------------------------------
 
 
+def diamond_row_by_pair(L, x: int) -> list:
+    """Row x of the product table by the per-pair rule, x ⋄ y = `join` when
+    `meet` is the bottom, else ZERO, one `meet` and `join` call per y in id
+    order; the first pair whose meet or join no element holds raises."""
+    return [L.join(x, y) if L.meet(x, y) == 0 else ZERO for y in range(L.n)]
+
+
+def unchecked_poset(n: int, covers) -> FiniteLattice:
+    """The bounded graded poset (n, covers) handed straight to the
+    `FiniteLattice` constructor, ids renumbered rank-major, so that no
+    lattice check runs: its masks exist even where meets or joins do not."""
+    rank = [0] * n
+    for _ in range(n):  # longest chains from the bottom, by relaxation
+        for lo, hi in covers:
+            rank[hi] = max(rank[hi], rank[lo] + 1)
+    order = sorted(range(n), key=rank.__getitem__)
+    new = {old: i for i, old in enumerate(order)}
+    ups = [sorted(new[hi] for lo, hi in covers if lo == old) for old in order]
+    return FiniteLattice([rank[old] for old in order], ups)
+
+
 def nonassociativity_witness_by_search(L) -> tuple[int, int, int] | None:
     """The first (x, y, z) in lexicographic order with (x ⋄ y) ⋄ z !=
     x ⋄ (y ⋄ z), or None: each grouping evaluated with `diamond` where it

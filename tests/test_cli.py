@@ -333,6 +333,10 @@ class TestBadSourceErrors:
             ('{"atoms": [[0, NaN]]}', "eigenvalues and weights must be finite"),
             ('{"atoms": [[NaN, 1.0]]}', "eigenvalues and weights must be finite"),
             ('{"atoms": [[-Infinity, 0.5], [Infinity, 0.5]]}', "eigenvalues and weights must be finite"),
+            # Python's float reads strings and booleans; a measure document holds numbers only
+            ('{"atoms": [["0", "1"]]}', "eigenvalue '0' is not a number"),
+            ('{"atoms": [[false, true]]}', "eigenvalue False is not a number"),
+            ('{"atoms": [[-1, 0.5], [1, "0.5"]]}', "weight '0.5' is not a number"),
         ],
     )
     def test_bad_measure_file(self, capsys, tmp_path, content, message):

@@ -12,11 +12,13 @@ from helpers import (
     annihilation_by_defining_sum,
     annihilation_by_leq,
     dense_of,
+    diamond_row_by_pair,
     lowering_pairs_by_atom,
     nonassociativity_witness_by_search,
     random_bounded_graded_poset,
     random_flats_document,
     random_lattices,
+    unchecked_poset,
 )
 from latspec import (
     ZERO,
@@ -38,6 +40,7 @@ from latspec import (
     parse_lattice,
     vacuum_moments_full,
 )
+from latspec.lattice import _diamond_row
 from latspec.operators import _assemble, _cover_arrays, _creation_pairs, _lowering_pairs
 
 HALF = Fraction(1, 2)
@@ -91,6 +94,49 @@ class TestDiamond:
                     assert diamond(L, x, y) == diamond(L, y, x)
 
 
+def _row_or_error(row, L, x):
+    """Row x, or the type and text of the error it raises."""
+    try:
+        return row(L, x)
+    except NotALatticeError as exc:
+        return type(exc), str(exc)
+
+
+class TestRows:
+    """Each row of the product table equals the per-pair rule, value for
+    value, or raises that rule's first error with its text."""
+
+    def test_rows_equal_the_per_pair_rule_on_random_lattices_and_non_lattices(self):
+        non_lattices, errors = 0, []
+        for L in random_lattices():
+            for x in range(L.n):
+                assert _diamond_row(L, x) == diamond_row_by_pair(L, x), (L.to_document(), x)
+        for seed in range(1500):
+            n, covers = random_bounded_graded_poset(random.Random(seed))
+            if (L := unchecked_poset(n, covers)).first_meetless_pair is None:
+                continue
+            non_lattices += 1
+            for x in range(L.n):
+                assert (got := _row_or_error(_diamond_row, L, x)) == _row_or_error(diamond_row_by_pair, L, x), covers
+                if isinstance(got, tuple):
+                    errors.append(got[1].rsplit(" ", 1)[1])
+        # both error texts are reached
+        assert non_lattices == 425 and errors.count("meet") == 85 and errors.count("join") == 145
+
+    @pytest.mark.parametrize("build, params", [
+        (build_projective, (3, 31)),
+        (build_boolean, (12,)),
+        (build_affine, (3, 3)),
+        (build_uniform, (4, 7)),
+        (build_product, (build_uniform(2, 3), build_boolean(1))),
+    ])
+    def test_rows_equal_the_per_pair_rule_on_families(self, build, params):
+        # every atom's row, which the creation pairs read, then every 97th element's (n² pairs would take minutes)
+        L = build(*params)
+        for x in (*L.atoms, *range(0, L.n, 97), L.top):
+            assert _diamond_row(L, x) == diamond_row_by_pair(L, x), x
+
+
 class TestWitness:
     def test_none_on_boolean(self):
         for n in range(4):
@@ -99,13 +145,13 @@ class TestWitness:
     def test_refused_past_the_limit_before_the_table_is_filled(self, monkeypatch):
         # patched low: the real limit exists to stop sizes a test must not run
         filled = []
-        table = latspec.lattice._product_table
+        row = latspec.lattice._diamond_row
         monkeypatch.setattr(latspec.lattice, "WITNESS_LIMIT", 7)
-        monkeypatch.setattr(latspec.lattice, "_product_table", lambda L: filled.append(L.n) or table(L))
+        monkeypatch.setattr(latspec.lattice, "_diamond_row", lambda L, x: filled.append(x) or row(L, x))
         with pytest.raises(SizeBoundError, match="^the witness search is limited to 7 elements$"):
             nonassociativity_witness(build_boolean(3))
         assert filled == []
-        assert nonassociativity_witness(build_uniform(2, 5)) is None and filled == [7]
+        assert nonassociativity_witness(build_uniform(2, 5)) is None and filled == list(range(7))
 
     def test_none_on_modular_families(self, m3, fano):
         # pairwise meets/joins in modular lattices force both groupings to
@@ -425,7 +471,7 @@ def test_cover_rule_equals_the_definition_on_families(build, params):
 
 def test_hamiltonian_reads_no_product(monkeypatch):
     calls = []
-    patched = ((latspec.lattice, "diamond"), (latspec.operators, "_diamond"), (latspec.operators, "_creation_pairs"))
+    patched = ((latspec.lattice, "diamond"), (latspec.operators, "_diamond_row"), (latspec.operators, "_creation_pairs"))
     for module, name in patched:
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, f=original, name=name: calls.append(name) or f(*args))

@@ -508,9 +508,13 @@ class TestSemimodularFromGainedAtoms:
         def no_join(self, x, y):
             raise AssertionError(f"join({x}, {y}) called")
 
+        weights, read = latspec.lattice.cover_weight_sums, []
         monkeypatch.setattr(FiniteLattice, "join", no_join)
+        monkeypatch.setattr(latspec.lattice, "cover_weight_sums", lambda L: read.append(L) or weights(L))
         for L in lattices:
             assert validate(L).passed(), L.family_tag
+            assert read == [L], L.family_tag  # the certificate reads the W_k once
+            read.clear()
 
     @pytest.mark.parametrize("rank, covers_up, message", [
         ([0, 1], [[1, 1], []], r"^cover \[0, 1\] is repeated$"),

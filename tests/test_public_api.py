@@ -1,7 +1,7 @@
 """The names that the benchmark and the scripts import from latspec exist;
-importing latspec, building, validating and the product load no numpy; and
-the first latspec name that needs numpy starts it with one BLAS thread
-unless the caller chose otherwise.
+importing latspec, building, validating, the cover weight sums and the
+product load no numpy; and the first latspec name that needs numpy starts
+it with one BLAS thread unless the caller chose otherwise.
 
 `perfbench/` and `scripts/` run outside tier-1, so a deleted public name
 they read would otherwise fail only there."""
@@ -92,7 +92,8 @@ def _run_in_fresh_interpreter(code: str, **env: str) -> dict:
 
 @pytest.mark.parametrize("code", [
     "import latspec",
-    "import latspec\nlatspec.build_projective(3, 2)\nlatspec.validate(latspec.build_boolean(3))",
+    "import latspec\nlatspec.build_projective(3, 2)\nlatspec.validate(latspec.build_boolean(3))\n"
+    "latspec.cover_weight_sums(latspec.build_uniform(2, 3))",
     "from latspec.cli import main\nmain(['build', '--family', 'projective', '--r', '3', '--q', '2'])",
     "from latspec.cli import main\nmain(['validate', {document!r}])",
     "import latspec\nL = latspec.build_affine(2, 2)\nlatspec.diamond(L, 1, 2), latspec.ZERO\n"
