@@ -24,12 +24,22 @@ from .lattice import ZERO, FiniteLattice, _diamond_row
 # Integer arrays stay int64 while every product and partial sum provably
 # fits; past that bound they hold Python ints (numpy object arrays).
 _INT64_LIMIT = 2**63
+_MATVEC_SLICE = 16_000  # entries per `matvec` slice: int64 temporaries under glibc's 128 KiB mmap threshold
 
 
 def fit(a: np.ndarray, factor: int = 1) -> np.ndarray:
     """`a` as int64 when max(|a|, 1) * max(factor, 1) < 2^63, else as Python ints."""
     bound = max(int(a.max()), -int(a.min()), 1) if a.size else 1
     return a.astype(object if bound * max(factor, 1) >= _INT64_LIMIT else np.int64, copy=False)
+
+
+def _keys(dim: int, *pairs) -> np.ndarray:
+    """The keys col·dim + row of each (rows, cols) pair in turn, written into one int64 array."""
+    key, end = np.empty(sum(len(rows) for rows, _ in pairs), np.int64), 0
+    for rows, cols in pairs:  # int64 loops: NumPy keeps int32 times an int in int32, which wraps
+        part = key[end : (end := end + len(rows))]
+        np.add(np.multiply(cols, dim, out=part, dtype=np.int64, casting="unsafe"), rows, out=part, dtype=np.int64, casting="unsafe")
+    return key
 
 
 def _integers(a, what: str) -> np.ndarray:
@@ -51,19 +61,17 @@ class OperatorMatrix:
     creation and annihilation operators denom 1.  The layers above compute
     on N through `matvec`, and `walk` iterates it from a basis vector;
     `Fraction` appears only at the API boundary.  Immutable after
-    construction.
+    construction, which sorts one int64 key array col·dim + row in place into
+    the stored cols.  Beside the key and the numerators handed in it holds the
+    argsort and reordered numerators (none if all are equal), then the stored
+    rows and nums; repeated keys, zeros and negative entries take more.
     """
 
     __slots__ = ("dim", "denom", "rows", "cols", "nums", "_row_bound")
 
     def __init__(self, dim: int, rows, cols, nums, denom: int = 1):
-        """N / denom from unsorted integer (row, col, numerator) arrays, 1-D and
-        of one length, and denom >= 1, else ValueError (rationals go through
-        `from_entries`): one argsort of the int64 keys col·dim + row,
-        `np.add.reduceat` over runs of equal keys if any, zeros dropped and a
-        gcd above 1 divided out.  Each temporary is dropped before the next, so
-        without repeated keys or zero sums at most three entry-sized arrays are
-        held beside the (possibly narrow) input."""
+        """N / denom from unsorted integer (row, col, numerator) arrays, 1-D and of
+        one length, and denom >= 1, else ValueError (rationals: `from_entries`)."""
         if denom < 1:
             raise ValueError(f"denominator {denom} is not positive")
         rows, cols, nums = _integers(rows, "indices"), _integers(cols, "indices"), _integers(nums, "numerators")
@@ -72,26 +80,26 @@ class OperatorMatrix:
         if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= dim):
             i = np.flatnonzero((rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim))[0]
             raise ValueError(f"entry ({rows[i]}, {cols[i]}) out of range for dim {dim}")
-        key = cols.astype(np.int64) * dim + rows.astype(np.int64, copy=False)  # NumPy wraps narrow products
-        order = np.argsort(key)
-        key = key[order]
-        nums = nums[order]
-        del order
-        nums = fit(nums, key.size)
-        if not (distinct := key[1:] != key[:-1]).all():
-            starts = np.flatnonzero(np.r_[True, distinct])
-            nums = np.add.reduceat(nums, starts)
-            key = key[starts]
-            del starts
+        self._store(dim, _keys(dim, (rows, cols)), fit(nums), denom)
+
+    def _store(self, dim: int, key: np.ndarray, nums: np.ndarray, denom: int) -> "OperatorMatrix":
+        """Self as N / denom from unsorted int64 keys col·dim + row, which it consumes, and integer numerators."""
+        if nums.size and nums.min() != nums.max():
+            nums = nums[np.argsort(key)]
+        key.sort()
+        if not (key[1:] != key[:-1]).all():
+            starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+            nums, key = np.add.reduceat(fit(nums, key.size), starts), key[starts]
         if not nums.all():
             key, nums = key[nums != 0], nums[nums != 0]
-        g = math.gcd(denom, int(np.gcd.reduce(nums)))
-        self.dim, self.denom, self.nums = dim, denom // g, fit(nums // g if g > 1 else nums)
-        self.cols, self.rows = key // dim, np.remainder(key, dim, out=key)
+        self.dim, self.denom = dim, denom // (g := math.gcd(denom, int(np.gcd.reduce(nums))))
+        nums = self.nums = fit(nums // g if g > 1 else nums)  # rebound: reordered numerators go before rows are decoded
+        self.rows, self.cols = np.remainder(key, dim), np.floor_divide(key, dim, out=key)
         magnitudes = fit(self.nums, self.nums.size)
         row_sums = np.zeros(dim, dtype=magnitudes.dtype)
         np.add.at(row_sums, self.rows, magnitudes if magnitudes.min(initial=0) >= 0 else np.abs(magnitudes))
         self._row_bound = int(row_sums.max(initial=0))
+        return self
 
     @classmethod
     def from_entries(cls, dim: int, entries: Iterable[tuple[int, int, Fraction]]) -> "OperatorMatrix":
@@ -125,12 +133,13 @@ class OperatorMatrix:
 
         Stays int64 while max|v| * (largest row sum of |N|) < 2^63, which
         bounds every product and partial sum; past that it computes and
-        returns Python ints, so a walk that crosses the bound stays exact."""
+        returns Python ints, so a walk that crosses the bound stays exact.
+        Beside v and the result a step holds one slice of `_MATVEC_SLICE` entries."""
         if (v := _integers(v, "vector entries")).shape != (self.dim,):
             raise ValueError(f"a vector of shape {v.shape} does not match dim {self.dim}")
-        products = self.nums * fit(v, self._row_bound)[self.cols]
-        out = np.zeros(self.dim, dtype=products.dtype)
-        np.add.at(out, self.rows, products)
+        out = np.zeros(self.dim, dtype=np.result_type(self.nums, v := fit(v, self._row_bound)))
+        for part in (slice(i, i + _MATVEC_SLICE) for i in range(0, self.nums.size, _MATVEC_SLICE)):
+            np.add.at(out, self.rows[part], self.nums[part] * v[self.cols[part]])
         return out
 
     def walk(self, col: int, length: int) -> Iterator[np.ndarray]:
@@ -214,13 +223,12 @@ def annihilation_operator(L: FiniteLattice, a: int) -> OperatorMatrix:
 
 
 def _assemble(L: FiniteLattice, pairs: Iterable[np.ndarray]) -> OperatorMatrix:
-    """(1/2) * sum over atoms of (P_a + P_a^t), P_a holding a 1 at each pair
-    of a.  Equal pairs are counted by their key y·n + x, formed in int64,
-    before mirroring, so the constructor sees each entry once."""
-    keys = np.concatenate([np.empty(0, np.int64), *(y.astype(np.int64) * L.n + x for y, x in pairs)])
-    keys, counts = np.unique(keys, return_counts=True)
-    upper, lower = np.divmod(keys, L.n)
-    return OperatorMatrix(L.n, np.r_[upper, lower], np.r_[lower, upper], np.r_[counts, counts], 2)
+    """(1/2) * (C + C^t), C the sum over atoms of P_a, a 1 at each pair of a; C sums repeats before mirroring."""
+    key = _keys(L.n, *pairs)
+    C = OperatorMatrix.__new__(OperatorMatrix)._store(L.n, key, np.broadcast_to(np.int64(1), key.size), 1)
+    key, nums = _keys(L.n, (C.rows, C.cols), (C.cols, C.rows)), np.r_[C.nums, C.nums]
+    del C  # freed before the mirrored keys are sorted
+    return OperatorMatrix.__new__(OperatorMatrix)._store(L.n, key, nums, 2)
 
 
 def _cover_arrays(L: FiniteLattice) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -262,7 +270,7 @@ def hamiltonian(L: FiniteLattice) -> OperatorMatrix:
             skips += (L.join(x, L.atoms[(free & -free).bit_length() - 1]), x)
             free &= free - 1
     upper_skip, lower_skip = np.array(skips, a.dtype).reshape(-1, 2).T
-    rows, cols = np.r_[upper, lower, upper_skip, lower_skip], np.r_[lower, upper, lower_skip, upper_skip]
+    key = _keys(L.n, (upper, lower), (lower, upper), (upper_skip, lower_skip), (lower_skip, upper_skip))
     nums = np.r_[gained, gained, np.ones(2 * upper_skip.size, a.dtype)]
-    del lower, upper, gained, a, unreached  # freed before the constructor sorts the entries, which stay narrow
-    return OperatorMatrix(L.n, rows, cols, nums, 2)
+    del lower, upper, gained, a, unreached  # freed before the keys are sorted; the numerators stay narrow
+    return OperatorMatrix.__new__(OperatorMatrix)._store(L.n, key, nums, 2)

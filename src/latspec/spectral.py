@@ -17,6 +17,8 @@ leading minor D_{r-1}.
 
 from __future__ import annotations
 
+import reprlib
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile, zip_longest
@@ -182,16 +184,16 @@ class SpectralMeasure:
 
     @classmethod
     def from_document(cls, document: Mapping) -> "SpectralMeasure":
-        """Read {"atoms": [[eigenvalue, weight], ...]}, each value a JSON number,
-        not true, false or a string, which `float` reads; any other shape, and
-        atoms that do not form a centred probability measure, raise ValueError."""
+        """Read {"atoms": [[eigenvalue, weight], ...]}, each value a JSON number in
+        the float range (`float` reads true, false and strings too); any other
+        value or shape, and atoms not a centred probability measure, raise ValueError."""
         try:
             atoms = [(l, w) for l, w in document["atoms"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f'expected {{"atoms": [[eigenvalue, weight], ...]}} ({exc!r})') from exc
-        values = ((kind, v) for atom in atoms for kind, v in zip(("eigenvalue", "weight"), atom))
-        if bad := next((f"{kind} {v!r}" for kind, v in values if type(v) not in (int, float)), None):
-            raise ValueError(f"{bad} is not a number")
+        for kind, v in ((kind, v) for atom in atoms for kind, v in zip(("eigenvalue", "weight"), atom)):
+            if type(v) not in (int, float) or type(v) is int and abs(v) > sys.float_info.max:
+                raise ValueError(f"{kind} {reprlib.repr(v)} is {'past the float range' if type(v) is int else 'not a number'}")
         return cls(tuple((float(l), float(w)) for l, w in atoms))
 
 

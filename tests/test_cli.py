@@ -337,6 +337,8 @@ class TestBadSourceErrors:
             ('{"atoms": [["0", "1"]]}', "eigenvalue '0' is not a number"),
             ('{"atoms": [[false, true]]}', "eigenvalue False is not a number"),
             ('{"atoms": [[-1, 0.5], [1, "0.5"]]}', "weight '0.5' is not a number"),
+            # a JSON integer past the float range, named in shortened form
+            ('{"atoms": [[0, 1' + "0" * 330 + "]]}", "weight 100000000000000000...0000000000000000000 is past the float range"),
         ],
     )
     def test_bad_measure_file(self, capsys, tmp_path, content, message):

@@ -29,6 +29,7 @@ from latspec import (
     vacuum_moments_full,
     vacuum_moments_radial,
 )
+from latspec.operators import _MATVEC_SLICE
 
 
 def dense_apply(dense: list[list[Fraction]], vec) -> list[Fraction]:
@@ -127,12 +128,13 @@ class TestShapesAreChecked:
 
 
 class TestConstructorAgainstUniqueOracle:
-    """One argsort and `np.add.reduceat` store exactly the arrays, dtypes
-    and row bound that `np.unique` and `np.add.at` stored."""
+    """One argsort (none for equal numerators), an in-place key sort and
+    `np.add.reduceat` store exactly the arrays, dtypes and row bound that
+    `np.unique` and `np.add.at` stored."""
 
     @staticmethod
-    def assert_oracle(*args):
-        M = OperatorMatrix(*args)
+    def assert_oracle(*args, M=None):
+        M = OperatorMatrix(*args) if M is None else M
         rows, cols, nums, denom, row_bound = operator_arrays_by_unique(*args)
         for got, want in ((M.rows, rows), (M.cols, cols), (M.nums, nums)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -146,7 +148,13 @@ class TestConstructorAgainstUniqueOracle:
         (3, np.array([2, 0, 2], np.int32), np.array([1, 1, 1], np.int32), [7, 7, -7], 7),
         (1, [0, 0, 0], [0, 0, 0], [1, 2, 3], 6),
         (4, [], [], [], 3),
-    ], ids=["cancelling-pair", "all-cancel", "wide-negative", "sum-past-int64", "int32", "dim-1", "empty"])
+        # equal numerators skip the argsort; a run of k equal keys sums to k times the numerator
+        (3, [2, 0, 2, 1, 0], [1, 1, 1, 0, 1], [5, 5, 5, 5, 5], 2),
+        (2, [0, 0, 1], [1, 1, 0], np.array([-(2**62)] * 3), 3),  # a sum of magnitude 2^63
+        (2, [1, 1], [0, 0], np.array([2**70, 2**70], dtype=object), 1),
+        (4, np.array([3, 3, 0], np.int32), np.array([2, 2, 1], np.int32), np.ones(3, np.int8), 2),
+    ], ids=["cancelling-pair", "all-cancel", "wide-negative", "sum-past-int64", "int32", "dim-1", "empty",
+            "equal-repeats", "equal-sum-2-to-63", "equal-wide", "equal-int8"])
     def test_cases(self, args):
         self.assert_oracle(*args)
 
@@ -173,24 +181,46 @@ class TestConstructorAgainstUniqueOracle:
         self.assert_oracle(dim, rows.astype(np.int32), cols.astype(np.int32), nums.astype(np.int32), 2)
 
     def test_hamiltonian_is_unchanged(self, monkeypatch):
+        """`hamiltonian` hands the private path its keys; it stores what the
+        oracle stores from the rows and cols those keys decode to."""
         handed = []
-        init = OperatorMatrix.__init__
-        monkeypatch.setattr(OperatorMatrix, "__init__", lambda M, *args: handed.append(args) or init(M, *args))
+        store = OperatorMatrix._store
+        def capture(M, dim, key, nums, denom):  # the keys are sorted in place, so keep a copy
+            handed.append((dim, key.copy(), nums.copy(), denom))
+            return store(M, dim, key, nums, denom)
+        monkeypatch.setattr(OperatorMatrix, "_store", capture)
         product = build_product(build_uniform(2, 3), build_boolean(2))
         for L in (build_boolean(10), build_projective(4, 2), build_affine(3, 2), build_uniform(3, 5), product):
             handed.clear()
-            hamiltonian(L)
-            (args,) = handed
-            self.assert_oracle(*args)
+            H = hamiltonian(L)
+            assert type(H) is OperatorMatrix
+            ((dim, key, nums, denom),) = handed
+            cols, rows = np.divmod(key, dim)
+            self.assert_oracle(dim, rows, cols, nums, denom, M=H)
 
 
 class TestConstructionMemory:
-    def test_hamiltonian_peaks_within_twice_its_arrays(self):
-        """The cover arrays reach the constructor as int32, and it holds at
-        most three entry-sized temporaries beside them."""
+    def test_hamiltonian_peaks_within_1_3_times_its_arrays(self):
+        """`hamiltonian` hands over one int64 key array and int32 numerators,
+        and the key becomes the stored cols, so no rows or cols copy is alive
+        while the keys are sorted."""
         L = build_boolean(12)
         H, peak = traced_peak(hamiltonian, L)
-        assert peak <= 2 * (H.rows.nbytes + H.cols.nbytes + H.nums.nbytes)
+        assert peak <= 1.3 * (H.rows.nbytes + H.cols.nbytes + H.nums.nbytes)
+
+    def test_matvec_step_holds_one_slice(self):
+        """Beside its result a step holds one slice's gather and products,
+        however many entries N has (boolean(14) has 229,376, several slices),
+        and sums every slice: the result equals one unsliced scatter."""
+        L = build_boolean(14)
+        H = hamiltonian(L)
+        assert H.nnz() > 3 * _MATVEC_SLICE
+        v = np.random.default_rng(35).integers(-3, 4, L.n)
+        got, peak = traced_peak(H.matvec, v)
+        assert peak - got.nbytes <= 3 * 8 * _MATVEC_SLICE
+        expected = np.zeros(L.n, np.int64)
+        np.add.at(expected, H.rows, H.nums * v[H.cols])
+        assert np.array_equal(got, expected)
 
 
 class TestOverflowBoundary:
