@@ -6,8 +6,8 @@ built-in family.  Subsets (boolean, uniform) are generated directly by
 `_build_subsets` in bitmask order within a rank, their ids known before
 any cover is found.  Projective and affine flats, point masks in
 PG(r - 1, q) and PG(r, q), are closed by `_build_flats` from the joins
-F ∨ p with atoms p through a table of line masks, and ordered within a rank
-by echelon basis (and reduced representative); products, by component ids.
+F ∨ p with atoms p over the line-table rows of F's points, and ordered within
+a rank by an echelon key read from each mask; products, by component ids.
 
 Every finite lattice is ordered by its irreducibles (Davey & Priestley,
 Introduction to Lattices and Order, 2nd ed., 2002, ch. 2; Birkhoff,
@@ -81,7 +81,7 @@ from functools import cached_property, partial
 from itertools import accumulate, chain, combinations, groupby, islice, product
 from math import comb
 from operator import ne
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import gf
 
@@ -396,34 +396,50 @@ class FiniteLattice:
 # ---------------------------------------------------------------------------
 
 
-def _build_flats(tag: str, bottom: Hashable, atoms: int, close: Callable[[int, int], int],
-                 name: Callable[[Hashable, int], Hashable], label: Callable[[Hashable], str]) -> FiniteLattice:
+def _build_flats(tag: str, lines: list[list[int]], block: list[int], zero: list[int], atoms: int,
+                 affine: bool, label: Callable[[tuple[int, ...]], str]) -> FiniteLattice:
     """A q-family's lattice of flats, generated rank by rank from the empty
-    flat `bottom`: a flat is the mask of its points, `atoms` masks the atoms,
-    `close(F, i)` is the mask of F ∨ p_i and `name(N, i)` names it, given
-    the name N of F.  In a geometric lattice every cover of F is F ∨ p for
-    an atom p ∉ F, and every p in G ∖ F gives F ∨ p = G; so once a cover G
-    is found its points are skipped, and each cover is closed and named
-    once.  Names order each rank, fixing the ids; `label` renders them."""
-    rank, names, covers_up = [0], [bottom], []
-    layer, k = {0: bottom}, 0
+    flat: a flat is the mask of its points, `atoms` masks the atoms, and
+    `lines`, `block` and `zero` are `_projective_space`'s.  In a geometric
+    lattice every cover of F is F ∨ p for an atom p ∉ F, and every p in
+    G ∖ F gives F ∨ p = G; so once a cover G is found its points are
+    skipped.  F ∨ p_i ORs 1 << i with lines[u][i] (= lines[i][u]) over the
+    rows lines[u] of F's points, collected once per F.  Each new flat's
+    `_echelon_key` orders its rank, fixing the ids; `label` renders it."""
+    rank, keys, covers_up, layer = [0], [()], [], [0]
     while layer:
-        ups, found = [], {}
-        for F, N in layer.items():
-            up, rest = [], atoms & ~F
+        ups = []
+        for F in layer:
+            rows, up, rest = [], [], atoms & ~F
+            while F:
+                rows.append(lines[(F & -F).bit_length() - 1])
+                F &= F - 1
             while rest:
-                i = (rest & -rest).bit_length() - 1
-                up.append(G := close(F, i))
-                if G not in found:
-                    found[G] = name(N, i)
+                i = (G := rest & -rest).bit_length() - 1
+                for row in rows:
+                    G |= row[i]
+                up.append(G)
                 rest &= ~G
             ups.append(up)
-        layer, k = dict(sorted(found.items(), key=lambda flat: flat[1])), k + 1
-        ids = {G: j for j, G in enumerate(layer, len(rank))}
-        covers_up.extend(tuple(sorted(map(ids.__getitem__, up))) for up in ups)
-        rank += [k] * len(layer)
-        names += layer.values()
-    return FiniteLattice(rank, covers_up, tag, partial(map, label, names))
+        order = sorted((_echelon_key(G, block, zero, affine), G) for G in set(chain.from_iterable(ups)))
+        layer = {G: j for j, (_, G) in enumerate(order, len(rank))}  # the new flats and their ids
+        covers_up.extend(tuple(sorted(map(layer.__getitem__, up))) for up in ups)
+        rank += [rank[-1] + 1] * len(layer)
+        keys += [key for key, _ in order]
+    return FiniteLattice(rank, covers_up, tag, partial(map, label, keys))
+
+
+def _echelon_key(G: int, block: list[int], zero: list[int], affine: bool) -> tuple[int, ...]:
+    """Flat G's reduced echelon rows as point ids, pivot ascending: from the
+    last column c down, c is a pivot if G meets block[c], and its row is the
+    point there that is 0 at every later pivot; an affine key puts the row at
+    pivot 0, (1, x), last (`_projective_space`, `build_affine`)."""
+    rows, z = [], G
+    for c in reversed(range(len(block))):
+        if p := z & block[c]:
+            rows.append(p.bit_length() - 1)
+            z &= zero[c]
+    return (*rows[-2::-1], rows[-1]) if affine else tuple(reversed(rows))
 
 
 def _build_subsets(tag: str, m: int, r: int) -> FiniteLattice:
@@ -482,20 +498,22 @@ def build_uniform(r: int, m: int, *, cap: int | None = None) -> FiniteLattice:
     return _build_subsets(f"uniform({r},{m})", m, r)
 
 
-def _projective_space(r: int, q: int, cap: int | None, affine: bool) -> tuple[list[gf.Vec], Callable[[int, int], int]]:
+def _projective_space(r: int, q: int, cap: int | None, affine: bool) -> tuple[list[gf.Vec], list[list[int]], list[int], list[int]]:
     """The front end of both q-families: check r ≥ 1, q ≥ 2, the cap on the
     layer sizes (summed lazily), the bound on q and q's primality, in that
-    order, then return the points of PG(d - 1, q), d = r (+ 1 when affine),
-    the vectors of F_q^d with leading coordinate 1 in lexicographic order
-    (pivot d - 1 first), each indexed once, and `close(F, i)`, the mask of
-    the span of a subspace's point mask F and point i.  Every vector of
-    U + ⟨p⟩ is u + c·p (Oxley, Matroid Theory, §6.1), so F ∨ p is p with the
-    lines through p and each point of F, read from a table of line masks:
-    lines[i][u] is the mask of the line through points i and u, one shared
-    object per line.  `combinations` first meets a line at its two lowest ids
-    u < p.  Exactly one point of a line has its later pivot j2, and it has the
-    lowest id; so u is zero at p's pivot j1 < j2, and the other points c·u + p,
-    c = 1..q - 1, have a leading 1 at j1: they are normalized."""
+    order; then return the P points of PG(d - 1, q), d = r (+ 1 when affine),
+    the vectors of F_q^d with leading 1 in lexicographic order (pivot d - 1
+    first), each indexed once; lines[i][u], the mask of the line through
+    points i and u, one shared object per line; and, in O(P·d), block[c] and
+    zero[c], the points with leading 1 at c, a run of ids, and those 0 at c.
+    Every vector of U + ⟨p⟩ is u + c·p (Oxley, Matroid Theory, §6.1), so
+    F ∨ p is p with the lines through p and each point of F.  `combinations`
+    first meets a line at its two lowest ids u < p.  Exactly one point of a
+    line has its later pivot j2, and it has the lowest id; so u is zero at
+    p's pivot j1 < j2, and the other points c·u + p, c = 1..q - 1, have a
+    leading 1 at j1: they are normalized.  A subspace's echelon row at pivot
+    c is its one vector with 1 at c and 0 at every other pivot, as a vector
+    Σ v_c'·row_c' reads v_c' at each pivot c'."""
     if r < 1:
         raise ValueError("r must be at least 1")
     if q < 2:
@@ -513,69 +531,50 @@ def _projective_space(r: int, q: int, cap: int | None, affine: bool) -> tuple[li
     lines = [[0] * len(points) for _ in points]
     for u, p in combinations(range(len(points)), 2):
         if not lines[u][p]:
-            line = [u, p] + [index[tuple((c * a + b) % q for a, b in zip(points[u], points[p]))]
-                             for c in range(1, q)]
+            line = [u, p, *(index[tuple((c * a + b) % q for a, b in zip(points[u], points[p]))] for c in range(1, q))]
             mask = sum(1 << a for a in line)
             for a, b in product(line, repeat=2):
                 lines[a][b] = mask
-
-    def close(F: int, i: int) -> int:
-        row, G = lines[i], 1 << i
-        while F:
-            G |= row[(F & -F).bit_length() - 1]
-            F &= F - 1
-        return G
-
-    return points, close
+    block = [((1 << q ** (d - 1 - c)) - 1) << gf.q_int(d - 1 - c, q) for c in range(d)]
+    zero = [int("".join("0" if v[c] else "1" for v in reversed(points)), 2) for c in range(d)]
+    return points, lines, block, zero
 
 
-def _rref_label(basis: gf.Rref) -> str:
+def _rref_label(basis: Iterable[gf.Vec]) -> str:
     return "[" + ";".join("".join(str(v) for v in row) for row in basis) + "]"
+
+
+def _projective_label(points: list[gf.Vec], key: tuple[int, ...]) -> str:
+    return _rref_label(map(points.__getitem__, key))
+
+
+def _affine_label(points: list[gf.Vec], key: tuple[int, ...]) -> str:
+    *basis, rep = [points[i][1:] for i in key] or [()]  # the bottom's key is ()
+    return "".join(map(str, rep)) + "+" + _rref_label(basis) if key else "empty"
 
 
 def build_projective(r: int, q: int, *, cap: int | None = None) -> FiniteLattice:
     """Lattice of linear subspaces of F_q^r (q prime): rank = dimension,
     join = subspace sum, meet = intersection.  Layer k has Gaussian-binomial
-    size (r choose k)_q.  Generated as a lattice of flats: a subspace is the
-    mask of its points in PG(r - 1, q), closed through the line table of
-    `_projective_space`, and is named by its reduced echelon basis, one
-    `gf.extend` per subspace; within a rank, elements are ordered by basis."""
-    points, close = _projective_space(r, q, cap, affine=False)
-
-    def name(basis: gf.Rref, i: int) -> gf.Rref:
-        return gf.extend(basis, points[i], q)
-
-    return _build_flats(f"projective({r},{q})", (), (1 << len(points)) - 1, close, name, _rref_label)
+    size (r choose k)_q.  Generated by `_build_flats`: a subspace is the
+    mask of its points in PG(r - 1, q), labelled and, within a rank, ordered
+    by its reduced echelon basis, which `_echelon_key` reads from the mask."""
+    points, *space = _projective_space(r, q, cap, affine=False)
+    return _build_flats(f"projective({r},{q})", *space, (1 << len(points)) - 1, False, partial(_projective_label, points))
 
 
 def build_affine(r: int, q: int, *, cap: int | None = None) -> FiniteLattice:
     """Lattice of affine flats (cosets x + U) of F_q^r, all dimensions 0..r,
     with an adjoined bottom.  A k-flat has lattice rank k + 1; the atoms are
     the q^r points.  Meets of disjoint flats land on the adjoined bottom.
-    Generated as a lattice of flats inside PG(r, q), whose last q^r points
-    are the chart points (1, x), the atoms: a flat x + U is the mask of all
+    Generated by `_build_flats` inside PG(r, q), whose last q^r points are
+    the chart points (1, x), the atoms: a flat x + U is the mask of all
     projective points of the span of (1, x) and (0, U), its points at
-    infinity included, closed through the line table of
-    `_projective_space`.  It is named by (echelon basis of U,
-    representative reduced modulo U), with None for the bottom, one
-    `gf.extend` and `gf.reduce_vector` per flat; within a rank, elements
-    are ordered by that (basis, rep) tuple."""
-    points, close = _projective_space(r, q, cap, affine=True)
-
-    def name(flat: tuple[gf.Rref, gf.Vec] | None, i: int) -> tuple[gf.Rref, gf.Vec]:
-        point = points[i][1:]
-        if flat is None:
-            return (), point
-        basis, rep = flat
-        basis = gf.extend(basis, tuple((a - b) % q for a, b in zip(point, rep)), q)
-        return basis, gf.reduce_vector(rep, basis, q)
-
-    chart = ((1 << q**r) - 1) << (len(points) - q**r)
-    return _build_flats(f"affine({r},{q})", None, chart, close, name, _affine_label)
-
-
-def _affine_label(flat: tuple[gf.Rref, gf.Vec] | None) -> str:
-    return "empty" if flat is None else "".join(map(str, flat[1])) + "+" + _rref_label(flat[0])
+    infinity included.  Its reduced echelon basis is (1, x), x reduced
+    modulo U, with (0, U)'s rows, so its `_echelon_key` orders a rank by
+    (basis of U, x) and gives the label, "empty" for the bottom."""
+    points, lines, block, zero = _projective_space(r, q, cap, affine=True)  # block[0]: the chart points
+    return _build_flats(f"affine({r},{q})", lines, block, zero, block[0], True, partial(_affine_label, points))
 
 
 def build_product(L1: FiniteLattice, L2: FiniteLattice, *, cap: int | None = None) -> FiniteLattice:

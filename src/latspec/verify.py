@@ -122,6 +122,7 @@ def run_invariant_suite(L: FiniteLattice) -> list[SuiteResult]:
     results.append(SuiteResult("operators:transpose-consistency", not transposes, transposes))
 
     H = _assemble(L, creation)
+    del creation, lower, upper  # nothing reads them from here on; the pairs are 8 MiB on boolean(16)
     results.append(SuiteResult("hamiltonian:assembly-agreement", H == hamiltonian(L)))
 
     moments = vacuum_moments_full(L, H, MOMENT_ORDER + 1)

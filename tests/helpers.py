@@ -19,7 +19,7 @@ import numpy as np
 
 from latspec import ZERO, FiniteLattice, NotALatticeError, OperatorMatrix, RationalPolynomial, diamond, parse_lattice
 from latspec.gf import in_rowspace, rref
-from latspec.lattice import _build_flats, _subset_label
+from latspec.lattice import _subset_label
 from latspec.operators import _cover_arrays, _lowering_pairs, fit
 
 
@@ -148,23 +148,37 @@ def operator_arrays_by_unique(dim: int, rows, cols, nums, denom: int = 1) -> tup
 
 
 # ---------------------------------------------------------------------------
-# Subset lattices by flat closure (oracle for `_build_subsets`)
+# Subset lattices by a closure search (oracle for `_build_subsets`)
 # ---------------------------------------------------------------------------
 
 
 def subsets_by_closure(tag: str, m: int, r: int) -> FiniteLattice:
     """boolean(m) (r = m) or uniform(r, m), tagged `tag`, generated as a
-    lattice of flats by `_build_flats`, the closure search of the
-    projective and affine builders: the join of a subset with point i is
-    its union with {i}, or the full set once that has r points; each rank
-    is sorted by bitmask after its covers are found."""
+    lattice of flats by a generic closure search that shares no code with
+    the builders: the join of a flat F with point i is F ∪ {i}, or the full
+    set once that has r points.  Every cover of F is F ∨ i for a point
+    i ∉ F, and every i in G ∖ F gives F ∨ i = G, so once a cover G is found
+    its points are skipped.  Each rank is sorted by bitmask after its
+    covers are found, fixing the ids."""
     full = (1 << m) - 1
-
-    def join(mask: int, i: int) -> int:
-        joined = mask | 1 << i
-        return joined if joined.bit_count() < r else full
-
-    return _build_flats(tag, 0, full, join, join, _subset_label)
+    rank, masks, covers_up, layer = [0], [0], [], [0]
+    while layer:
+        ups, found = [], set()
+        for F in layer:
+            up, rest = [], full & ~F
+            while rest:
+                G = F | (rest & -rest)
+                G = G if G.bit_count() < r else full
+                up.append(G)
+                found.add(G)
+                rest &= ~G
+            ups.append(up)
+        layer = sorted(found)
+        ids = {G: j for j, G in enumerate(layer, len(rank))}
+        covers_up.extend(tuple(sorted(map(ids.__getitem__, up))) for up in ups)
+        rank += [rank[-1] + 1] * len(layer)
+        masks += layer
+    return FiniteLattice(rank, covers_up, tag, [_subset_label(G) for G in masks])
 
 
 # ---------------------------------------------------------------------------

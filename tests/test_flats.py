@@ -1,30 +1,36 @@
 """The built-in families as lattices of flats.
 
-Three guards on the builders.  A digest table pins every family's ids,
+Four guards on the builders.  A digest table pins every family's ids,
 labels, covers and tag on a ladder of small parameters: the sha256 of
 `json.dumps(L.to_document())`, recorded while the builders still found
 covers by a pairwise search, or, for the larger projective and affine
 entries, while they still reduced an echelon basis for every flat and
 point, or, for boolean(12), uniform(3,40) and uniform(2,300), while the
-subset families were still closed by `_build_flats`, so the generated
-lattices must match it.  The subset families, which are generated
-directly, are compared element by element with that closure search,
-`tests/helpers.py`'s `subsets_by_closure`.  An
+subset families were still closed as flats, so the generated lattices
+must match it.  The subset families, which are generated directly, are
+compared element by element with `tests/helpers.py`'s
+`subsets_by_closure`, a generic closure search of its own.  An
 independent oracle reads each element's subspace (and coset
 representative) back from its label and checks that y covers x exactly
 when rank(y) = rank(x) + 1 and x's flat lies in y's, testing membership
 with `tests/helpers.py`'s `in_rowspace`, not the builder; it runs on
 fields with q in {3, 5, 7}, where a line has more than three points.
+The echelon key that orders and labels the q-families is compared with
+`gf.rref` of each subspace's points, and the affine order with (basis,
+representative) pairs that `gf` computes from each flat's points.
 """
 
 import hashlib
 import json
 import re
+from itertools import product
 
 import pytest
 
 from helpers import in_rowspace, subsets_by_closure
-from latspec import build_affine, build_boolean, build_projective, build_uniform
+from latspec import build_affine, build_boolean, build_projective, build_uniform, gf
+from latspec.gf import reduce_vector, rref
+from latspec.lattice import _echelon_key, _projective_space
 
 BUILDERS = {
     "boolean": build_boolean,
@@ -159,3 +165,41 @@ def test_affine_covers_against_coset_containment(r, q):
         return in_rowspace(offset, v, q) and all(in_rowspace(row, v, q) for row in u)
 
     _assert_covers_are_containments(L, contains)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_echelon_key_equals_the_reduced_basis_of_every_subspace(q):
+    """Each subspace's key, read from its point mask, is its reduced echelon
+    basis from `gf.rref` of all its points, as point ids, pivot ascending."""
+    for d in range(1, 5):
+        points, _, block, zero = _projective_space(d, q, None, affine=False)
+        index = {v: i for i, v in enumerate(points)}
+        L = build_projective(d, q)
+        for x in range(L.n):
+            mask = L.atoms_below(x)
+            rows = rref([points[i] for i in range(len(points)) if mask >> i & 1], q)
+            assert _echelon_key(mask, block, zero, False) == tuple(map(index.__getitem__, rows)), (d, q, x)
+
+
+@pytest.mark.parametrize("r,q", [(2, 5), (3, 3)])
+def test_affine_ranks_are_ordered_by_basis_then_representative(r, q):
+    """Within a rank, affine flats ascend in (echelon basis of U, x reduced
+    modulo U), computed by `gf` from the points below each flat."""
+    points = list(product(range(q), repeat=r))
+    L = build_affine(r, q)
+    for layer in L.layers[1:]:
+        names = []
+        for x in layer:
+            first, *rest = (points[i] for i in range(len(points)) if L.atoms_below(x) >> i & 1)
+            basis = rref([tuple((a - b) % q for a, b in zip(p, first)) for p in rest], q)
+            names.append((basis, reduce_vector(first, basis, q)))
+        assert names == sorted(names) and len(set(names)) == len(names)
+
+
+def test_flat_builders_take_no_echelon_step(monkeypatch):
+    calls = []
+    for name in ("extend", "reduce_vector"):
+        monkeypatch.setattr(gf, name, lambda *args, name=name: calls.append(name))
+    assert build_projective(6, 2).n == 2825
+    assert build_affine(4, 3).layer_sizes() == (1, 81, 1080, 1170, 120, 1)
+    assert calls == []

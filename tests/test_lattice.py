@@ -856,7 +856,7 @@ class TestBuiltOnFirstRead:
         assert parse_lattice({"elements": [{"id": 0}], "covers": []}).labels == ("e0",)
 
     def test_pickling_keeps_the_labels_before_and_after_the_first_read(self, m3):
-        lattices = (build_boolean(3), build_uniform(1, 3), build_uniform(3, 5), build_affine(2, 2),
+        lattices = (build_boolean(3), build_uniform(1, 3), build_uniform(3, 5), build_affine(2, 2), build_projective(3, 2),
                     build_product(m3, build_boolean(1)), parse_lattice(M3_DOCUMENT))
         for L in lattices:
             unread = pickle.loads(pickle.dumps(L))

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import latspec.verify
-from helpers import random_bounded_graded_poset, random_lattices
+from helpers import random_bounded_graded_poset, random_lattices, traced_peak
 from latspec import (
     FiniteLattice,
     MomentSequence,
@@ -219,6 +219,18 @@ def test_suite_selects_each_atoms_lowering_pairs_once(monkeypatch):
         calls.clear()
         assert len(run_invariant_suite(L)) == len(SUITE_NAMES)
         assert calls == [(L, i) for i in range(len(L.atoms))]
+
+
+def test_suite_frees_the_creation_pairs_and_covers_once_assembled():
+    """The creation pairs (16 bytes a pair) and the cover arrays are freed
+    as soon as nothing reads them, before the moments and the Jacobi data:
+    the suite on boolean(12) peaks at about 3.2 times the bytes of H, and
+    at 3.7 times while both stayed alive until it returned."""
+    L = build_boolean(12)
+    H = hamiltonian(L)
+    results, peak = traced_peak(run_invariant_suite, build_boolean(12))
+    assert all(r.passed for r in results)
+    assert peak <= 3.45 * (H.rows.nbytes + H.cols.nbytes + H.nums.nbytes)
 
 
 class TestDocumentRoundTrip:
