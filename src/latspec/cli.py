@@ -11,6 +11,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -391,13 +392,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    gc.disable()  # a verb builds no reference cycles, so collections would only walk live objects
     try:
         code = main()
         sys.stdout.flush()
     except BrokenPipeError:  # stdout closed early, as by `| head`: the SIGPIPE note in Python's `signal` docs
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit cannot fail
         code = 1
-    sys.exit(code)
+    sys.stderr.flush()
+    os._exit(code)  # no teardown and no atexit hooks: README, "Command line"
 
 
 if __name__ == "__main__":

@@ -422,6 +422,8 @@ def _build_flats(tag: str, lines: list[list[int]], block: list[int], zero: list[
                 rest &= ~G
             ups.append(up)
         order = sorted((_echelon_key(G, block, zero, affine), G) for G in set(chain.from_iterable(ups)))
+        if order and rank[-1] == len(block):  # no flat of PG(d - 1, q) passes rank d = len(block)
+            raise LatticeError(f"{tag}: found flats of rank {rank[-1] + 1}, past the top rank {len(block)}")
         layer = {G: j for j, (_, G) in enumerate(order, len(rank))}  # the new flats and their ids
         covers_up.extend(tuple(sorted(map(layer.__getitem__, up))) for up in ups)
         rank += [rank[-1] + 1] * len(layer)

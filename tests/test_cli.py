@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -447,6 +449,70 @@ class TestUsageErrors:
         monkeypatch.setenv("LATTICE_SIZE_CAP", "abc")
         code, out, err = run(capsys, "validate", str(path))
         assert (code, out, err) == (1, "", "error: LATTICE_SIZE_CAP='abc' is not an integer\n")
+
+
+# each numpy verb on boolean(n); convolve reads the measure file that spectrum writes
+NUMPY_VERBS = {
+    "hamiltonian": ["hamiltonian", "--family", "boolean", "--n", "{n}"],
+    "jacobi": ["jacobi", "--family", "boolean", "--n", "{n}"],
+    "resolvent": ["resolvent", "--family", "boolean", "--n", "{n}"],
+    "moments": ["moments", "--family", "boolean", "--n", "{n}"],
+    "spectrum": ["spectrum", "--family", "boolean", "--n", "{n}", "--out", "{dir}/mu{n}.json"],
+    "convolve": ["convolve", "--left", "{dir}/mu{n}.json", "--right", "{dir}/mu{n}.json"],
+    "product-check": ["product-check", "--left", "boolean:{n}", "--right", "boolean:1"],
+    "verify": ["verify", "--family", "boolean", "--n", "{n}"],
+}
+
+
+class TestProcessExit:
+    """`entry` switches the cyclic collector off and leaves by `os._exit` once
+    stdout and stderr are flushed: a `lattice` process must print and return
+    what `main` prints and returns in process, and no verb may leave cycles
+    that grow with the lattice, which the collector would have freed."""
+
+    @staticmethod
+    def spawn(*argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        env.pop("PYTHONUNBUFFERED", None)  # so that stdout is flushed only by `entry`
+        child = subprocess.run([sys.executable, "-m", "latspec.cli", *argv], capture_output=True, env=env, timeout=60)
+        return child.returncode, child.stdout.decode(), child.stderr.decode()
+
+    def test_a_long_output_is_complete(self, capsys, tmp_path):
+        argv = ["hamiltonian", "--family", "boolean", "--n", "10", "--out"]
+        expected = run(capsys, *argv, str(tmp_path / "main.json"))
+        assert self.spawn(*argv, str(tmp_path / "entry.json")) == expected and len(expected[1]) > 150_000
+        assert (tmp_path / "entry.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["build", "--family", "boolean", "--n", "4", "--size-cap", "5"], 1, r"error: [^\n]*\n"),
+        (["validate", "{doc}"], 1, ""),
+        (["jacobi", "--precision", "-1"], 2, r"usage: lattice jacobi .*: error: argument --precision: -1 is negative\n"),
+    ], ids=["lattice-error", "failing-verdict", "usage-error"])
+    def test_exit_codes(self, capsys, tmp_path, argv, code, err):
+        (tmp_path / "hexagon.json").write_text(json.dumps(HEXAGON))
+        argv = [arg.format(doc=tmp_path / "hexagon.json") for arg in argv]
+        try:
+            expected = run(capsys, *argv)
+        except SystemExit as exc:
+            expected = (exc.code, *capsys.readouterr())
+        assert self.spawn(*argv) == expected and expected[0] == code
+        assert re.fullmatch(err, expected[2], re.S)
+
+    @pytest.mark.parametrize("verb", NUMPY_VERBS.values(), ids=NUMPY_VERBS)
+    def test_no_cycles_grow_with_the_lattice(self, capsys, tmp_path, verb):
+        def cycles(n):  # the objects only the collector can free, left by one main()
+            gc.collect()
+            gc.disable()
+            try:
+                assert main([arg.format(n=n, dir=tmp_path) for arg in verb]) == 0
+                return gc.collect()
+            finally:
+                gc.enable()
+
+        for n in (6, 10):  # the measure files that convolve reads
+            main([arg.format(n=n, dir=tmp_path) for arg in NUMPY_VERBS["spectrum"]])
+        cycles(6)  # the verb's imports leave cycles of their own
+        assert cycles(10) <= cycles(6)
 
 
 class TestDeterminism:

@@ -17,13 +17,18 @@ with `tests/helpers.py`'s `in_rowspace`, not the builder; it runs on
 fields with q in {3, 5, 7}, where a line has more than three points.
 The echelon key that orders and labels the q-families is compared with
 `gf.rref` of each subspace's points, and the affine order with (basis,
-representative) pairs that `gf` computes from each flat's points.
+representative) pairs that `gf` computes from each flat's points.  A
+closure fault must end the build with an error, not loop.
 """
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +208,39 @@ def test_flat_builders_take_no_echelon_step(monkeypatch):
     assert build_projective(6, 2).n == 2825
     assert build_affine(4, 3).layer_sizes() == (1, 81, 1080, 1170, 120, 1)
     assert calls == []
+
+
+# Builds a family from a line table whose entries holding the line through the
+# last two points read 0, in a child limited to 512 MB of address space.
+# Those points then join each other to single points, a cycle of covers that
+# never reaches a larger flat, so only the rank bound ends the build.  (A zeroed
+# single row makes no cycle: every flat without that row's point grows.)
+CORRUPTED_BUILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from latspec import lattice
+space = lattice._projective_space
+
+def corrupted(*args, **kwargs):
+    points, lines, block, zero = space(*args, **kwargs)
+    line = lines[-1][-2]
+    for row in lines:
+        row[:] = [0 if mask == line else mask for mask in row]
+    return points, lines, block, zero
+
+lattice._projective_space = corrupted
+try:
+    getattr(lattice, sys.argv[1])(3, 2)
+except lattice.LatticeError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("builder, message", [
+    ("build_projective", "projective(3,2): found flats of rank 4, past the top rank 3"),
+    ("build_affine", "affine(3,2): found flats of rank 5, past the top rank 4"),
+], ids=["projective", "affine"])
+def test_a_closure_fault_ends_the_build_at_the_top_rank(builder, message):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    child = subprocess.run([sys.executable, "-c", CORRUPTED_BUILD, builder], capture_output=True, text=True, env=env, timeout=30)
+    assert (child.returncode, child.stdout, child.stderr) == (0, message + "\n", "")
