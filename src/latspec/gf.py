@@ -1,9 +1,8 @@
 """Linear algebra over prime fields and q-analog counting.
 
-Subspaces of F_q^r are represented by their reduced row-echelon basis
-(a tuple of row tuples), which is a canonical form: two subspaces are
-equal iff their representations compare equal, so the tuples double as
-dictionary keys.
+The builders hold flats as point masks named by `lattice._echelon_key`.
+The reduced row-echelon helpers (`extend`, `rref`, `reduce_vector`,
+`in_rowspace`) are oracles for the tests and `scripts/invariance_probe.py`.
 """
 
 from __future__ import annotations

@@ -63,12 +63,15 @@ def kronecker_sum_check(L1: FiniteLattice, L2: FiniteLattice) -> bool:
     return _kronecker_agrees(hamiltonian(build_product(L1, L2)), hamiltonian(L1), hamiltonian(L2))
 
 
-def _shuffle_holds(d: int, d1: int, w1: int, w2: int, wP: int, denoms: tuple[int, int, int]) -> bool:
-    """`shuffle_entry`'s formula on the integer walk entries w = (N^d e_y)_x of
-    the factors and the product, each M = N / denom with denoms = (denom1,
-    denom2, denomP): C(d, d1) w1 w2 denomP^d = wP denom1^d1 denom2^(d - d1)."""
-    denom1, denom2, denomP = denoms
-    return comb(d, d1) * w1 * w2 * denomP**d == wP * denom1**d1 * denom2 ** (d - d1)
+def _shuffle_holds(d: int, d1: int, a: list[int], b: list[int], denoms: tuple[int, int]) -> bool:
+    """Whether the shuffle formula holds at power d from x to y, d1 the first factor's gap, given
+    H_P = M1 (x) I + I (x) M2.  The terms commute, so M_P^d = sum_j C(d, j) M1^j (x) M2^(d - j), and
+    the formula is its term j = d1: it holds exactly when the others sum to zero.  With a[j] =
+    (N1^j e_y1)_x1, b[j] = (N2^j e_y2)_x2, each M = N / denom and denoms = (denom1, denom2), that sum
+    times denom1^d denom2^d is the integer sum_(j != d1) C(d, j) a_j b_(d - j) denom1^(d - j) denom2^j.
+    Where H1 and H2 join only adjacent ranks, each of those terms walks too few steps for its gap."""
+    denom1, denom2 = denoms
+    return not sum(comb(d, j) * a[j] * b[d - j] * denom1 ** (d - j) * denom2**j for j in range(d + 1) if j != d1)
 
 
 def shuffle_entry(
@@ -101,30 +104,27 @@ def shuffle_entry(
     ends = (H1, x1, y1, d1), (H2, x2, y2, d2), (HP, x1 * L2.n + x2, y1 * L2.n + y2, d1 + d2)
     w1, w2, wP = (int(deque(H.walk(col, d), maxlen=1)[0][row]) for H, row, col, d in ends)
     value = Fraction(comb(d1 + d2, d1) * w1 * w2, H1.denom**d1 * H2.denom**d2)
-    if not _shuffle_holds(d1 + d2, d1, w1, w2, wP, (H1.denom, H2.denom, HP.denom)):
-        direct = Fraction(wP, HP.denom ** (d1 + d2))
+    if value != (direct := Fraction(wP, HP.denom ** (d1 + d2))):
         raise AssertionError(f"shuffle formula {value} disagrees with direct entry {direct} for {x} -> {y}")
     return value
 
 
-def _shuffle_agrees(
-    L1: FiniteLattice, L2: FiniteLattice, H1: OperatorMatrix, H2: OperatorMatrix, HP: OperatorMatrix
-) -> bool:
-    """`_shuffle_holds` on every pair x <= y of the product with rank gap d <= SHUFFLE_MAX_POWER, y and
-    then x ascending.  Each factor column keeps only the entries compared; one product walk is held at a time."""
-    p, denoms = SHUFFLE_MAX_POWER, (H1.denom, H2.denom, HP.denom)
+def _shuffle_agrees(L1: FiniteLattice, L2: FiniteLattice, H1: OperatorMatrix, H2: OperatorMatrix) -> bool:
+    """`_shuffle_holds` on every pair x <= y of the product with rank gap d <= SHUFFLE_MAX_POWER, y and then
+    x ascending, once H_P is proved the Kronecker sum.  Each factor column keeps only the entries compared."""
+    p, denoms = SHUFFLE_MAX_POWER, (H1.denom, H2.denom)
 
     def columns(L: FiniteLattice, H: OperatorMatrix):
-        """Per y, (x, d, (N^d e_y)_x) for x <= y at rank gap d <= p in x order; gap d is gap d - 1's lower covers."""
+        """Per y, the flat (x, d, (N^0 e_y)_x, ..., (N^p e_y)_x) for x <= y at rank gap d <= p in x order."""
         for y in range(L.n):
             gaps = itertools.accumulate(range(p), lambda s, _: {x for z in s for x in L.covers_down[z]}, initial={y})
-            yield sorted((x, d, int(v[x])) for d, (v, gap) in enumerate(zip(H.walk(y, p), gaps)) for x in gap)
+            walk = np.stack(list(H.walk(y, p)), axis=1)  # row x holds (N^j e_y)_x for j = 0..p
+            yield sorted((x, d, *walk[x].tolist()) for d, gap in enumerate(gaps) for x in gap)
     below2 = list(columns(L2, H2))
     for y1, below1 in enumerate(columns(L1, H1)):
         for y2, below in enumerate(below2):
-            walk = list(HP.walk(y1 * L2.n + y2, p))
-            for (x1, d1, w1), (x2, d2, w2) in itertools.product(below1, below):
-                if d1 + d2 <= p and not _shuffle_holds(d1 + d2, d1, w1, w2, int(walk[d1 + d2][x1 * L2.n + x2]), denoms):
+            for (x1, d1, *a), (x2, d2, *b) in itertools.product(below1, below):
+                if d1 + d2 <= p and not _shuffle_holds(d1 + d2, d1, a, b, denoms):
                     log.warning("shuffle formula fails for %s -> %s", (x1, x2), (y1, y2))
                     return False
     return True
@@ -137,13 +137,14 @@ def product_law_checks(
     up to power SHUFFLE_MAX_POWER, moment convolution up to order K).
 
     The product lattice is built once under `cap`, and each of the three
-    Hamiltonians once; every law reads them.
-    """
+    Hamiltonians once.  The shuffle law reads only the factors' and only
+    once the Kronecker law holds; otherwise it fails with that law."""
     if K < 0:
         raise ValueError("K must be non-negative")
     LP = build_product(L1, L2, cap=cap)
     H1, H2, HP = hamiltonian(L1), hamiltonian(L2), hamiltonian(LP)
-    kron_ok, shuffle_ok = _kronecker_agrees(HP, H1, H2), _shuffle_agrees(L1, L2, H1, H2, HP)
+    kron_ok = _kronecker_agrees(HP, H1, H2)
+    shuffle_ok = kron_ok and _shuffle_agrees(L1, L2, H1, H2)
     m1, m2, mP = (vacuum_moments_full(L, H, K) for L, H in ((L1, H1), (L2, H2), (LP, HP)))
     return kron_ok, shuffle_ok, convolve_moments(m1, m2, K).values == mP.values
 
@@ -160,15 +161,14 @@ def convolve_moments(m1: MomentSequence, m2: MomentSequence, K: int) -> MomentSe
 
 
 def convolve_measures(mu1: SpectralMeasure, mu2: SpectralMeasure) -> SpectralMeasure:
-    """Convolution of finitely supported measures: atoms at all pairwise
-    sums, weights multiplied; atoms closer than MERGE_TOL are merged."""
+    """Convolution of finitely supported measures: atoms at all pairwise sums, weights multiplied;
+    atoms closer than MERGE_TOL merge at their mean, or at the first's eigenvalue if weightless."""
     raw = sorted((l1 + l2, w1 * w2) for l1, w1 in mu1.atoms for l2, w2 in mu2.atoms)
     merged: list[list[float]] = []
     for l, w in raw:
         if merged and l - merged[-1][0] <= MERGE_TOL:
-            total = merged[-1][1] + w
-            merged[-1][0] = (merged[-1][0] * merged[-1][1] + l * w) / total
-            merged[-1][1] = total
+            (l0, w0), total = merged[-1], merged[-1][1] + w
+            merged[-1] = [(l0 * w0 + l * w) / total if total else l0, total]
         else:
             merged.append([l, w])
     return SpectralMeasure(tuple((l, w) for l, w in merged))

@@ -13,7 +13,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import accumulate, combinations, product
 
 import numpy as np
 
@@ -145,6 +145,37 @@ def operator_arrays_by_unique(dim: int, rows, cols, nums, denom: int = 1) -> tup
     row_sums = np.zeros(dim, dtype=magnitudes.dtype)
     np.add.at(row_sums, rows, magnitudes)
     return rows, cols, nums, denom // g, int(row_sums.max(initial=0))
+
+
+# ---------------------------------------------------------------------------
+# Product-walk oracle for the shuffle law
+# ---------------------------------------------------------------------------
+
+
+def shuffle_agrees_by_product_walk(L1: FiniteLattice, L2: FiniteLattice, H1, H2, HP, p: int) -> bool:
+    """Whether C(d, d1) (N1^d1 e_y1)_x1 (N2^d2 e_y2)_x2 denomP^d equals
+    (NP^d e_y)_x denom1^d1 denom2^d2 on every pair x <= y of L1 x L2 with
+    rank gaps d1 + d2 = d <= p, each M = N / denom.  Unlike
+    `product_law_checks`, it walks the product Hamiltonian HP from every
+    column y, so it needs no Kronecker law; x is below y at gap d when it is
+    reached by d lower covers, as the ranks of a lattice are graded."""
+
+    def columns(L: FiniteLattice, H):
+        for y in range(L.n):
+            gaps = accumulate(range(p), lambda s, _: {x for z in s for x in L.covers_down[z]}, initial={y})
+            yield sorted((x, d, int(v[x])) for d, (v, gap) in enumerate(zip(H.walk(y, p), gaps)) for x in gap)
+
+    below2 = list(columns(L2, H2))
+    for y1, below1 in enumerate(columns(L1, H1)):
+        for y2, below in enumerate(below2):
+            walk = list(HP.walk(y1 * L2.n + y2, p))
+            for (x1, d1, w1), (x2, d2, w2) in product(below1, below):
+                if (d := d1 + d2) > p:
+                    continue
+                wP = int(walk[d][x1 * L2.n + x2])
+                if math.comb(d, d1) * w1 * w2 * HP.denom**d != wP * H1.denom**d1 * H2.denom**d2:
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,19 @@ class TestSpectrumAndConvolve:
         assert [a[0] for a in atoms] == pytest.approx([-1.0, 0.0, 1.0])
         assert [a[1] for a in atoms] == pytest.approx([0.25, 0.5, 0.25])
 
+    def test_convolving_zero_weight_atoms(self, capsys, tmp_path):
+        # the 4-chain's measure has two weightless atoms at 0, which merge
+        # with weight 0 when the measure is convolved with itself
+        chain, mu_path = tmp_path / "chain.json", tmp_path / "mu.json"
+        chain.write_text(json.dumps({"elements": [{"id": i} for i in range(4)], "covers": [[0, 1], [1, 2], [2, 3]]}))
+        assert run(capsys, "spectrum", "--input", str(chain), "--out", str(mu_path))[0] == 0
+        assert [w for _, w in json.loads(mu_path.read_text())["atoms"]][1:3] == [0.0, 0.0]
+        code, out, _ = run(capsys, "convolve", "--left", str(mu_path), "--right", str(mu_path), "--format", "machine")
+        assert code == 0
+        atoms = json.loads(out)["atoms"]
+        assert [a[0] for a in atoms] == pytest.approx([-1.0, -0.5, 0.0, 0.5, 1.0])
+        assert [a[1] for a in atoms] == pytest.approx([0.25, 0.0, 0.5, 0.0, 0.25])
+
     def test_precision_flag(self, capsys):
         code, out, _ = run(
             capsys, "spectrum", "--family", "boolean", "--n", "1", "--precision", "3"

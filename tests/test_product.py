@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_power_entry
+from helpers import dense_power_entry, random_lattices, shuffle_agrees_by_product_walk
 import latspec.product
 from latspec import (
     MomentSequence,
@@ -30,6 +30,32 @@ from latspec import (
 
 def _moments(L, K):
     return vacuum_moments_full(L, hamiltonian(L), K)
+
+
+# The `random_lattices()` whose Hamiltonian has an entry two ranks apart, and
+# a fixed sample of those whose entries all join adjacent ranks
+RANK_SKIPPING = (254, 427, 867)
+ADJACENT_SAMPLE = tuple(range(0, 1135, 100))
+
+
+def _joins_adjacent_ranks(L):
+    return all(abs(L.rank[row] - L.rank[col]) <= 1 for row, col, _ in hamiltonian(L).entries())
+
+
+def _first_pair_where_shuffle_entry_raises(L1, L2, HP):
+    """The first pair x <= y of L1 x L2 at rank gap <= SHUFFLE_MAX_POWER, y and
+    then x ascending, on which `shuffle_entry` disagrees with HP's entry."""
+    ids = [(e1, e2) for e1 in range(L1.n) for e2 in range(L2.n)]
+    for y in ids:
+        for x in ids:
+            if not (L1.leq(x[0], y[0]) and L2.leq(x[1], y[1])):
+                continue
+            if L1.rank[y[0]] + L2.rank[y[1]] - L1.rank[x[0]] - L2.rank[x[1]] > latspec.product.SHUFFLE_MAX_POWER:
+                continue
+            try:
+                shuffle_entry(L1, L2, x, y, product_hamiltonian=HP)
+            except AssertionError:
+                return x, y
 
 
 class TestTensorIdentification:
@@ -192,6 +218,13 @@ class TestMeasureConvolution:
         for k in range(9):
             assert abs(mu.moment(k) - float(conv[k])) < 1e-8
 
+    def test_weightless_atoms_merge_at_the_first_eigenvalue(self):
+        from latspec import SpectralMeasure
+
+        mu = SpectralMeasure(((-1.0, 0.5), (0.0, 0.0), (1e-12, 0.0), (1.0, 0.5)))
+        got = convolve_measures(mu, SpectralMeasure(((0.0, 1.0),)))
+        assert got.atoms == ((-1.0, 0.5), (0.0, 0.0), (1.0, 0.5))
+
     def test_merges_colliding_atoms(self):
         # integer spectra collide: the 3-atom measure squared has 5 atoms
         mu = boolean_closed_form(2)
@@ -241,39 +274,23 @@ class TestProductLawChecks:
         kronecker = [(r.name, r.levelno, r.getMessage()) for r in caplog.records if "Kronecker" in r.getMessage()]
         assert kronecker == [("latspec.product", logging.WARNING, want)]
 
-    @pytest.mark.parametrize("drop", [None, 18, -1], ids=["doubled", "lowering-dropped", "last-dropped"])
-    def test_shuffle_warning_names_the_first_failing_pair(self, drop, m3, b1, monkeypatch, caplog):
-        # entry 18 of H on m3 x b1 lowers (2, 1) to (2, 0), so the first pair
-        # to fail is (0, 0) -> (2, 1), where one of two minimal walks is lost;
-        # the expected pair is the first one, with y and then x ascending,
-        # on which `shuffle_entry` raises against the corrupted Hamiltonian
+    def test_corrupted_product_hamiltonian_fails_the_shuffle_law_with_only_the_kronecker_warning(
+        self, m3, b1, monkeypatch, caplog
+    ):
+        # the shuffle law is read from the factor walks once H_P is proved the
+        # Kronecker sum, so each corruption (doubled, the lowering entry 18
+        # dropped, the last entry dropped) fails it with that law, unwalked
         real = latspec.product.hamiltonian
         H = real(build_product(m3, b1))
-        if drop is None:
-            corrupt = OperatorMatrix(H.dim, H.rows, H.cols, 2 * H.nums, H.denom)
-        else:
-            corrupt = OperatorMatrix(H.dim, *(np.delete(a, drop) for a in (H.rows, H.cols, H.nums)), H.denom)
-
-        def fails(x, y):
-            if not (m3.leq(x[0], y[0]) and b1.leq(x[1], y[1])):
-                return False
-            if m3.rank[y[0]] + b1.rank[y[1]] - m3.rank[x[0]] - b1.rank[x[1]] > latspec.product.SHUFFLE_MAX_POWER:
-                return False
-            try:
-                shuffle_entry(m3, b1, x, y, product_hamiltonian=corrupt)
-            except AssertionError:
-                return True
-            return False
-
-        ids = [(e1, e2) for e1 in range(m3.n) for e2 in range(b1.n)]
-        x, y = next((x, y) for y in ids for x in ids if fails(x, y))
-        monkeypatch.setattr(latspec.product, "hamiltonian", lambda L: corrupt if L.n == H.dim else real(L))
-        with caplog.at_level(logging.WARNING, logger="latspec.product"):
-            assert not product_law_checks(m3, b1, 8)[1]
-        shuffle = [(r.name, r.levelno, r.getMessage()) for r in caplog.records if "shuffle" in r.getMessage()]
-        assert shuffle == [("latspec.product", logging.WARNING, f"shuffle formula fails for {x} -> {y}")]
-        if drop == 18:
-            assert (x, y) == ((0, 0), (2, 1))
+        doubled = OperatorMatrix(H.dim, H.rows, H.cols, 2 * H.nums, H.denom)
+        dropped = (OperatorMatrix(H.dim, *(np.delete(a, i) for a in (H.rows, H.cols, H.nums)), H.denom) for i in (18, -1))
+        monkeypatch.setattr(latspec.product, "_shuffle_agrees", lambda *args: pytest.fail("walked the factors"))
+        for corrupt in (doubled, *dropped):
+            monkeypatch.setattr(latspec.product, "hamiltonian", lambda L: corrupt if L.n == H.dim else real(L))
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="latspec.product"):
+                assert product_law_checks(m3, b1, 8)[:2] == (False, False)
+            assert [r.getMessage().startswith("Kronecker sum mismatch at ") for r in caplog.records] == [True]
 
     def test_shuffle_compares_every_pair_up_to_the_max_power_in_order(self, fano, b2, monkeypatch):
         # fano x b2 has rank 5, so pairs at gaps 0 to SHUFFLE_MAX_POWER = 4 are
@@ -295,6 +312,32 @@ class TestProductLawChecks:
                 if fano.leq(x1, y1) and b2.leq(x2, y2) and d1 + d2 <= latspec.product.SHUFFLE_MAX_POWER:
                     want.append((d1 + d2, d1))
         assert calls == want and max(want) == (4, 3)
+
+    @pytest.mark.parametrize("index", RANK_SKIPPING)
+    @pytest.mark.parametrize("partner", ["b1", "m3"])
+    @pytest.mark.parametrize("skipping_left", [True, False], ids=["skipping-left", "skipping-right"])
+    def test_shuffle_warning_names_the_first_pair_on_a_rank_skipping_factor(
+        self, index, partner, skipping_left, request, caplog
+    ):
+        # the Kronecker law holds, and the shuffle law fails where a walk of
+        # one factor spans its rank gap in fewer steps than the gap
+        L, M = random_lattices()[index], request.getfixturevalue(partner)
+        assert not _joins_adjacent_ranks(L)
+        L1, L2 = (L, M) if skipping_left else (M, L)
+        x, y = _first_pair_where_shuffle_entry_raises(L1, L2, hamiltonian(build_product(L1, L2)))
+        with caplog.at_level(logging.WARNING, logger="latspec.product"):
+            assert product_law_checks(L1, L2, 6) == (True, False, True)
+        messages = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+        assert messages == [("latspec.product", logging.WARNING, f"shuffle formula fails for {x} -> {y}")]
+
+    @pytest.mark.parametrize("index", RANK_SKIPPING + ADJACENT_SAMPLE)
+    def test_shuffle_verdict_equals_the_product_walks(self, index, b1, m3):
+        L = random_lattices()[index]
+        assert _joins_adjacent_ranks(L) == (index not in RANK_SKIPPING)
+        for L1, L2 in ((L, b1), (b1, L), (L, m3), (m3, L)):
+            H1, H2, HP = hamiltonian(L1), hamiltonian(L2), hamiltonian(build_product(L1, L2))
+            walked = shuffle_agrees_by_product_walk(L1, L2, H1, H2, HP, latspec.product.SHUFFLE_MAX_POWER)
+            assert product_law_checks(L1, L2, 0)[1] == walked == (index not in RANK_SKIPPING)
 
     def test_builds_each_hamiltonian_once(self, fano, b2, monkeypatch):
         real = latspec.product.hamiltonian
